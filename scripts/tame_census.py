@@ -15,7 +15,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("algebra", help="B:m:n or D:m:n")
     parser.add_argument("--max-size", type=int, default=6)
-    parser.add_argument("--staged", action="store_true")
     args = parser.parse_args()
 
     alg = Algebra.parse(args.algebra)
@@ -27,7 +26,7 @@ def main() -> int:
         total += 1
         if rep.tame:
             tame_count += 1
-            cr = kw_character(lam, alg, staged=args.staged)
+            cr = kw_character(lam, alg)
             ts = ",".join(str(r) for r in cr.T_used)
             print(f"{str(lam):<22}{rep.atypicality_k:>3}{'yes':>6}{rep.j_lambda:>4}"
                   f"{cr.dimension:>10}  {{{ts}}}")

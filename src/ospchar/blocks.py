@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import HalfInt, Weight
+from .exactnum import HalfInt, InternalError, Weight
 from .hook import (
     HookPartition,
     HookViolation,
@@ -34,10 +34,6 @@ from .rootdata import (
 
 class WrongRegime(Exception):
     """The weight family enumeration applies only in the D-type k=1 regime."""
-
-
-class InternalError(Exception):
-    """A step produced data the underlying theory rules out."""
 
 
 @dataclass(frozen=True)

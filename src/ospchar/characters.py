@@ -1,11 +1,35 @@
 """Exact evaluation of the alternating-sum character formula.
 
-The formula ch = (1/j) D^{-1} sum_w sgn(w) w(e^{s} / prod_{T}(1 + e^{-beta}))
+The formula ch = (1/j) D_0^{-1} sum_w sgn(w) w(e^{s} / prod_{T}(1 + e^{-beta}))
 is evaluated with denominators cleared: the odd denominator identity
 e^{rho_1} prod_{pos odd}(1 + e^{-beta}) = D_1 turns the T-quotient into the
-complementary product, so the Weyl sum acts on one pre-expanded integer
-polynomial and the only divisions are by the binomial factors of D_0 and by
-the integer j, both exact with divisibility asserted.
+complementary product, so W acts on one pre-expanded integer polynomial,
+the seed.  The numerator is W-antisymmetric and the character W-invariant,
+so only the dominant chamber is computed, in three steps:
+
+1. Straighten.  Each seed term is carried into the open dominant chamber
+   by a signed sort (``rootdata.straighten``); terms on a wall are dropped.
+   This writes the numerator as sum_nu c_nu A_nu over alternants
+   A_nu = sum_w sgn(w) e^{w nu} with nu strictly dominant.
+2. Racah.  With q = numerator / D_0 and D_0 = A_{rho_0}, comparing the
+   coefficient of e^{mu + rho_0} on both sides of q A_{rho_0} = numerator
+   gives, for dominant mu in decreasing height,
+   m_mu = c_{mu + rho_0} - sum_{w != 1} sgn(w) m_{dom(mu + rho_0 - w rho_0)}
+   (Moody-Patera, Bull. AMS 7 (1982)).
+3. Orbits.  Each m_mu is divided by j exactly, then written out on the
+   distinct signed permutations of mu (``rootdata.weyl_orbit``).
+
+Divisibility by D_0 is proved, not tried: before the recursion every
+nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
+coordinates; eps coordinates all integral or all half-odd).  Such a nu - rho_0
+is dominant integral, so by the Weyl character formula A_nu / A_{rho_0} is
+the character of a finite-dimensional g_0-module, a Laurent polynomial.  An
+alternant outside the lattice raises ``NotDivisible``, as its division is not
+guaranteed; none occurs for a highest weight lambda_b, because every seed
+exponent is lambda_b + rho_0 minus a sum of odd roots.  The division by j
+stays a checked exact division.  The naive Weyl sum and the long division
+(``rootdata.weyl_alternating_sum``, ``exactnum.divide_by_factors``) remain as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import (
+    InternalError,
     LaurentPolynomial,
+    NotDivisible,
     Weight,
-    divide_by_factors,
     evaluate_at_one,
     monomial,
 )
@@ -28,14 +53,20 @@ from .rootdata import (
     FamilyMismatch,
     Root,
     b_standard,
+    dominant,
+    dominant_weights_below,
+    even_rho,
+    height,
     in_rational_span,
+    rho_shifts,
     sigma_twist,
-    weyl_alternating_sum,
+    straighten,
+    weyl_orbit,
 )
 
 
 class JDivisibilityFailure(Exception):
-    """The assembled alternating sum is not divisible by j."""
+    """A weight multiplicity of the divided alternating sum is not divisible by j."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +77,7 @@ class CharacterResult:
     T_used: tuple[Root, ...]
     j_used: int
     dimension: int
+    atypicality_k: int
 
     def to_json(self) -> dict:
         from .exactnum import poly_to_json
@@ -64,8 +96,9 @@ def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Expanded product forms of the even and odd Weyl denominators."""
     rank = b.algebra.rank
     d0 = LaurentPolynomial.one(rank)
-    for f in _even_denominator_factors(b):
-        d0 = d0 * f
+    for r in sorted(b.pos_even, key=lambda r: r.weight.exponent_key()):
+        half = r.weight.half()
+        d0 = d0 * (monomial(half, 1) + monomial(-half, -1))
     d1 = LaurentPolynomial.one(rank)
     for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
         half = r.weight.half()
@@ -73,31 +106,91 @@ def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     return d0, d1
 
 
-def _even_denominator_factors(b: BorelData) -> list[LaurentPolynomial]:
-    out = []
-    for r in sorted(b.pos_even, key=lambda r: r.weight.exponent_key()):
-        half = r.weight.half()
-        out.append(monomial(half, 1) + monomial(-half, -1))
-    return out
-
-
 def _cleared_sum(
     b: BorelData,
     shifted: Weight,
     excluded_odd: set[Root],
-    staged: bool,
-    threads: int,
+    j: int = 1,
 ) -> LaurentPolynomial:
-    """sum_w sgn(w) w(e^{shifted + rho_1} prod_{pos odd minus excluded}(1+e^{-beta}))
-    divided exactly by D_0."""
+    """(1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
+    e^{shifted + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
     alg = b.algebra
     seed = monomial(shifted + b.rho_odd, 1)
     for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
         if r in excluded_odd:
             continue
         seed = seed * (LaurentPolynomial.one(alg.rank) + monomial(-r.weight, 1))
-    numerator = weyl_alternating_sum(alg, seed, staged=staged, threads=threads)
-    return divide_by_factors(numerator, _even_denominator_factors(b))
+    return divided_alternating_sum(alg, seed, j)
+
+
+def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -> LaurentPolynomial:
+    """(1/j) D_0^{-1} sum_w sgn(w) w(seed), through the dominant chamber.
+
+    Raises ``NotDivisible`` when a surviving alternant lies outside
+    rho_0 + (weight lattice of g_0), and ``JDivisibilityFailure`` when a
+    multiplicity is not divisible by j.
+    """
+    alternants = _alternant_coefficients(alg, seed)
+    dominant_part = LaurentPolynomial(alg.rank, _dominant_multiplicities(alg, alternants))
+    dominant_part = _scalar_divide(dominant_part, j)
+    terms = {}
+    for mu, mult in dominant_part.terms.items():
+        for exp in weyl_orbit(alg, mu):
+            terms[exp] = mult
+    return LaurentPolynomial(alg.rank, terms)
+
+
+def _alternant_coefficients(alg: Algebra, seed: LaurentPolynomial) -> dict[tuple[int, ...], int]:
+    """c_nu with sum_w sgn(w) w(seed) = sum_nu c_nu A_nu, nu strictly dominant."""
+    out: dict[tuple[int, ...], int] = {}
+    for exp, coef in seed.terms.items():
+        hit = straighten(alg, exp)
+        if hit is None:
+            continue
+        sign, nu = hit
+        new = out.get(nu, 0) + sign * coef
+        if new:
+            out[nu] = new
+        else:
+            del out[nu]
+    return out
+
+
+def _in_weight_lattice(n: int, exp: tuple[int, ...]) -> bool:
+    """Doubled exponent in the weight lattice of g_0: sp(2n) x so(2m[+1])."""
+    return all(v % 2 == 0 for v in exp[:n]) and len({v % 2 for v in exp[n:]}) == 1
+
+
+def _dominant_multiplicities(
+    alg: Algebra, alternants: dict[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Dominant weight multiplicities of sum_nu c_nu A_nu / A_{rho_0} (Racah)."""
+    rho = even_rho(alg)
+    tops = []
+    for nu in alternants:
+        top = tuple(a - b for a, b in zip(nu, rho))
+        if not _in_weight_lattice(alg.n, top):
+            raise NotDivisible(f"alternant at {nu} lies outside rho_0 + the weight lattice of g_0")
+        tops.append(top)
+    if not tops:
+        return {}
+    ceiling = max(height(t, rho) for t in tops)
+    shifts = rho_shifts(alg)
+    mult: dict[tuple[int, ...], int] = {}
+    weights = sorted(
+        ((height(mu, rho), mu) for mu in dominant_weights_below(alg, tops)), reverse=True
+    )
+    for h, mu in weights:
+        total = alternants.get(tuple(a + b for a, b in zip(mu, rho)), 0)
+        for shift_height, sign, shift in shifts:
+            if h + shift_height > ceiling:
+                break  # every dominant weight above the ceiling has multiplicity 0
+            higher = mult.get(dominant(alg, tuple(a + b for a, b in zip(mu, shift))))
+            if higher:
+                total -= sign * higher
+        if total:
+            mult[mu] = total
+    return mult
 
 
 def _scalar_divide(p: LaurentPolynomial, j: int) -> LaurentPolynomial:
@@ -116,8 +209,6 @@ def kw_character(
     lam: HookPartition,
     alg: Algebra,
     minus: bool = False,
-    staged: bool = False,
-    threads: int = 1,
 ) -> CharacterResult:
     """Character of the irreducible with the given (tame) highest weight.
 
@@ -140,10 +231,9 @@ def kw_character(
     j = report.j_lambda
 
     lam_b = highest_weight_via_reflections(lam, b, minus=False)
-    for r in T:
-        assert r in b.pos_odd
-    poly = _cleared_sum(b, lam_b + b.rho, set(T), staged, threads)
-    poly = _scalar_divide(poly, j)
+    if not set(T) <= b.pos_odd:
+        raise InternalError(f"distinguished set is not positive for {b.sequence}")
+    poly = _cleared_sum(b, lam_b + b.rho, set(T), j)
 
     hw_plus, hw_minus = natural_weight(lam)
     if minus:
@@ -162,6 +252,7 @@ def kw_character(
         T_used=T_used,
         j_used=j,
         dimension=evaluate_at_one(poly),
+        atypicality_k=report.atypicality_k,
     )
 
 
@@ -172,16 +263,13 @@ def kw_character_with_borel(
     T: tuple[Root, ...],
     j: int,
     minus: bool = False,
-    staged: bool = False,
-    threads: int = 1,
 ) -> LaurentPolynomial:
     """The raw formula for an arbitrary Borel and distinguished set.
 
     Used for the Borel-independence checks; no tameness screening here.
     """
     lam_b = highest_weight_via_reflections(lam, b, minus=minus)
-    poly = _cleared_sum(b, lam_b + b.rho, set(T), staged, threads)
-    return _scalar_divide(poly, j)
+    return _cleared_sum(b, lam_b + b.rho, set(T), j)
 
 
 def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Root, ...]:
@@ -205,8 +293,6 @@ def euler_char_character(
     levi_simple_roots: tuple[Root, ...],
     lam_b: Weight,
     b: BorelData,
-    staged: bool = False,
-    threads: int = 1,
 ) -> LaurentPolynomial:
     """Euler characteristic character of the parabolic Verma head, for a
     one-dimensional Levi module of b-highest weight lam_b.
@@ -218,7 +304,7 @@ def euler_char_character(
     excluded = {
         r for r in b.pos_odd if levi_weights and in_rational_span(levi_weights, r.weight)
     }
-    return _cleared_sum(b, lam_b + b.rho, excluded, staged, threads)
+    return _cleared_sum(b, lam_b + b.rho, excluded)
 
 
 def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
@@ -229,12 +315,14 @@ def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
     """
     n = cr.highest_weight.n
     hw_d = sum(cr.highest_weight.exponent_key()[:n])
-    assert hw_d % 2 == 0
+    if hw_d % 2:
+        raise InternalError(f"highest weight {cr.highest_weight.display()} has half-integral d-degree")
     hw_parity = (hw_d // 2) % 2
     out = {}
     for exp, coef in cr.character.terms.items():
         total = sum(exp[:n])
-        assert total % 2 == 0
+        if total % 2:
+            raise InternalError(f"weight {exp} has half-integral d-degree")
         out[exp] = coef if (total // 2) % 2 == hw_parity else -coef
     return LaurentPolynomial(cr.character.rank, out)
 

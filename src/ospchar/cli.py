@@ -1,8 +1,8 @@
 """Command-line front end: classify, bottom, character, block-family, verify.
 
 Output is machine-readable JSON by default (sorted, byte-identical across
-runs and thread counts); --output text prints a human summary.  Domain
-errors exit 1 with a structured payload, internal faults exit 2.
+runs); --output text prints a human summary.  Domain errors exit 1 with a
+structured payload, internal faults exit 2.
 """
 
 from __future__ import annotations
@@ -101,19 +101,22 @@ def _cmd_bottom(args) -> int:
 def _cmd_character(args) -> int:
     alg = Algebra.parse(args.algebra)
     lam = HookPartition.of(parse_partition(args.partition), alg.n, alg.m)
-    cr = kw_character(lam, alg, minus=args.minus, staged=args.staged, threads=args.threads)
+    cr = kw_character(lam, alg, minus=args.minus)
     payload = {"command": "character", "algebra": alg.label(), "partition": list(lam.parts)}
     payload.update(cr.to_json())
-    k = is_tame(lam, alg, minus=args.minus).atypicality_k
-    payload["k"] = k
+    payload["k"] = cr.atypicality_k
+    if args.output == "json":
+        _emit(payload, True)
+        return 0
+    # the text rendering of a large character costs as much as computing it
     lines = [
         f"{alg.osp_name()}  L({cr.highest_weight.display()})",
-        f"k = {k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
+        f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
         f"T = {{{', '.join(str(r) for r in cr.T_used)}}}",
         f"dim = {cr.dimension}",
         f"ch = {monomial_text(cr.character, alg.n, alg.m)}",
     ]
-    _emit(payload, args.output == "json", lines)
+    _emit(payload, False, lines)
     return 0
 
 
@@ -135,14 +138,14 @@ def _cmd_block_family(args) -> int:
     return 0
 
 
-def _verify_checks(alg: Algebra, max_size: int, staged: bool, threads: int):
+def _verify_checks(alg: Algebra, max_size: int):
     """Identity suite: trivial characters, Euler constants, the Euler/KW
     equality, and the denominator invariances."""
     checks = []
     zero = Weight.zero(alg.n, alg.m)
 
     trivial = HookPartition.of((), alg.n, alg.m)
-    cr = kw_character(trivial, alg, staged=staged, threads=threads)
+    cr = kw_character(trivial, alg)
     checks.append(("trivial-kw-is-one", cr.character == monomial(zero, 1), f"j={cr.j_used}"))
 
     # Euler constants for the shapes with a pinned value
@@ -157,7 +160,7 @@ def _verify_checks(alg: Algebra, max_size: int, staged: bool, threads: int):
     if expected is not None:
         b = b_odd(alg)
         levi = b.simple_roots[:-1]
-        poly = euler_char_character(levi, zero, b, staged=staged, threads=threads)
+        poly = euler_char_character(levi, zero, b)
         checks.append(("euler-trivial-constant", poly == monomial(zero, expected), f"= {expected}"))
 
     # Euler characteristic equals the character for small tame lambdas
@@ -167,11 +170,11 @@ def _verify_checks(alg: Algebra, max_size: int, staged: bool, threads: int):
         report = is_tame(lam, alg)
         if not report.tame:
             continue
-        crx = kw_character(lam, alg, staged=staged, threads=threads)
+        crx = kw_character(lam, alg)
         b = report.witness_borel if report.atypicality_k else b_odd(alg)
         levi = canonical_levi_roots(b, report)
         lam_b = highest_weight_via_reflections(lam, b)
-        euler = euler_char_character(levi, lam_b, b, staged=staged, threads=threads)
+        euler = euler_char_character(levi, lam_b, b)
         if euler != crx.character:
             ok = False
             detail.append(str(lam))
@@ -208,7 +211,7 @@ def _cmd_verify(args) -> int:
     results = []
     all_ok = True
     for alg in algebras:
-        for name, ok, detail in _verify_checks(alg, args.max_size, args.staged, args.threads):
+        for name, ok, detail in _verify_checks(alg, args.max_size):
             results.append({"algebra": alg.label(), "check": name, "pass": ok, "detail": detail})
             all_ok = all_ok and ok
     payload = {"command": "verify", "ok": all_ok, "checks": results}
@@ -220,13 +223,6 @@ def _cmd_verify(args) -> int:
     lines.append("all checks passed" if all_ok else "FAILURES present")
     _emit(payload, args.output == "json", lines)
     return 0 if all_ok else 1
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("character", help="evaluate the character formula")
     common(p)
     p.add_argument("--minus", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--staged", action="store_true", help="staged Weyl summation kernel")
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("block-family", help="the finite tame family of a D-type k=1 block")
@@ -267,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", help="restrict to one algebra")
     p.add_argument("--max-rank", type=int, default=2, help="rank sweep bound without --algebra")
     p.add_argument("--max-size", type=int, default=4, help="partition size bound for equalities")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--staged", action="store_true")
     p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -18,6 +18,10 @@ class NotDivisible(Exception):
     """Raised when an exact Laurent division leaves a nonzero remainder."""
 
 
+class InternalError(Exception):
+    """A step produced data the underlying theory rules out."""
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
@@ -290,19 +294,6 @@ def evaluate_at_one(p: LaurentPolynomial) -> int:
     return sum(p.terms.values())
 
 
-def poly_sum(polys: Iterable[LaurentPolynomial], rank: int) -> LaurentPolynomial:
-    """Sum in the iteration order given (deterministic reduction)."""
-    out: dict[tuple[int, ...], int] = {}
-    for p in polys:
-        for exp, coef in p.terms.items():
-            new = out.get(exp, 0) + coef
-            if new:
-                out[exp] = new
-            else:
-                del out[exp]
-    return LaurentPolynomial(rank, out)
-
-
 def _cwise_min(exps: Iterator[tuple[int, ...]], rank: int) -> tuple[int, ...]:
     mins = None
     for e in exps:
@@ -312,7 +303,8 @@ def _cwise_min(exps: Iterator[tuple[int, ...]], rank: int) -> tuple[int, ...]:
             for i, v in enumerate(e):
                 if v < mins[i]:
                     mins[i] = v
-    assert mins is not None
+    if mins is None:
+        raise InternalError("componentwise minimum of an empty support")
     return tuple(mins)
 
 
@@ -367,7 +359,8 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
             else:
                 rem.pop(exp2, None)
 
-    assert not rem
+    if rem:
+        raise NotDivisible("remainder does not vanish")
     return LaurentPolynomial(rank, quotient)
 
 

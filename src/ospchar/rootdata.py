@@ -12,13 +12,14 @@ right-most e throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .exactnum import LaurentPolynomial, Weight, poly_sum
+from .exactnum import LaurentPolynomial, Weight
 
 FAMILY_B = "B"
 FAMILY_D = "D"
@@ -418,22 +419,12 @@ def apply_weyl(w: WeylElement, p: LaurentPolynomial) -> LaurentPolynomial:
     return p.map_exponents(w.apply_to_exponent)
 
 
-def weyl_alternating_sum(
-    alg: Algebra,
-    p: LaurentPolynomial,
-    staged: bool = False,
-    threads: int = 1,
-) -> LaurentPolynomial:
-    """The signed sum of all Weyl images of p.
+def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
+    """The signed sum of all Weyl images of p, iterating W once.
 
-    The baseline iterates W once.  The staged path antisymmetrizes over the
-    four factor subgroups in turn (d-signs, d-permutations, e-signs,
-    e-permutations); it is validated against the baseline in the tests.
+    No production path calls this: it is the test oracle for the
+    dominant-chamber pipeline of ``characters``.
     """
-    if staged:
-        return _staged_alternating_sum(alg, p)
-    if threads > 1:
-        return _threaded_alternating_sum(alg, p, threads)
     out: dict[tuple[int, ...], int] = {}
     for w in weyl_elements(alg):
         s = w.sign
@@ -447,103 +438,136 @@ def weyl_alternating_sum(
     return LaurentPolynomial(p.rank, out)
 
 
-def _threaded_alternating_sum(alg: Algebra, p: LaurentPolynomial, threads: int) -> LaurentPolynomial:
-    from concurrent.futures import ThreadPoolExecutor
-
-    elements = list(weyl_elements(alg))
-    chunk = (len(elements) + threads - 1) // threads
-    slices = [elements[i : i + chunk] for i in range(0, len(elements), chunk)]
-
-    def partial(ws: list[WeylElement]) -> LaurentPolynomial:
-        acc: dict[tuple[int, ...], int] = {}
-        for w in ws:
-            s = w.sign
-            for exp, coef in p.terms.items():
-                key = w.apply_to_exponent(exp)
-                new = acc.get(key, 0) + s * coef
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-        return LaurentPolynomial(p.rank, acc)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(partial, slices))
-    # merge in chunk order so the reduction is deterministic
-    return poly_sum(parts, p.rank)
+# ---------------------------------------------------------------------------
+# The dominant chamber
+#
+# On doubled exponents the closed chamber is a_1 >= ... >= a_n >= 0 on the
+# delta axes (type C), b_1 >= ... >= b_m >= 0 on the eps axes in family B,
+# and b_1 >= ... >= b_{m-1} >= |b_m| in family D, where W flips eps signs
+# only in pairs.  Every W-orbit meets it exactly once.
 
 
-def _alt_sign_axis(terms: dict, axis: int) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for exp, coef in terms.items():
-        if exp[axis] == 0:
-            continue
-        new = out.get(exp, 0) + coef
-        if new:
-            out[exp] = new
-        else:
-            del out[exp]
-        flipped = exp[:axis] + (-exp[axis],) + exp[axis + 1 :]
-        new = out.get(flipped, 0) - coef
-        if new:
-            out[flipped] = new
-        else:
-            del out[flipped]
+def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of exp in the closed dominant chamber."""
+    n = alg.n
+    delta = sorted(map(abs, exp[:n]), reverse=True)
+    eps = sorted(map(abs, exp[n:]), reverse=True)
+    if alg.family == FAMILY_D and eps[-1] and sum(v < 0 for v in exp[n:]) % 2:
+        eps[-1] = -eps[-1]
+    return tuple(delta + eps)
+
+
+def _sort_sign(values: tuple[int, ...]) -> int:
+    """Sign of the permutation sorting |values| into decreasing order."""
+    sign = 1
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            if abs(a) < abs(b):
+                sign = -sign
+    return sign
+
+
+def _has_repeat(decreasing: list[int]) -> bool:
+    return any(a == b for a, b in zip(decreasing, decreasing[1:]))
+
+
+def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Carry exp into the open dominant chamber with a signed sort.
+
+    Returns (sgn w, w exp) for the Weyl element w doing so, with the sign
+    ``WeylElement.sign`` gives: the sort's permutation sign times -1 per
+    sign flip (family-D eps flips come in pairs and contribute +1).  The
+    alternant sum_u sgn(u) e^{u exp} is then sgn(w) times that of w exp.
+    Returns None when a reflection fixes exp, since its alternant vanishes.
+    """
+    n = alg.n
+    image = dominant(alg, exp)
+    delta = list(image[:n])
+    eps = [abs(v) for v in image[n:]]
+    if delta[-1] == 0 or (alg.family == FAMILY_B and eps[-1] == 0):
+        return None
+    if _has_repeat(delta) or _has_repeat(eps):
+        return None
+    flips = sum(v < 0 for v in exp[:n])
+    if alg.family == FAMILY_B:
+        flips += sum(v < 0 for v in exp[n:])
+    sign = _sort_sign(exp[:n]) * _sort_sign(exp[n:]) * (-1) ** flips
+    return sign, image
+
+
+def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> list[tuple[int, ...]]:
+    """Distinct signed permutations of values; sign_product, if given, fixes
+    the sign of the product of the entries."""
+    out = []
+    for perm in set(itertools.permutations(map(abs, values))):
+        nonzero = [i for i, v in enumerate(perm) if v]
+        for signs in itertools.product((1, -1), repeat=len(nonzero)):
+            if sign_product is not None and math.prod(signs) != sign_product:
+                continue
+            image = list(perm)
+            for i, s in zip(nonzero, signs):
+                image[i] = s * image[i]
+            out.append(tuple(image))
     return out
 
 
-def _alt_even_signs(terms: dict, axes: list[int]) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for signs in itertools.product((1, -1), repeat=len(axes)):
-        prod = 1
-        for x in signs:
-            prod *= x
-        if prod != 1:
-            continue
-        for exp, coef in terms.items():
-            e = list(exp)
-            for ax, s in zip(axes, signs):
-                e[ax] = s * e[ax]
-            key = tuple(e)
-            new = out.get(key, 0) + coef
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct W-images of exp, without iterating over W."""
+    n = alg.n
+    eps = exp[n:]
+    sign_product = None
+    if alg.family == FAMILY_D and all(eps):
+        sign_product = -1 if sum(v < 0 for v in eps) % 2 else 1
+    deltas = _signed_permutations(exp[:n], None)
+    return [d + e for d in deltas for e in _signed_permutations(eps, sign_product)]
 
 
-def _alt_perms(terms: dict, axes: list[int]) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(len(axes))):
-        s = _perm_sign(perm)
-        for exp, coef in terms.items():
-            e = list(exp)
-            for src, dst in enumerate(perm):
-                e[axes[dst]] = exp[axes[src]]
-            key = tuple(e)
-            new = out.get(key, 0) + s * coef
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+@functools.lru_cache(maxsize=None)
+def even_rho(alg: Algebra) -> tuple[int, ...]:
+    """rho_0 as a doubled exponent; the same for every Borel considered."""
+    return _half_sum(_even_positive_roots(alg), alg.n, alg.m).exponent_key()
 
 
-def _staged_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
-    n, m = alg.n, alg.m
-    terms = dict(p.terms)
-    for axis in range(n):
-        terms = _alt_sign_axis(terms, axis)
-    terms = _alt_perms(terms, list(range(n)))
-    eps_axes = list(range(n, n + m))
-    if alg.family == FAMILY_D:
-        terms = _alt_even_signs(terms, eps_axes)
-    else:
-        for axis in eps_axes:
-            terms = _alt_sign_axis(terms, axis)
-    terms = _alt_perms(terms, eps_axes)
-    return LaurentPolynomial(p.rank, terms)
+def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Euclidean product with rho_0: positive on every positive even root."""
+    return sum(a * b for a, b in zip(exp, rho))
+
+
+@functools.lru_cache(maxsize=None)
+def rho_shifts(alg: Algebra) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(height, sgn w, rho_0 - w rho_0) for every w != 1, lowest first.
+
+    These are the terms of Racah's multiplicity recursion.
+    """
+    rho = even_rho(alg)
+    out = []
+    for w in weyl_elements(alg):
+        shift = tuple(a - b for a, b in zip(rho, w.apply_to_exponent(rho)))
+        if any(shift):
+            out.append((height(shift, rho), w.sign, shift))
+    out.sort()
+    return tuple(out)
+
+
+def dominant_weights_below(alg: Algebra, tops: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every dominant weight below some top in the dominance order.
+
+    They are reached by subtracting one positive even root at a time while
+    staying dominant, since one dominant weight covers another only by a
+    positive root (Stembridge, "The partial order of dominant weights",
+    Adv. Math. 136 (1998)).
+    """
+    roots = [r.weight.exponent_key() for r in _even_positive_roots(alg)]
+    seen = set(tops)
+    stack = list(seen)
+    while stack:
+        mu = stack.pop()
+        for alpha in roots:
+            lower = tuple(a - b for a, b in zip(mu, alpha))
+            if lower not in seen and dominant(alg, lower) == lower:
+                seen.add(lower)
+                stack.append(lower)
+    return seen
 
 
 # ---------------------------------------------------------------------------

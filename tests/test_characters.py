@@ -1,6 +1,9 @@
 """Tests for denominators, the character formula, Euler characters, and
 supercharacters."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from ospchar.atyp import NotTame, is_tame
@@ -10,12 +13,20 @@ from ospchar.characters import (
     canonical_levi_roots,
     denominators,
     dimension,
+    divided_alternating_sum,
     euler_char_character,
     kw_character,
     kw_character_with_borel,
     supercharacter,
 )
-from ospchar.exactnum import Weight, evaluate_at_one, monomial
+from ospchar.exactnum import (
+    LaurentPolynomial,
+    NotDivisible,
+    Weight,
+    divide_by_factors,
+    evaluate_at_one,
+    monomial,
+)
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -29,7 +40,10 @@ from ospchar.rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
+    in_rational_span,
+    pairing,
     sigma_twist,
+    weyl_alternating_sum,
     weyl_elements,
 )
 
@@ -158,17 +172,11 @@ class TestKWCharacter:
                 assert minus.highest_weight == natural_weight(lam)[1]
                 assert minus.character.coefficient(minus.highest_weight) == 1
 
-    def test_staged_and_threaded_paths_agree(self):
-        lam = HookPartition.of((2,), 2, 2)
-        base = kw_character(lam, B22).character
-        assert kw_character(lam, B22, staged=True).character == base
-        assert kw_character(lam, B22, threads=3).character == base
-
     def test_osp_7_6_gamma_full_evaluation(self):
-        # |W| = 2304; staged kernel keeps this in seconds
+        # |W| = 2304 and a 37 456-term seed
         alg = Algebra("B", 3, 3)
         lam = HookPartition.of((5,), 3, 3)
-        cr = kw_character(lam, alg, staged=True)
+        cr = kw_character(lam, alg)
         assert cr.character.coefficient(cr.highest_weight) == 1
         assert all(c > 0 for c in cr.character.terms.values())
         assert cr.j_used == 8
@@ -178,6 +186,126 @@ class TestKWCharacter:
         rng = random.Random(11)
         for el in rng.sample(list(weyl_elements(alg)), 12):
             assert apply_weyl(el, cr.character) == cr.character
+
+
+ORACLE_ALGEBRAS = [Algebra.parse(a) for a in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:1", "D:2:2")]
+
+
+def tame_weights(alg, max_size=6):
+    for lam in hook_partitions(alg.n, alg.m, max_size):
+        rep = is_tame(lam, alg)
+        if rep.tame:
+            yield lam, rep
+
+
+def even_factors(b):
+    return [monomial(r.weight.half(), 1) + monomial(-r.weight.half(), -1) for r in b.pos_even]
+
+
+def naive_cleared_sum(b, lam_b, excluded, j=1):
+    """Oracle: the whole Weyl sum of the seed, long division by the factors
+    of D_0, then division by j."""
+    alg = b.algebra
+    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
+    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
+        if r not in excluded:
+            seed = seed * (LaurentPolynomial.one(alg.rank) + monomial(-r.weight, 1))
+    quotient = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b))
+    out = {}
+    for exp, coef in quotient.terms.items():
+        q, r = divmod(coef, j)
+        assert r == 0
+        out[exp] = q
+    return LaurentPolynomial(alg.rank, out)
+
+
+def kac_typical_dimension(lam, alg):
+    """2^{|D1+|} prod_{a in D0+} (lambda + rho, a) / (rho_0, a) (Kac 1977)."""
+    b = b_standard(alg)
+    shifted = natural_weight(lam)[0] + b.rho
+    dim = Fraction(2 ** len(b.pos_odd))
+    for r in b.pos_even:
+        dim *= pairing(shifted, r.weight) / pairing(b.rho_even, r.weight)
+    return dim
+
+
+@pytest.mark.parametrize("alg", ORACLE_ALGEBRAS, ids=Algebra.label)
+class TestDominantPipelineOracle:
+    """The dominant-chamber pipeline against the naive Weyl sum and division."""
+
+    def test_kw_character(self, alg):
+        for lam, rep in tame_weights(alg):
+            b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
+            lam_b = highest_weight_via_reflections(lam, b)
+            want = naive_cleared_sum(b, lam_b, set(rep.distinguished_T), rep.j_lambda)
+            assert kw_character(lam, alg).character == want, lam.parts
+
+    def test_kw_character_with_borel_over_every_borel(self, alg):
+        for lam, rep in tame_weights(alg):
+            for seq in all_sequences(alg):
+                b = borel_from_sequence(alg, seq)
+                minus = seq.sign == -1
+                T = tuple(r for r in rep.distinguished_T if r in b.pos_odd)
+                lam_b = highest_weight_via_reflections(lam, b, minus=minus)
+                got = kw_character_with_borel(lam, alg, b, T, 1, minus=minus)
+                assert got == naive_cleared_sum(b, lam_b, set(T)), (lam.parts, str(seq))
+
+    def test_euler_char_character(self, alg):
+        for lam, rep in tame_weights(alg):
+            b = rep.witness_borel if rep.atypicality_k else b_odd(alg)
+            levi = canonical_levi_roots(b, rep)
+            lam_b = highest_weight_via_reflections(lam, b)
+            weights = [r.weight for r in levi]
+            excluded = {r for r in b.pos_odd if weights and in_rational_span(weights, r.weight)}
+            got = euler_char_character(levi, lam_b, b)
+            assert got == naive_cleared_sum(b, lam_b, excluded), lam.parts
+
+    def test_kac_dimension_of_typical_weights(self, alg):
+        # |lambda| <= 8: B:2:2 has no typical hook weight below size 8
+        typical = [lam for lam, rep in tame_weights(alg, 8) if rep.atypicality_k == 0]
+        assert typical
+        for lam in typical:
+            assert kw_character(lam, alg).dimension == kac_typical_dimension(lam, alg), lam.parts
+
+    def test_signed_seeds(self, alg):
+        # integer combinations of monomials in rho_0 + (weight lattice of g_0),
+        # with cancellations and terms on walls
+        rng = random.Random(alg.label())
+        rho = b_standard(alg).rho_even.exponent_key()
+        eps_parity = rho[alg.n] % 2
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                exp = tuple(2 * rng.randint(-3, 3) for _ in range(alg.n))
+                exp += tuple(2 * rng.randint(-3, 3) + eps_parity for _ in range(alg.m))
+                terms[exp] = rng.choice([-2, -1, 1, 3])
+            seed = LaurentPolynomial(alg.rank, terms)
+            want = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b_standard(alg)))
+            assert divided_alternating_sum(alg, seed) == want, terms
+
+
+class TestDivisibilityProof:
+    def test_alternant_off_the_weight_lattice_is_refused(self):
+        # e^{(3/2 | 1/2)} over osp(3|2): a regular alternant whose delta
+        # coordinate is half-integral, so rho_0 + P does not contain it
+        seed = monomial(Weight.from_doubled([3], [1]), 1)
+        with pytest.raises(NotDivisible):
+            divided_alternating_sum(B11, seed)
+        with pytest.raises(NotDivisible):
+            divide_by_factors(weyl_alternating_sum(B11, seed), even_factors(b_standard(B11)))
+
+    def test_mixed_eps_parity_is_refused(self):
+        alg = Algebra("B", 2, 1)
+        seed = monomial(Weight.from_doubled([4], [4, 1]), 1)
+        with pytest.raises(NotDivisible):
+            divided_alternating_sum(alg, seed)
+
+    def test_j_divides_the_dominant_multiplicities(self):
+        alg = Algebra("B", 1, 1)
+        seed = monomial(Weight.from_doubled([2], [1]), 6)  # 6 * A_{rho_0}
+        assert divided_alternating_sum(alg, seed, 3) == one(alg) * 2
+        with pytest.raises(JDivisibilityFailure):
+            divided_alternating_sum(alg, seed, 4)
 
 
 class TestStructuralCrossChecks:
@@ -274,7 +402,7 @@ class TestSupercharacterAndDimension:
         from ospchar.characters import CharacterResult
 
         hw = Weight.from_ints([3], [1])
-        cr = CharacterResult(monomial(hw, 1), hw, b_standard(B11), (), 1, 1)
+        cr = CharacterResult(monomial(hw, 1), hw, b_standard(B11), (), 1, 1, 0)
         assert supercharacter(cr) == cr.character
 
     def test_parity_grading_flips_odd_weight_spaces(self):

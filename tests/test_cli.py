@@ -2,7 +2,12 @@
 
 import json
 
+from ospchar.atyp import is_tame
 from ospchar.cli import main
+from ospchar.exactnum import evaluate_at_one, poly_from_json
+from ospchar.hook import HookPartition, highest_weight_via_reflections, parse_partition
+from ospchar.rootdata import Algebra, b_standard
+from test_characters import naive_cleared_sum
 
 
 def run_cli(capsys, *argv):
@@ -77,25 +82,33 @@ class TestCharacter:
         assert payload["k"] == 1
         assert payload["character"] == [{"coef": "1", "exp": [0, 0]}]
 
-    def test_threads_do_not_change_bytes(self, capsys):
-        _, ref, _ = run_cli(
-            capsys, "character", "--algebra", "B:2:2", "--partition", "2"
-        )
-        for t in ("2", "4"):
-            _, out, _ = run_cli(
-                capsys,
-                "character", "--algebra", "B:2:2", "--partition", "2", "--threads", t,
-            )
-            assert out == ref
+    def test_character_json_matches_naive_oracle(self, capsys):
+        # the printed polynomial against the full Weyl sum and long division
+        for algebra, parts in (("B:2:2", "2"), ("D:2:2", "2,1")):
+            code, out, _ = run_cli(capsys, "character", "--algebra", algebra, "--partition", parts)
+            assert code == 0
+            payload = json.loads(out)
+            alg = Algebra.parse(algebra)
+            lam = HookPartition.of(parse_partition(parts), alg.n, alg.m)
+            rep = is_tame(lam, alg)
+            b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
+            lam_b = highest_weight_via_reflections(lam, b)
+            want = naive_cleared_sum(b, lam_b, set(rep.distinguished_T), rep.j_lambda)
+            assert poly_from_json(payload["character"], alg.rank) == want
+            assert payload["k"] == rep.atypicality_k
+            assert payload["dim"] == str(evaluate_at_one(want))
 
-    def test_staged_same_bytes(self, capsys):
-        _, ref, _ = run_cli(
-            capsys, "character", "--algebra", "D:2:2", "--partition", "2,1"
+    def test_text_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "character", "--algebra", "B:1:1", "--partition", "0", "--output", "text"
         )
-        _, out, _ = run_cli(
-            capsys, "character", "--algebra", "D:2:2", "--partition", "2,1", "--staged"
-        )
-        assert out == ref
+        assert code == 0
+        assert out.splitlines() == [
+            "osp(3|2)  L((0|0))",
+            "k = 1, j = 2, Borel = ed, T = {e1-d1}",
+            "dim = 1",
+            "ch = 1",
+        ]
 
     def test_minus_rejected_for_family_b(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,6 @@
 """Tests for Borel data, Weyl machinery, odd reflections, and the D twist."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,19 @@ from ospchar.rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
+    coords_in_basis,
+    dominant,
+    dominant_weights_below,
+    even_rho,
+    height,
     make_root,
     odd_reflection,
     pairing,
     sigma_twist,
+    straighten,
     weyl_alternating_sum,
     weyl_elements,
+    weyl_orbit,
     weyl_order,
 )
 from ospchar.characters import denominators
@@ -186,19 +194,62 @@ class TestWeylGroup:
             d0, _ = denominators(b)
             assert weyl_alternating_sum(alg, monomial(b.rho_even, 1)) == d0
 
-    def test_staged_kernel_matches_naive(self):
+    def test_straighten_dominant_and_orbit_match_brute_force(self):
+        # every doubled exponent in a box, against the images under all of W
         for alg in (B11, Algebra("B", 2, 1), D21, D22):
-            b = b_standard(alg)
-            seed = monomial(b.rho_even, 3) + monomial(b.rho_odd + b.rho_even, -2)
-            naive = weyl_alternating_sum(alg, seed)
-            assert weyl_alternating_sum(alg, seed, staged=True) == naive
+            elements = list(weyl_elements(alg))
+            rho = even_rho(alg)
+            for exp in itertools.product(range(-3, 4), repeat=alg.rank):
+                images: dict[tuple[int, ...], list[int]] = {}
+                for el in elements:
+                    images.setdefault(el.apply_to_exponent(exp), []).append(el.sign)
+                # the dominant image is the unique orbit point of greatest height
+                top = max(images, key=lambda e: height(e, rho))
+                assert [e for e in images if height(e, rho) == height(top, rho)] == [top]
+                assert dominant(alg, exp) == top
+                assert sorted(weyl_orbit(alg, top)) == sorted(images)
+                hit = straighten(alg, exp)
+                if len(images) < len(elements):  # a nontrivial stabiliser
+                    assert hit is None, (alg.label(), exp)
+                else:
+                    assert hit == (images[top][0], top), (alg.label(), exp)
 
-    def test_threaded_kernel_matches_naive(self):
-        b = b_standard(B22)
-        seed = monomial(b.rho_even, 1)
-        naive = weyl_alternating_sum(B22, seed)
-        for threads in (2, 3, 5):
-            assert weyl_alternating_sum(B22, seed, threads=threads) == naive
+    def test_dominant_weights_below_is_the_dominance_interval(self):
+        cases = {
+            B11: [(4, 3), (6, 2)],
+            Algebra("B", 2, 1): [(4, 5, 3), (2, 4, 2)],
+            D21: [(4, 4, -2), (2, 3, 1)],
+            D22: [(4, 2, 4, -2), (2, 0, 3, 3)],
+        }
+        for alg, tops in cases.items():
+            simple = _even_simple_roots(alg)
+            bound = max(abs(v) for t in tops for v in t)
+            want = set()
+            for exp in itertools.product(range(-bound, bound + 1), repeat=alg.rank):
+                if dominant(alg, exp) != exp:
+                    continue
+                for t in tops:
+                    diff = Weight.from_doubled(
+                        [a - b for a, b in zip(t[: alg.n], exp[: alg.n])],
+                        [a - b for a, b in zip(t[alg.n :], exp[alg.n :])],
+                    )
+                    coords = coords_in_basis(simple, diff)
+                    if coords is not None and all(c >= 0 and c.denominator == 1 for c in coords):
+                        want.add(exp)
+                        break
+            assert dominant_weights_below(alg, tops) == want, alg.label()
+
+
+def _even_simple_roots(alg):
+    """Simple roots of the even part: d_i - d_{i+1}, 2d_n, e_k - e_{k+1} and
+    e_m (family B) or e_{m-1} + e_m (family D)."""
+    n, m = alg.n, alg.m
+    d = [Weight.basis_delta(n, m, i) for i in range(1, n + 1)]
+    e = [Weight.basis_eps(n, m, k) for k in range(1, m + 1)]
+    roots = [d[i] - d[i + 1] for i in range(n - 1)] + [d[-1].scale(2)]
+    roots += [e[k] - e[k + 1] for k in range(m - 1)]
+    roots.append(e[-1] if alg.family == "B" else e[-2] + e[-1])
+    return roots
 
 
 class TestDenominatorInvariances:
