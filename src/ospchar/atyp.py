@@ -6,9 +6,10 @@ orthogonality forces distinct d-indices and distinct e-indices, so the
 degree is a maximum bipartite matching; production uses augmenting paths,
 the tests keep a subset brute force as the oracle.
 
-Tameness is decided on the standard-Borel shifted weight, always through
-the pairing (the (d,d) = -1 sign convention makes an eyeballed entry
-comparison wrong).
+Tameness is decided on the standard-Borel shifted weight.  Orthogonality to
+d_i -+ e_j is compared on doubled entries as derived from the pairing, whose
+(d,d) = -1 sign convention makes an eyeballed entry comparison wrong; the
+tests keep the pairing itself as the oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import Weight
+from .exactnum import InternalError, Weight
 from .hook import HookPartition, HookViolation, natural_weight, transpose
 from .rootdata import (
     FAMILY_B,
@@ -60,18 +61,17 @@ def max_bipartite_matching(edges: dict[int, set[int]], n_left: int) -> dict[int,
 
 def _iso_edges(shifted: Weight, alg: Algebra, minus_only: bool = False) -> dict[int, set[int]]:
     """Edges (i, j), 0-based, where some isotropic positive root on the pair
-    (d_{i+1}, e_{j+1}) is orthogonal to the shifted weight."""
-    n, m = alg.n, alg.m
+    (d_{i+1}, e_{j+1}) is orthogonal to the shifted weight.
+
+    On doubled entries a_i, b_j: (s, d_i - e_j) = 0 iff a_i = -b_j, and
+    (s, d_i + e_j) = 0 iff a_i = b_j.
+    """
+    eps = [h.doubled for h in shifted.eps]
     edges: dict[int, set[int]] = {}
-    for i in range(1, n + 1):
-        di = Weight.basis_delta(n, m, i)
-        for j in range(1, m + 1):
-            ej = Weight.basis_eps(n, m, j)
-            ok = pairing(shifted, di - ej) == 0
-            if not ok and not minus_only:
-                ok = pairing(shifted, di + ej) == 0
-            if ok:
-                edges.setdefault(i - 1, set()).add(j - 1)
+    for i, a in enumerate(h.doubled for h in shifted.delta):
+        hits = {j for j, b in enumerate(eps) if a == -b or (not minus_only and a == b)}
+        if hits:
+            edges[i] = hits
     return edges
 
 
@@ -110,7 +110,8 @@ def e_of_lambda(lam: HookPartition) -> int:
     i_ge = max((i for i in range(1, m + 1) if t(i) - i + m - n >= 0), default=0)
     i_gt = max((i for i in range(1, m + 1) if t(i) - i + m - n > 0), default=0)
     e = i_ge - i_gt
-    assert e in (0, 1)
+    if e not in (0, 1):
+        raise InternalError(f"e(lambda) = {e}, expected 0 or 1")
     return e
 
 
@@ -125,17 +126,14 @@ def _j_value(alg: Algebra, lam: HookPartition, k: int) -> int:
 
 
 def _d_case_ii_index(shifted: Weight, alg: Algebra) -> int | None:
-    """The i with (shifted, d_i + e_m) = 0, if any; unique for hook weights."""
-    n, m = alg.n, alg.m
-    hits = [
-        i
-        for i in range(1, n + 1)
-        if pairing(shifted, Weight.basis_delta(n, m, i) + Weight.basis_eps(n, m, m)) == 0
-    ]
+    """The i with (shifted, d_i + e_m) = 0, that is a_i = b_m on doubled
+    entries, if any; unique for hook weights."""
+    b_m = shifted.eps[-1].doubled
+    hits = [i for i, a in enumerate(shifted.delta, start=1) if a.doubled == b_m]
     if not hits:
         return None
     if len(hits) > 1:
-        raise RuntimeError("internal error: multiple d_i + e_m atypical pairs")
+        raise InternalError("multiple d_i + e_m atypical pairs")
     return hits[0]
 
 

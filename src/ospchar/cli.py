@@ -8,6 +8,7 @@ structured payload, internal faults exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,7 +226,9 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="ospchar",
         description="Tame-module classification and exact character evaluation "

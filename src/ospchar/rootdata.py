@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import LaurentPolynomial, Weight
+from .exactnum import InternalError, LaurentPolynomial, Weight
 
 FAMILY_B = "B"
 FAMILY_D = "D"
@@ -241,12 +241,14 @@ def _sigma_weight(w: Weight) -> Weight:
     return Weight(w.delta, tuple(eps))
 
 
+@functools.lru_cache(maxsize=None)
 def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     """Construct the full Borel data for an eps-delta sequence.
 
     Simple roots are the consecutive differences of the numbered sequence
     plus the family-specific terminal root; positive roots follow the
     sequence order (with the sign twist applied for signed D sequences).
+    Built once per (algebra, sequence); the frozen result is shared.
     """
     if seq.n != alg.n or seq.m != alg.m:
         raise ValueError("sequence does not match algebra ranks")
@@ -279,7 +281,7 @@ def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     all_pos = pos_even | pos_odd
     for r in simple_roots:
         if r not in all_pos:
-            raise AssertionError(f"simple root {r} not positive for {seq}")
+            raise InternalError(f"simple root {r} not positive for {seq}")
 
     rho_even = _half_sum(pos_even, n, m)
     rho_odd = _half_sum(pos_odd, n, m)
@@ -665,7 +667,8 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
         else:
             alpha = make_root(weights[pos] + weights[pos + 1])
         b, gamma = odd_reflection(b, alpha, gamma)
-    assert b.sequence == target
+    if b.sequence != target:
+        raise InternalError(f"reflection walk reached {b.sequence}, not {target}")
     return b, gamma
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from ospchar.atyp import (
     NotTame,
+    _d_case_ii_index,
+    _iso_edges,
     atypicality_degree,
     atypicality_degree_brute,
     distinguished_T_bodd,
@@ -11,6 +13,7 @@ from ospchar.atyp import (
     is_tame,
     j_lambda,
 )
+from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard, pairing
 from ospchar.hook import highest_weight_via_reflections
@@ -50,6 +53,50 @@ class TestAtypicalityDegree:
             for lam in hook_partitions(n, m, 6):
                 s = shifted_st(lam, alg)
                 assert atypicality_degree(s, alg) == atypicality_degree_brute(s, alg)
+
+
+def pairing_edges(shifted, alg, minus_only):
+    """The definition: (i, j) is an edge when d_i - e_j, or (unless
+    minus_only) d_i + e_j, is orthogonal to the shifted weight."""
+    n, m = alg.n, alg.m
+    edges = {}
+    for i in range(1, n + 1):
+        di = Weight.basis_delta(n, m, i)
+        for j in range(1, m + 1):
+            ej = Weight.basis_eps(n, m, j)
+            if pairing(shifted, di - ej) == 0 or (
+                not minus_only and pairing(shifted, di + ej) == 0
+            ):
+                edges.setdefault(i - 1, set()).add(j - 1)
+    return edges
+
+
+def pairing_case_ii_hits(shifted, alg):
+    n, m = alg.n, alg.m
+    em = Weight.basis_eps(n, m, m)
+    return [i for i in range(1, n + 1) if pairing(shifted, Weight.basis_delta(n, m, i) + em) == 0]
+
+
+class TestIntegerEdges:
+    def test_edges_and_case_ii_index_match_the_pairing(self):
+        for alg in (Algebra("B", 2, 2), B33, Algebra("D", 2, 2), D32):
+            for lam in hook_partitions(alg.n, alg.m, 8):
+                s = shifted_st(lam, alg)
+                for minus_only in (False, True):
+                    assert _iso_edges(s, alg, minus_only) == pairing_edges(s, alg, minus_only)
+                hits = pairing_case_ii_hits(s, alg)
+                if len(hits) > 1:
+                    with pytest.raises(InternalError):
+                        _d_case_ii_index(s, alg)
+                else:
+                    assert _d_case_ii_index(s, alg) == (hits[0] if hits else None)
+
+    def test_several_case_ii_pairs_are_an_internal_error(self):
+        alg = Algebra("D", 2, 2)
+        s = Weight.from_doubled((3, 3), (1, 3))
+        assert pairing_case_ii_hits(s, alg) == [1, 2]
+        with pytest.raises(InternalError):
+            _d_case_ii_index(s, alg)
 
 
 class TestIsTame:

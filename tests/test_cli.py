@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from ospchar.atyp import is_tame
-from ospchar.cli import main
+from ospchar.cli import build_parser, main
 from ospchar.exactnum import evaluate_at_one, poly_from_json
 from ospchar.hook import HookPartition, highest_weight_via_reflections, parse_partition
 from ospchar.rootdata import Algebra, b_standard
@@ -172,6 +174,23 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(err)["error"]["code"] == "JDivisibilityFailure"
+
+
+class TestReentrancy:
+    def test_main_reuses_one_parser_across_calls(self, capsys):
+        character = ("character", "--algebra", "D:2:2", "--partition", "2,1")
+        _, first, _ = run_cli(capsys, *character)
+        with pytest.raises(SystemExit) as exc:
+            main(["character", "--algebra", "B:1:1", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, text, _ = run_cli(
+            capsys, "classify", "--algebra", "B:3:3", "--partition", "5", "--output", "text"
+        )
+        assert code == 0 and text.startswith("osp(7|6)  lambda = ")
+        code, last, _ = run_cli(capsys, *character)
+        assert code == 0 and last == first
+        assert build_parser() is build_parser()
 
 
 class TestVerify:

@@ -127,6 +127,23 @@ class TestBorelFromSequence:
                 assert borel_from_sequence(alg, seq).pos_even == ref
 
 
+class TestBorelCache:
+    def test_cached_borel_equals_a_fresh_build_and_is_shared(self):
+        for alg in (B22, D22, Algebra("D", 3, 2)):
+            for seq in all_sequences(alg):
+                cached = borel_from_sequence(alg, seq)
+                assert cached == borel_from_sequence.__wrapped__(alg, seq)
+                assert borel_from_sequence(alg, seq) is cached
+                assert borel_from_sequence(alg, EpsDeltaSequence(seq.symbols, seq.sign)) is cached
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                borel_from_sequence(B22, EpsDeltaSequence.parse("dde"))
+            with pytest.raises(FamilyMismatch):
+                borel_from_sequence(B22, EpsDeltaSequence.parse("eedd-"))
+
+
 class TestBOdd:
     def test_b11_sequence_and_simple_roots(self):
         b = b_odd(B11)
