@@ -14,6 +14,7 @@ tests keep the pairing itself as the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,7 +149,10 @@ def _case_34_borel(alg: Algebra, i: int) -> BorelData:
     return borel_from_sequence(alg, EpsDeltaSequence(symbols, sign))
 
 
+@functools.lru_cache(maxsize=None)
 def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[Root, ...]:
+    """The distinguished set T of a tame weight: it depends only on
+    (algebra, k, case-ii index), so each is built once and shared."""
     n, m = alg.n, alg.m
     if case_ii_index is not None:
         return (

@@ -5,19 +5,22 @@ is evaluated with denominators cleared: the odd denominator identity
 e^{rho_1} prod_{pos odd}(1 + e^{-beta}) = D_1 turns the T-quotient into the
 complementary product, so W acts on one pre-expanded integer polynomial,
 the seed.  The numerator is W-antisymmetric and the character W-invariant,
-so only the dominant chamber is computed, in three steps:
+so only the dominant chamber is computed, in three steps, each one factor
+of W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
+alternant A_nu = sum_w sgn(w) e^{w nu} is A^delta_{nu_delta} A^eps_{nu_eps},
+and so is D_0 = A_{rho_0}.
 
-1. Straighten.  Each seed term is carried into the open dominant chamber
-   by a signed sort (``rootdata.straighten``); terms on a wall are dropped.
-   This writes the numerator as sum_nu c_nu A_nu over alternants
-   A_nu = sum_w sgn(w) e^{w nu} with nu strictly dominant.
-2. Racah.  With q = numerator / D_0 and D_0 = A_{rho_0}, comparing the
-   coefficient of e^{mu + rho_0} on both sides of q A_{rho_0} = numerator
-   gives, for dominant mu in decreasing height,
-   m_mu = c_{mu + rho_0} - sum_{w != 1} sgn(w) m_{dom(mu + rho_0 - w rho_0)}
-   (Moody-Patera, Bull. AMS 7 (1982)).
+1. Straighten.  A signed sort of the delta and the eps part carries each
+   seed term into the open dominant chamber (``rootdata.straighten``);
+   terms on a wall are dropped.  The numerator becomes sum_nu c_nu A_nu.
+2. Racah.  For one factor, comparing the coefficient of e^{mu + rho} in
+   q A_rho = numerator gives, for dominant mu in decreasing height,
+   m_mu = c_{mu + rho} - sum_{w != 1} sgn(w) m_{dom(mu + rho - w rho)}
+   (Moody-Patera, Bull. AMS 7 (1982)).  The alternants are grouped by
+   nu_delta; each group runs one eps recursion over its whole eps
+   numerator and one delta recursion, and their outer product is summed.
 3. Orbits.  Each m_mu is divided by j exactly, then written out on the
-   distinct signed permutations of mu (``rootdata.weyl_orbit``).
+   delta-orbit times the eps-orbit of mu (``rootdata.weyl_orbit``).
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -28,13 +31,14 @@ alternant outside the lattice raises ``NotDivisible``, as its division is not
 guaranteed; none occurs for a highest weight lambda_b, because every seed
 exponent is lambda_b + rho_0 minus a sum of odd roots.  The division by j
 stays a checked exact division.  The naive Weyl sum and the long division
-(``rootdata.weyl_alternating_sum``, ``exactnum.divide_by_factors``) remain as
-the test oracle.
+(``rootdata.weyl_alternating_sum``, ``exactnum.divide_by_factors``), and the
+recursion over all of W at once, remain as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .exactnum import (
     InternalError,
@@ -52,15 +56,14 @@ from .rootdata import (
     BorelData,
     FamilyMismatch,
     Root,
+    WeylFactor,
     b_standard,
-    dominant,
-    dominant_weights_below,
     even_rho,
     height,
     in_rational_span,
-    rho_shifts,
     sigma_twist,
     straighten,
+    weyl_factors,
     weyl_orbit,
 )
 
@@ -164,28 +167,46 @@ def _in_weight_lattice(n: int, exp: tuple[int, ...]) -> bool:
 def _dominant_multiplicities(
     alg: Algebra, alternants: dict[tuple[int, ...], int]
 ) -> dict[tuple[int, ...], int]:
-    """Dominant weight multiplicities of sum_nu c_nu A_nu / A_{rho_0} (Racah)."""
+    """Dominant weight multiplicities of sum_nu c_nu A_nu / A_{rho_0}, one
+    Weyl factor at a time, the alternants grouped by their delta part
+    (module docstring, step 2)."""
+    n = alg.n
     rho = even_rho(alg)
-    tops = []
-    for nu in alternants:
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for nu, coef in alternants.items():
         top = tuple(a - b for a, b in zip(nu, rho))
-        if not _in_weight_lattice(alg.n, top):
+        if not _in_weight_lattice(n, top):
             raise NotDivisible(f"alternant at {nu} lies outside rho_0 + the weight lattice of g_0")
-        tops.append(top)
-    if not tops:
-        return {}
-    ceiling = max(height(t, rho) for t in tops)
-    shifts = rho_shifts(alg)
+        groups.setdefault(nu[:n], {})[nu[n:]] = coef
+    delta, eps = weyl_factors(alg)
     mult: dict[tuple[int, ...], int] = {}
-    weights = sorted(
-        ((height(mu, rho), mu) for mu in dominant_weights_below(alg, tops)), reverse=True
-    )
+    for nu_delta, eps_numerator in groups.items():
+        eps_mult = _racah(eps, eps_numerator)
+        for mu_delta, a in _racah(delta, {nu_delta: 1}).items():
+            for mu_eps, b in eps_mult.items():
+                mu = mu_delta + mu_eps
+                new = mult.get(mu, 0) + a * b
+                if new:
+                    mult[mu] = new
+                else:
+                    del mult[mu]
+    return mult
+
+
+def _racah(factor: WeylFactor, numerator: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Dominant weight multiplicities of sum_nu c_nu A_nu / A_rho over one
+    Weyl factor, by Racah's recursion (see the module docstring)."""
+    rho = factor.rho
+    tops = [tuple(a - b for a, b in zip(nu, rho)) for nu in numerator]
+    ceiling = max(height(t, rho) for t in tops)
+    mult: dict[tuple[int, ...], int] = {}
+    weights = sorted(((height(mu, rho), mu) for mu in factor.weights_below(tops)), reverse=True)
     for h, mu in weights:
-        total = alternants.get(tuple(a + b for a, b in zip(mu, rho)), 0)
-        for shift_height, sign, shift in shifts:
+        total = numerator.get(tuple(map(add, mu, rho)), 0)
+        for shift_height, sign, shift in factor.shifts:
             if h + shift_height > ceiling:
                 break  # every dominant weight above the ceiling has multiplicity 0
-            higher = mult.get(dominant(alg, tuple(a + b for a, b in zip(mu, shift))))
+            higher = mult.get(factor.dominant(tuple(map(add, mu, shift))))
             if higher:
                 total -= sign * higher
         if total:

@@ -22,7 +22,7 @@ class InternalError(Exception):
     """A step produced data the underlying theory rules out."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
 
@@ -82,7 +82,7 @@ ONE = HalfInt(2)
 HALF = HalfInt(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """A vector a_1 d_1 + ... + a_n d_n + b_1 e_1 + ... + b_m e_m.
 

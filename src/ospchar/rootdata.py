@@ -193,24 +193,10 @@ def _symbol_weight(alg: Algebra, symbol: tuple[str, int], sign: int) -> Weight:
 
 
 def _even_positive_roots(alg: Algebra) -> frozenset[Root]:
-    n, m = alg.n, alg.m
-    roots: list[Weight] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            di, dj = Weight.basis_delta(n, m, i), Weight.basis_delta(n, m, j)
-            roots.append(di - dj)
-            roots.append(di + dj)
-    for p in range(1, n + 1):
-        roots.append(Weight.basis_delta(n, m, p).scale(2))
-    for k in range(1, m + 1):
-        for l in range(k + 1, m + 1):
-            ek, el = Weight.basis_eps(n, m, k), Weight.basis_eps(n, m, l)
-            roots.append(ek - el)
-            roots.append(ek + el)
-    if alg.family == FAMILY_B:
-        for q in range(1, m + 1):
-            roots.append(Weight.basis_eps(n, m, q))
-    return frozenset(Root(w, 0) for w in roots)
+    zero_delta, zero_eps = (0,) * alg.n, (0,) * alg.m
+    weights = [Weight.from_doubled(r, zero_eps) for r in _factor_roots(TYPE_C, alg.n)]
+    weights += [Weight.from_doubled(zero_delta, r) for r in _factor_roots(alg.family, alg.m)]
+    return frozenset(Root(w, 0) for w in weights)
 
 
 def _odd_positive_roots(alg: Algebra, seq: EpsDeltaSequence) -> frozenset[Root]:
@@ -334,6 +320,8 @@ def all_sequences(alg: Algebra) -> Iterator[EpsDeltaSequence]:
 # ---------------------------------------------------------------------------
 # Weyl group
 
+TYPE_C = "C"
+
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
@@ -349,6 +337,15 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _factor_elements(rank: int, paired_flips: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(perm, signs) of every signed permutation of rank axes; with
+    paired_flips only those with an even number of sign flips."""
+    for perm in itertools.permutations(range(rank)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            if not paired_flips or math.prod(signs) == 1:
+                yield perm, signs
 
 
 @dataclass(frozen=True)
@@ -398,18 +395,9 @@ class WeylElement:
 
 def weyl_elements(alg: Algebra) -> Iterator[WeylElement]:
     """Enumerate W once; for family D only even numbers of e-sign flips."""
-    n, m = alg.n, alg.m
-    for dp in itertools.permutations(range(n)):
-        for ds in itertools.product((1, -1), repeat=n):
-            for ep in itertools.permutations(range(m)):
-                for es in itertools.product((1, -1), repeat=m):
-                    if alg.family == FAMILY_D:
-                        prod = 1
-                        for x in es:
-                            prod *= x
-                        if prod != 1:
-                            continue
-                    yield WeylElement(dp, ds, ep, es)
+    for dp, ds in _factor_elements(alg.n, False):
+        for ep, es in _factor_elements(alg.m, alg.family == FAMILY_D):
+            yield WeylElement(dp, ds, ep, es)
 
 
 def weyl_order(alg: Algebra) -> int:
@@ -441,7 +429,7 @@ def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomia
 
 
 # ---------------------------------------------------------------------------
-# The dominant chamber
+# The dominant chamber, one Weyl factor at a time
 #
 # On doubled exponents the closed chamber is a_1 >= ... >= a_n >= 0 on the
 # delta axes (type C), b_1 >= ... >= b_m >= 0 on the eps axes in family B,
@@ -449,14 +437,9 @@ def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomia
 # only in pairs.  Every W-orbit meets it exactly once.
 
 
-def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of exp in the closed dominant chamber."""
-    n = alg.n
-    delta = sorted(map(abs, exp[:n]), reverse=True)
-    eps = sorted(map(abs, exp[n:]), reverse=True)
-    if alg.family == FAMILY_D and eps[-1] and sum(v < 0 for v in exp[n:]) % 2:
-        eps[-1] = -eps[-1]
-    return tuple(delta + eps)
+def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Euclidean product with rho: positive on every positive root."""
+    return sum(a * b for a, b in zip(exp, rho))
 
 
 def _sort_sign(values: tuple[int, ...]) -> int:
@@ -469,35 +452,7 @@ def _sort_sign(values: tuple[int, ...]) -> int:
     return sign
 
 
-def _has_repeat(decreasing: list[int]) -> bool:
-    return any(a == b for a, b in zip(decreasing, decreasing[1:]))
-
-
-def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Carry exp into the open dominant chamber with a signed sort.
-
-    Returns (sgn w, w exp) for the Weyl element w doing so, with the sign
-    ``WeylElement.sign`` gives: the sort's permutation sign times -1 per
-    sign flip (family-D eps flips come in pairs and contribute +1).  The
-    alternant sum_u sgn(u) e^{u exp} is then sgn(w) times that of w exp.
-    Returns None when a reflection fixes exp, since its alternant vanishes.
-    """
-    n = alg.n
-    image = dominant(alg, exp)
-    delta = list(image[:n])
-    eps = [abs(v) for v in image[n:]]
-    if delta[-1] == 0 or (alg.family == FAMILY_B and eps[-1] == 0):
-        return None
-    if _has_repeat(delta) or _has_repeat(eps):
-        return None
-    flips = sum(v < 0 for v in exp[:n])
-    if alg.family == FAMILY_B:
-        flips += sum(v < 0 for v in exp[n:])
-    sign = _sort_sign(exp[:n]) * _sort_sign(exp[n:]) * (-1) ** flips
-    return sign, image
-
-
-def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> list[tuple[int, ...]]:
+def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
     """Distinct signed permutations of values; sign_product, if given, fixes
     the sign of the product of the entries."""
     out = []
@@ -510,66 +465,141 @@ def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> l
             for i, s in zip(nonzero, signs):
                 image[i] = s * image[i]
             out.append(tuple(image))
-    return out
-
-
-def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct W-images of exp, without iterating over W."""
-    n = alg.n
-    eps = exp[n:]
-    sign_product = None
-    if alg.family == FAMILY_D and all(eps):
-        sign_product = -1 if sum(v < 0 for v in eps) % 2 else 1
-    deltas = _signed_permutations(exp[:n], None)
-    return [d + e for d in deltas for e in _signed_permutations(eps, sign_product)]
-
-
-@functools.lru_cache(maxsize=None)
-def even_rho(alg: Algebra) -> tuple[int, ...]:
-    """rho_0 as a doubled exponent; the same for every Borel considered."""
-    return _half_sum(_even_positive_roots(alg), alg.n, alg.m).exponent_key()
-
-
-def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
-    """Euclidean product with rho_0: positive on every positive even root."""
-    return sum(a * b for a, b in zip(exp, rho))
-
-
-@functools.lru_cache(maxsize=None)
-def rho_shifts(alg: Algebra) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(height, sgn w, rho_0 - w rho_0) for every w != 1, lowest first.
-
-    These are the terms of Racah's multiplicity recursion.
-    """
-    rho = even_rho(alg)
-    out = []
-    for w in weyl_elements(alg):
-        shift = tuple(a - b for a, b in zip(rho, w.apply_to_exponent(rho)))
-        if any(shift):
-            out.append((height(shift, rho), w.sign, shift))
-    out.sort()
     return tuple(out)
 
 
-def dominant_weights_below(alg: Algebra, tops: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Every dominant weight below some top in the dominance order.
-
-    They are reached by subtracting one positive even root at a time while
-    staying dominant, since one dominant weight covers another only by a
-    positive root (Stembridge, "The partial order of dominant weights",
-    Adv. Math. 136 (1998)).
+@dataclass(frozen=True, eq=False)
+class WeylFactor:
+    """One factor of W = W(C_n) x W(B_m or D_m): signed permutations of the
+    delta axes exp[:n] (kind "C") or of the eps axes exp[n:] (kind "B" or "D",
+    whose sign flips come in pairs).  ``rho`` is half the sum of ``roots``;
+    ``shifts`` holds (height, sgn w, rho - w rho) for every w != 1, lowest
+    first: the terms of Racah's recursion.  One factor is built per (kind,
+    rank), so factors compare by identity; ``straighten`` and ``orbit`` are
+    cached, since seed terms and dominant weights share their parts.
     """
-    roots = [r.weight.exponent_key() for r in _even_positive_roots(alg)]
-    seen = set(tops)
-    stack = list(seen)
-    while stack:
-        mu = stack.pop()
-        for alpha in roots:
-            lower = tuple(a - b for a, b in zip(mu, alpha))
-            if lower not in seen and dominant(alg, lower) == lower:
-                seen.add(lower)
-                stack.append(lower)
-    return seen
+
+    kind: str
+    roots: tuple[tuple[int, ...], ...]
+    rho: tuple[int, ...]
+    shifts: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    def dominant(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """The image of values in the factor's closed dominant chamber."""
+        image = sorted(map(abs, values), reverse=True)
+        if self.kind == FAMILY_D and image[-1] and sum(v < 0 for v in values) % 2:
+            image[-1] = -image[-1]
+        return tuple(image)
+
+    @functools.lru_cache(maxsize=None)
+    def straighten(self, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+        """(sgn w, w values) for the w carrying values into the open chamber,
+        or None on a wall: a repeated |entry|, or a zero in types B and C.
+        sgn w is the sort's sign times -1 per flip (type-D flips pair up)."""
+        image = self.dominant(values)
+        sizes = [abs(v) for v in image]
+        if any(a == b for a, b in zip(sizes, sizes[1:])):
+            return None
+        sign = _sort_sign(values)
+        if self.kind != FAMILY_D:
+            if not image[-1]:
+                return None
+            if sum(v < 0 for v in values) % 2:
+                sign = -sign
+        return sign, image
+
+    @functools.lru_cache(maxsize=None)
+    def orbit(self, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The distinct images of values under the factor's Weyl group."""
+        sign_product = None
+        if self.kind == FAMILY_D and all(values):
+            sign_product = -1 if sum(v < 0 for v in values) % 2 else 1
+        return _signed_permutations(values, sign_product)
+
+    def weights_below(self, tops: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        """Every dominant weight below some top in the dominance order,
+        reached one positive root at a time while staying dominant: one
+        dominant weight covers another only by a positive root (Stembridge,
+        Adv. Math. 136 (1998))."""
+        seen = set(tops)
+        stack = list(seen)
+        while stack:
+            mu = stack.pop()
+            for alpha in self.roots:
+                lower = tuple(a - b for a, b in zip(mu, alpha))
+                if lower not in seen and self.dominant(lower) == lower:
+                    seen.add(lower)
+                    stack.append(lower)
+        return seen
+
+
+def _factor_roots(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """Positive roots of type C, B or D on doubled coordinates: x_i - x_j and
+    x_i + x_j (i < j), with 2x_i in type C and x_i in type B."""
+    unit = [tuple(2 * (i == k) for i in range(rank)) for k in range(rank)]
+    roots = []
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            roots.append(tuple(a - b for a, b in zip(unit[i], unit[j])))
+            roots.append(tuple(a + b for a, b in zip(unit[i], unit[j])))
+    if kind == TYPE_C:
+        roots += [tuple(2 * a for a in u) for u in unit]
+    elif kind == FAMILY_B:
+        roots += unit
+    return tuple(roots)
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_factor(kind: str, rank: int) -> WeylFactor:
+    """The Weyl factor of type C, B or D and the given rank, built once."""
+    roots = _factor_roots(kind, rank)
+    rho = tuple(sum(col) // 2 for col in zip(*roots))
+    shifts = []
+    for perm, signs in _factor_elements(rank, kind == FAMILY_D):
+        image = [0] * rank
+        for i, v in enumerate(rho):
+            image[perm[i]] = signs[i] * v
+        shift = tuple(a - b for a, b in zip(rho, image))
+        if any(shift):
+            shifts.append((height(shift, rho), _perm_sign(perm) * math.prod(signs), shift))
+    shifts.sort()
+    return WeylFactor(kind, roots, rho, tuple(shifts))
+
+
+def weyl_factors(alg: Algebra) -> tuple[WeylFactor, WeylFactor]:
+    """The delta factor W(C_n) and the eps factor W(B_m) or W(D_m)."""
+    return weyl_factor(TYPE_C, alg.n), weyl_factor(alg.family, alg.m)
+
+
+def even_rho(alg: Algebra) -> tuple[int, ...]:
+    """rho_0 as a doubled exponent; the same for every Borel considered."""
+    delta, eps = weyl_factors(alg)
+    return delta.rho + eps.rho
+
+
+def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of exp in the closed dominant chamber."""
+    delta, eps = weyl_factors(alg)
+    return delta.dominant(exp[: alg.n]) + eps.dominant(exp[alg.n :])
+
+
+def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(sgn w, w exp) for the w carrying exp into the open dominant chamber,
+    so that the alternant of exp is sgn(w) times that of w exp; None when a
+    reflection fixes exp, since its alternant vanishes."""
+    delta, eps = weyl_factors(alg)
+    d = delta.straighten(exp[: alg.n])
+    e = eps.straighten(exp[alg.n :]) if d else None
+    if e is None:
+        return None
+    return d[0] * e[0], d[1] + e[1]
+
+
+def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct W-images of exp: delta-orbit times eps-orbit."""
+    delta, eps = weyl_factors(alg)
+    deltas = delta.orbit(exp[: alg.n])
+    return [d + e for d in deltas for e in eps.orbit(exp[alg.n :])]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from ospchar.atyp import (
     NotTame,
     _d_case_ii_index,
+    _distinguished_T,
     _iso_edges,
     atypicality_degree,
     atypicality_degree_brute,
@@ -177,6 +178,14 @@ class TestDistinguishedT:
     def test_not_tame_raises(self):
         with pytest.raises(NotTame):
             distinguished_T_bodd(HookPartition.of((6, 6, 5, 2, 1, 1), 3, 3), B33)
+
+    def test_built_once_and_shared(self):
+        for alg, k, index in ((B33, 2, None), (B33, 3, None), (D32, 1, 2), (D32, 2, None)):
+            T = _distinguished_T(alg, k, index)
+            assert _distinguished_T(alg, k, index) is T
+            assert _distinguished_T.__wrapped__(alg, k, index) == T
+        lam = HookPartition.of((5,), 3, 3)
+        assert is_tame(lam, B33).distinguished_T is is_tame(lam, B33).distinguished_T
 
     def test_roots_orthogonal_to_bodd_shifted_weight(self):
         for alg in (Algebra("B", 2, 2), Algebra("D", 2, 2), D32):

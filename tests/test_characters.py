@@ -10,6 +10,8 @@ from ospchar.atyp import NotTame, is_tame
 from ospchar.blocks import preceq
 from ospchar.characters import (
     JDivisibilityFailure,
+    _alternant_coefficients,
+    _dominant_multiplicities,
     canonical_levi_roots,
     denominators,
     dimension,
@@ -40,9 +42,13 @@ from ospchar.rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
+    dominant,
+    even_rho,
+    height,
     in_rational_span,
     pairing,
     sigma_twist,
+    straighten,
     weyl_alternating_sum,
     weyl_elements,
 )
@@ -202,14 +208,20 @@ def even_factors(b):
     return [monomial(r.weight.half(), 1) + monomial(-r.weight.half(), -1) for r in b.pos_even]
 
 
+def cleared_seed(b, lam_b, excluded):
+    """e^{lam_b + rho + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
+    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
+    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
+        if r not in excluded:
+            seed = seed * (LaurentPolynomial.one(b.algebra.rank) + monomial(-r.weight, 1))
+    return seed
+
+
 def naive_cleared_sum(b, lam_b, excluded, j=1):
     """Oracle: the whole Weyl sum of the seed, long division by the factors
     of D_0, then division by j."""
     alg = b.algebra
-    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
-    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        if r not in excluded:
-            seed = seed * (LaurentPolynomial.one(alg.rank) + monomial(-r.weight, 1))
+    seed = cleared_seed(b, lam_b, excluded)
     quotient = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b))
     out = {}
     for exp, coef in quotient.terms.items():
@@ -267,6 +279,23 @@ class TestDominantPipelineOracle:
         for lam in typical:
             assert kw_character(lam, alg).dimension == kac_typical_dimension(lam, alg), lam.parts
 
+    def test_typical_character_is_d1_times_even_character(self, alg):
+        # ch = D_1 A_{lambda + rho} / D_0, since D_1 is W-invariant.  In
+        # family D the quotient chi^0 = A_{lambda + rho} / D_0 is itself a
+        # g_0-character; in family B the odd roots d_p make the delta part of
+        # lambda + rho - rho_0 half-integral, so D_1 goes in before dividing.
+        b = b_standard(alg)
+        _, d1 = denominators(b)
+        typical = [lam for lam, rep in tame_weights(alg, 8) if rep.atypicality_k == 0]
+        assert typical
+        for lam in typical:
+            shifted = highest_weight_via_reflections(lam, b) + b.rho
+            numerator = weyl_alternating_sum(alg, monomial(shifted, 1))
+            ch = kw_character(lam, alg).character
+            assert ch == divide_by_factors(d1 * numerator, even_factors(b)), lam.parts
+            if alg.family == "D":
+                assert ch == d1 * divide_by_factors(numerator, even_factors(b)), lam.parts
+
     def test_signed_seeds(self, alg):
         # integer combinations of monomials in rho_0 + (weight lattice of g_0),
         # with cancellations and terms on walls
@@ -282,6 +311,92 @@ class TestDominantPipelineOracle:
             seed = LaurentPolynomial(alg.rank, terms)
             want = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b_standard(alg)))
             assert divided_alternating_sum(alg, seed) == want, terms
+
+
+def whole_w_multiplicities(alg, alternants):
+    """Oracle: Racah's recursion over all of W at once, with the shift of
+    every w != 1 and the dominance interval of the whole even root system."""
+    rho = even_rho(alg)
+    shifts = []
+    for el in weyl_elements(alg):
+        shift = tuple(a - b for a, b in zip(rho, el.apply_to_exponent(rho)))
+        if any(shift):
+            shifts.append((height(shift, rho), el.sign, shift))
+    shifts.sort()
+    tops = []
+    for nu in alternants:
+        top = tuple(a - b for a, b in zip(nu, rho))
+        if any(v % 2 for v in top[: alg.n]) or len({v % 2 for v in top[alg.n :]}) != 1:
+            raise NotDivisible(f"alternant at {nu} lies outside rho_0 + the weight lattice of g_0")
+        tops.append(top)
+    if not tops:
+        return {}
+    roots = [r.weight.exponent_key() for r in b_standard(alg).pos_even]
+    below = set(tops)
+    stack = list(below)
+    while stack:
+        mu = stack.pop()
+        for alpha in roots:
+            lower = tuple(a - b for a, b in zip(mu, alpha))
+            if lower not in below and dominant(alg, lower) == lower:
+                below.add(lower)
+                stack.append(lower)
+    ceiling = max(height(t, rho) for t in tops)
+    mult = {}
+    for h, mu in sorted(((height(mu, rho), mu) for mu in below), reverse=True):
+        total = alternants.get(tuple(a + b for a, b in zip(mu, rho)), 0)
+        for shift_height, sign, shift in shifts:
+            if h + shift_height > ceiling:
+                break
+            higher = mult.get(dominant(alg, tuple(a + b for a, b in zip(mu, shift))))
+            if higher:
+                total -= sign * higher
+        if total:
+            mult[mu] = total
+    return mult
+
+
+@pytest.mark.parametrize("alg", [Algebra.parse(a) for a in ("B:1:1", "B:2:2", "D:2:2", "D:3:2")], ids=Algebra.label)
+class TestFactoredRacah:
+    """Racah one Weyl factor at a time against the recursion over all of W."""
+
+    def test_tame_weights(self, alg):
+        for lam, rep in tame_weights(alg):
+            b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
+            lam_b = highest_weight_via_reflections(lam, b)
+            alternants = _alternant_coefficients(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)))
+            assert alternants, lam.parts
+            got = _dominant_multiplicities(alg, alternants)
+            assert got == whole_w_multiplicities(alg, alternants), lam.parts
+
+    def test_random_signed_alternants(self, alg):
+        # strictly dominant nu in rho_0 + (weight lattice of g_0), some
+        # entered twice with opposite coefficients
+        rng = random.Random(alg.label())
+        rho = even_rho(alg)
+        negative_eps_tops = 0
+        for _ in range(30):
+            alternants = {}
+            for _ in range(rng.randint(1, 8)):
+                parity = rng.randint(0, 1)
+                top = tuple(2 * rng.randint(-3, 3) for _ in range(alg.n))
+                top += tuple(2 * rng.randint(-3, 3) + parity for _ in range(alg.m))
+                hit = straighten(alg, tuple(a + b for a, b in zip(top, rho)))
+                if hit is None:
+                    continue
+                sign, nu = hit
+                coefs = [rng.choice([-3, -2, -1, 1, 2, 3])]
+                if rng.random() < 0.3:
+                    coefs.append(-coefs[0])
+                for coef in coefs:
+                    alternants[nu] = alternants.get(nu, 0) + sign * coef
+                    if not alternants[nu]:
+                        del alternants[nu]
+            negative_eps_tops += sum(nu[-1] - rho[-1] < 0 for nu in alternants)
+            got = _dominant_multiplicities(alg, alternants)
+            assert got == whole_w_multiplicities(alg, alternants), alternants
+        if alg.family == "D":
+            assert negative_eps_tops
 
 
 class TestDivisibilityProof:

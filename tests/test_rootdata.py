@@ -20,7 +20,6 @@ from ospchar.rootdata import (
     borel_from_sequence,
     coords_in_basis,
     dominant,
-    dominant_weights_below,
     even_rho,
     height,
     make_root,
@@ -30,6 +29,8 @@ from ospchar.rootdata import (
     straighten,
     weyl_alternating_sum,
     weyl_elements,
+    weyl_factor,
+    weyl_factors,
     weyl_orbit,
     weyl_order,
 )
@@ -254,7 +255,88 @@ class TestWeylGroup:
                     if coords is not None and all(c >= 0 and c.denominator == 1 for c in coords):
                         want.add(exp)
                         break
-            assert dominant_weights_below(alg, tops) == want, alg.label()
+            # the interval of a product is the product of the factor intervals
+            delta, eps = weyl_factors(alg)
+            got = {
+                d + e
+                for t in tops
+                for d in delta.weights_below([t[: alg.n]])
+                for e in eps.weights_below([t[alg.n :]])
+            }
+            assert got == want, alg.label()
+
+
+FACTORS = [("C", 1), ("C", 2), ("C", 3), ("B", 1), ("B", 2), ("B", 3), ("D", 2), ("D", 3)]
+
+
+def _factor_group(kind, rank):
+    """(sgn w, w) for every signed permutation w of a factor, by brute force:
+    sgn w = (-1)^{inversions} * product of the signs."""
+    out = []
+    for perm in itertools.permutations(range(rank)):
+        inversions = sum(perm[i] > perm[j] for i in range(rank) for j in range(i + 1, rank))
+        for signs in itertools.product((1, -1), repeat=rank):
+            flips = signs.count(-1)
+            if kind == "D" and flips % 2:
+                continue
+            out.append(((-1) ** (inversions + flips), perm, signs))
+    return out
+
+
+def _act(perm, signs, values):
+    image = [0] * len(values)
+    for i, v in enumerate(values):
+        image[perm[i]] = signs[i] * v
+    return tuple(image)
+
+
+def _in_closed_chamber(kind, values):
+    if any(a < b for a, b in zip(values, values[1:])):
+        return False
+    return values[-2] >= abs(values[-1]) if kind == "D" else values[-1] >= 0
+
+
+@pytest.mark.parametrize("kind,rank", FACTORS, ids=lambda v: str(v))
+class TestWeylFactors:
+    """Each factor of W against brute force over its own Weyl group."""
+
+    def test_roots_rho_and_shifts(self, kind, rank):
+        factor = weyl_factor(kind, rank)
+        assert len(factor.roots) == (rank * (rank - 1) if kind == "D" else rank * rank)
+        assert factor.rho == tuple(sum(col) // 2 for col in zip(*factor.roots))
+        top = {"C": 2 * rank, "B": 2 * rank - 1, "D": 2 * rank - 2}[kind]
+        assert factor.rho == tuple(range(top, top - 2 * rank, -2))
+        want = []
+        for sign, perm, signs in _factor_group(kind, rank):
+            shift = tuple(a - b for a, b in zip(factor.rho, _act(perm, signs, factor.rho)))
+            if any(shift):
+                want.append((height(shift, factor.rho), sign, shift))
+        assert sorted(factor.shifts) == sorted(want)
+        assert [s[0] for s in factor.shifts] == sorted(s[0] for s in factor.shifts)
+
+    def test_dominant_straighten_and_orbit(self, kind, rank):
+        factor = weyl_factor(kind, rank)
+        group = _factor_group(kind, rank)
+        for values in itertools.product(range(-3, 4), repeat=rank):
+            images: dict[tuple[int, ...], list[int]] = {}
+            for sign, perm, signs in group:
+                images.setdefault(_act(perm, signs, values), []).append(sign)
+            (top,) = [e for e in images if _in_closed_chamber(kind, e)]
+            assert factor.dominant(values) == top, values
+            assert sorted(factor.orbit(values)) == sorted(images), values
+            assert len(set(factor.orbit(top))) == len(images)
+            hit = factor.straighten(values)
+            if len(images) < len(group):  # a nontrivial stabiliser
+                assert hit is None, values
+            else:
+                assert hit == (images[top][0], top), values
+
+
+def test_d32_shift_counts():
+    # C_2 has 7 nontrivial elements, D_3 23, and W of D:3:2 has 8 * 24 - 1
+    delta, eps = weyl_factors(Algebra("D", 3, 2))
+    assert (len(delta.shifts), len(eps.shifts)) == (7, 23)
+    assert (len(delta.shifts) + 1) * (len(eps.shifts) + 1) - 1 == 191 == weyl_order(Algebra("D", 3, 2)) - 1
 
 
 def _even_simple_roots(alg):
