@@ -2,7 +2,6 @@
 ortho-symplectic Lie superalgebras osp(2m+1|2n) and osp(2m|2n)."""
 
 from .exactnum import (
-    HalfInt,
     LaurentPolynomial,
     NotDivisible,
     Weight,

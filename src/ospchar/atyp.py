@@ -67,10 +67,9 @@ def _iso_edges(shifted: Weight, alg: Algebra, minus_only: bool = False) -> dict[
     On doubled entries a_i, b_j: (s, d_i - e_j) = 0 iff a_i = -b_j, and
     (s, d_i + e_j) = 0 iff a_i = b_j.
     """
-    eps = [h.doubled for h in shifted.eps]
     edges: dict[int, set[int]] = {}
-    for i, a in enumerate(h.doubled for h in shifted.delta):
-        hits = {j for j, b in enumerate(eps) if a == -b or (not minus_only and a == b)}
+    for i, a in enumerate(shifted.delta):
+        hits = {j for j, b in enumerate(shifted.eps) if a == -b or (not minus_only and a == b)}
         if hits:
             edges[i] = hits
     return edges
@@ -129,8 +128,8 @@ def _j_value(alg: Algebra, lam: HookPartition, k: int) -> int:
 def _d_case_ii_index(shifted: Weight, alg: Algebra) -> int | None:
     """The i with (shifted, d_i + e_m) = 0, that is a_i = b_m on doubled
     entries, if any; unique for hook weights."""
-    b_m = shifted.eps[-1].doubled
-    hits = [i for i, a in enumerate(shifted.delta, start=1) if a.doubled == b_m]
+    b_m = shifted.eps[-1]
+    hits = [i for i, a in enumerate(shifted.delta, start=1) if a == b_m]
     if not hits:
         return None
     if len(hits) > 1:

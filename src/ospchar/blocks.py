@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import HalfInt, InternalError, Weight
+from .exactnum import InternalError, Weight, half_str
 from .hook import (
     HookPartition,
     HookViolation,
@@ -39,8 +39,8 @@ class WrongRegime(Exception):
 @dataclass(frozen=True)
 class CentralCharFingerprint:
     k: int
-    reduced_delta: tuple[HalfInt, ...]
-    reduced_eps: tuple[HalfInt, ...]
+    reduced_delta: tuple[int, ...]  # doubled
+    reduced_eps: tuple[int, ...]  # doubled
     eps_sign: int  # +1/-1 when meaningful (family D, k = 0, no zero entries), else 0
 
 
@@ -56,10 +56,10 @@ def fingerprint(shifted: Weight, alg: Algebra) -> CentralCharFingerprint:
     # re-run greedily by value class for determinism of the removed pairs
     by_abs_d: dict[int, list[int]] = {}
     for i, a in enumerate(shifted.delta):
-        by_abs_d.setdefault(abs(a.doubled), []).append(i)
+        by_abs_d.setdefault(abs(a), []).append(i)
     by_abs_e: dict[int, list[int]] = {}
     for j, b in enumerate(shifted.eps):
-        by_abs_e.setdefault(abs(b.doubled), []).append(j)
+        by_abs_e.setdefault(abs(b), []).append(j)
 
     removed_d: set[int] = set()
     removed_e: set[int] = set()
@@ -74,14 +74,14 @@ def fingerprint(shifted: Weight, alg: Algebra) -> CentralCharFingerprint:
     k = len(matching)
     if len(removed_d) != k:
         raise InternalError("greedy pair removal disagrees with the maximum matching")
-    red_d = tuple(sorted((abs(a) for i, a in enumerate(shifted.delta) if i not in removed_d), key=lambda h: h.doubled))
-    red_e = tuple(sorted((abs(b) for j, b in enumerate(shifted.eps) if j not in removed_e), key=lambda h: h.doubled))
+    red_d = tuple(sorted(abs(a) for i, a in enumerate(shifted.delta) if i not in removed_d))
+    red_e = tuple(sorted(abs(b) for j, b in enumerate(shifted.eps) if j not in removed_e))
 
     eps_sign = 0
-    if alg.family == FAMILY_D and k == 0 and all(b.doubled != 0 for b in shifted.eps):
+    if alg.family == FAMILY_D and k == 0 and all(shifted.eps):
         eps_sign = 1
         for b in shifted.eps:
-            if b.doubled < 0:
+            if b < 0:
                 eps_sign = -eps_sign
     return CentralCharFingerprint(k, red_d, red_e, eps_sign)
 
@@ -107,15 +107,15 @@ def preceq(a: Weight, b: Weight, borel: BorelData) -> bool:
 @dataclass(frozen=True)
 class BottomStep:
     before: Weight  # shifted weight entering the step
-    chosen_b: HalfInt
-    b_tilde: HalfInt
+    chosen_b: int  # doubled
+    b_tilde: int  # doubled
     after: Weight
 
     def to_json(self) -> dict:
         return {
             "before": self.before.display(),
-            "b": str(self.chosen_b),
-            "b_tilde": str(self.b_tilde),
+            "b": half_str(self.chosen_b),
+            "b_tilde": half_str(self.b_tilde),
             "after": self.after.display(),
         }
 
@@ -136,8 +136,10 @@ def partition_from_shifted(shifted: Weight, alg: Algebra) -> HookPartition:
     """Invert lambda -> lambda^natural + rho for a dominant shifted weight."""
     rho = b_standard(alg).rho
     nat = shifted - rho
-    parts_head = [a.as_int() for a in nat.delta]
-    kappa = [e.as_int() for e in nat.eps]
+    if any(v % 2 for v in nat.exponent_key()):
+        raise InternalError(f"shifted weight {shifted.display()} is not rho plus an integral weight")
+    parts_head = [a // 2 for a in nat.delta]
+    kappa = [e // 2 for e in nat.eps]
     if any(kappa[i] < kappa[i + 1] for i in range(len(kappa) - 1)) or (kappa and kappa[-1] < 0):
         raise InternalError(f"shifted weight {shifted.display()} has no hook partition")
     tail = transpose(tuple(k for k in kappa if k > 0))
@@ -167,8 +169,8 @@ def bottom_of_block(lam: HookPartition, alg: Algebra) -> BottomTrace:
         if is_tame(current, alg).tame:
             return BottomTrace(tuple(steps), current)
         shifted = natural_weight(current)[0] + rho
-        a_vals = [h.doubled for h in shifted.delta]
-        b_vals = [h.doubled for h in shifted.eps]
+        a_vals = list(shifted.delta)
+        b_vals = list(shifted.eps)
         candidates = [
             bv for bv in b_vals if bv > 0 and bv in a_vals and -bv not in a_vals
         ]
@@ -187,9 +189,7 @@ def bottom_of_block(lam: HookPartition, alg: Algebra) -> BottomTrace:
         new_a = sorted(a_vals[:i] + a_vals[i + 1 :] + [-x], reverse=True)
         new_b = sorted(b_vals[:j] + b_vals[j + 1 :] + [x], reverse=True)
         new_shifted = Weight.from_doubled(new_a, new_b)
-        steps.append(
-            BottomStep(shifted, HalfInt(chosen), HalfInt(x), new_shifted)
-        )
+        steps.append(BottomStep(shifted, chosen, x, new_shifted))
         current = partition_from_shifted(new_shifted, alg)
     raise InternalError("bottom-of-block did not terminate within the cap")
 
@@ -208,8 +208,8 @@ def lambda_x_family(lam: HookPartition, alg: Algebra) -> list[tuple[int, HookPar
     rho = b_standard(alg).rho
     shifted = natural_weight(lam)[0] + rho
     n, m = alg.n, alg.m
-    a_vals = [h.doubled for h in shifted.delta]
-    b_vals = [h.doubled for h in shifted.eps]
+    a_vals = list(shifted.delta)
+    b_vals = list(shifted.eps)
     hits = [i for i in range(n) if a_vals[i] == b_vals[m - 1]]
     if len(hits) != 1:
         raise InternalError("expected a unique d-entry matching b_m")

@@ -133,13 +133,13 @@ def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -
     rho_0 + (weight lattice of g_0), and ``JDivisibilityFailure`` when a
     multiplicity is not divisible by j.
     """
-    alternants = _alternant_coefficients(alg, seed)
-    dominant_part = LaurentPolynomial(alg.rank, _dominant_multiplicities(alg, alternants))
-    dominant_part = _scalar_divide(dominant_part, j)
     terms = {}
-    for mu, mult in dominant_part.terms.items():
+    for mu, mult in _dominant_multiplicities(alg, _alternant_coefficients(alg, seed)).items():
+        quotient, rest = divmod(mult, j)
+        if rest:
+            raise JDivisibilityFailure(f"coefficient {mult} at {mu} not divisible by {j}")
         for exp in weyl_orbit(alg, mu):
-            terms[exp] = mult
+            terms[exp] = quotient
     return LaurentPolynomial(alg.rank, terms)
 
 
@@ -212,18 +212,6 @@ def _racah(factor: WeylFactor, numerator: dict[tuple[int, ...], int]) -> dict[tu
         if total:
             mult[mu] = total
     return mult
-
-
-def _scalar_divide(p: LaurentPolynomial, j: int) -> LaurentPolynomial:
-    if j == 1:
-        return p
-    out = {}
-    for exp, coef in p.terms.items():
-        q, r = divmod(coef, j)
-        if r:
-            raise JDivisibilityFailure(f"coefficient {coef} at {exp} not divisible by {j}")
-        out[exp] = q
-    return LaurentPolynomial(p.rank, out)
 
 
 def kw_character(

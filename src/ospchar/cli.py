@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .exactnum import NotDivisible, Weight, monomial
+from .exactnum import NotDivisible, Weight, half_str, monomial
 from .rootdata import (
     Algebra,
     FamilyMismatch,
@@ -90,10 +90,8 @@ def _cmd_bottom(args) -> int:
     }
     lines = [f"{alg.osp_name()}  lambda = {lam}"]
     for step in trace.steps:
-        lines.append(
-            f"  {step.before.display()}  --[b={step.chosen_b} -> {step.b_tilde}]-->  "
-            f"{step.after.display()}"
-        )
+        b, b_tilde = half_str(step.chosen_b), half_str(step.b_tilde)
+        lines.append(f"  {step.before.display()}  --[b={b} -> {b_tilde}]-->  {step.after.display()}")
     lines.append(f"bottom: {trace.result}")
     _emit(payload, args.output == "json", lines)
     return 0

@@ -1,7 +1,7 @@
-"""Exact half-integer scalars, weight vectors, and sparse Laurent polynomials.
+"""Exact weight vectors and sparse Laurent polynomials.
 
-Everything here is pure integer arithmetic: half-integers are stored doubled,
-and Laurent exponent vectors are stored as tuples of doubled integers, so no
+Everything here is pure integer arithmetic: a half-integer is stored doubled,
+as an int, both in weight coordinates and in Laurent exponent vectors, so no
 rational or floating arithmetic ever occurs.  Coefficients are Python ints
 (arbitrary precision).  All values are immutable and safe to share.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 
@@ -22,102 +21,50 @@ class InternalError(Exception):
     """A step produced data the underlying theory rules out."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value."""
-
-    doubled: int
-
-    @classmethod
-    def of(cls, value: int) -> "HalfInt":
-        return cls(2 * value)
-
-    @classmethod
-    def halves(cls, doubled: int) -> "HalfInt":
-        return cls(doubled)
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled + other.doubled)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.doubled - other.doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        return HalfInt(self.doubled * k)
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.doubled))
-
-    def __bool__(self) -> bool:
-        return self.doubled != 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        if self.doubled % 2 != 0:
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.doubled})"
-
-
-ZERO = HalfInt(0)
-ONE = HalfInt(2)
-HALF = HalfInt(1)
+def half_str(doubled: int) -> str:
+    """Render the half-integer doubled/2 as ``p`` or ``p/2``."""
+    if doubled % 2 == 0:
+        return str(doubled // 2)
+    return f"{doubled}/2"
 
 
 @dataclass(frozen=True, slots=True)
 class Weight:
     """A vector a_1 d_1 + ... + a_n d_n + b_1 e_1 + ... + b_m e_m.
 
-    ``delta`` holds the d-coefficients, ``eps`` the e-coefficients, all exact
-    half-integers.  The rank pair (n, m) is implicit in the tuple lengths.
+    ``delta`` holds the d-coefficients, ``eps`` the e-coefficients, each
+    half-integer stored doubled as an int.  The rank pair (n, m) is implicit
+    in the tuple lengths.
     """
 
-    delta: tuple[HalfInt, ...]
-    eps: tuple[HalfInt, ...]
+    delta: tuple[int, ...]
+    eps: tuple[int, ...]
 
     @classmethod
     def zero(cls, n: int, m: int) -> "Weight":
-        return cls((ZERO,) * n, (ZERO,) * m)
+        return cls((0,) * n, (0,) * m)
 
     @classmethod
     def basis_delta(cls, n: int, m: int, i: int) -> "Weight":
         """d_i for 1-based i."""
-        d = [ZERO] * n
-        d[i - 1] = ONE
-        return cls(tuple(d), (ZERO,) * m)
+        d = [0] * n
+        d[i - 1] = 2
+        return cls(tuple(d), (0,) * m)
 
     @classmethod
     def basis_eps(cls, n: int, m: int, j: int) -> "Weight":
         """e_j for 1-based j."""
-        e = [ZERO] * m
-        e[j - 1] = ONE
-        return cls((ZERO,) * n, tuple(e))
+        e = [0] * m
+        e[j - 1] = 2
+        return cls((0,) * n, tuple(e))
 
     @classmethod
     def from_doubled(cls, delta: Iterable[int], eps: Iterable[int]) -> "Weight":
-        return cls(tuple(HalfInt(d) for d in delta), tuple(HalfInt(e) for e in eps))
+        return cls(tuple(delta), tuple(eps))
 
     @classmethod
     def from_ints(cls, delta: Iterable[int], eps: Iterable[int]) -> "Weight":
-        return cls(tuple(HalfInt.of(d) for d in delta), tuple(HalfInt.of(e) for e in eps))
+        return cls(tuple(2 * d for d in delta), tuple(2 * e for e in eps))
 
     @property
     def n(self) -> int:
@@ -153,32 +100,22 @@ class Weight:
 
     def half(self) -> "Weight":
         """Exact halving; every doubled entry must be even."""
-        for h in self.delta + self.eps:
-            if h.doubled % 2 != 0:
-                raise ValueError("weight is not halvable in the half-integer lattice")
-        return Weight(
-            tuple(HalfInt(a.doubled // 2) for a in self.delta),
-            tuple(HalfInt(a.doubled // 2) for a in self.eps),
-        )
+        if any(a % 2 for a in self.delta + self.eps):
+            raise ValueError("weight is not halvable in the half-integer lattice")
+        return Weight(tuple(a // 2 for a in self.delta), tuple(a // 2 for a in self.eps))
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.delta) and all(not a for a in self.eps)
+        return not any(self.delta) and not any(self.eps)
 
     def exponent_key(self) -> tuple[int, ...]:
         """Doubled exponent vector, delta axes first."""
-        return tuple(a.doubled for a in self.delta) + tuple(a.doubled for a in self.eps)
+        return self.delta + self.eps
 
     def display(self) -> str:
         """Paper-style rendering ``(a_1,...,a_n|b_1,...,b_m)`` with halves as p/2."""
-        left = ",".join(str(a) for a in self.delta)
-        right = ",".join(str(b) for b in self.eps)
+        left = ",".join(map(half_str, self.delta))
+        right = ",".join(map(half_str, self.eps))
         return f"({left}|{right})"
-
-
-def weight_from_key(key: tuple[int, ...], n: int, m: int) -> Weight:
-    if len(key) != n + m:
-        raise ValueError("exponent key rank mismatch")
-    return Weight.from_doubled(key[:n], key[n:])
 
 
 class LaurentPolynomial:

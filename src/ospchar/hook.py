@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import HalfInt, Weight
+from .exactnum import Weight
 from .rootdata import FAMILY_D, BorelData, EpsDeltaSequence, reflection_walk
 
 
@@ -78,12 +78,10 @@ class HookPartition:
 
 def natural_weight(lam: HookPartition) -> tuple[Weight, Weight]:
     """The standard-Borel highest weights (plain, minus-twisted)."""
-    n, m = lam.n, lam.m
-    delta = tuple(HalfInt.of(lam.part(i)) for i in range(1, n + 1))
+    delta = [lam.part(i) for i in range(1, lam.n + 1)]
     kappa = lam.tail_transpose()
-    plus = Weight(delta, tuple(HalfInt.of(k) for k in kappa))
-    minus_eps = tuple(HalfInt.of(k) for k in kappa[:-1]) + (HalfInt.of(-kappa[-1]),)
-    return plus, Weight(delta, minus_eps)
+    minus_kappa = kappa[:-1] + (-kappa[-1],)
+    return Weight.from_ints(delta, kappa), Weight.from_ints(delta, minus_kappa)
 
 
 @dataclass(frozen=True)
@@ -164,10 +162,7 @@ def frobenius_weight(lam: HookPartition, b: BorelData, minus: bool | None = None
     q = list(fd.q)
     if minus:
         q[-1] = -q[-1]
-    return Weight(
-        tuple(HalfInt.of(v) for v in fd.p),
-        tuple(HalfInt.of(v) for v in q),
-    )
+    return Weight.from_ints(fd.p, q)
 
 
 def highest_weight_via_reflections(lam: HookPartition, b: BorelData, minus: bool = False) -> Weight:

@@ -74,9 +74,7 @@ def pairing(x: Weight, y: Weight) -> Fraction:
     """The standard form: sum of e-products minus sum of d-products."""
     if x.n != y.n or x.m != y.m:
         raise ValueError("weight rank mismatch in pairing")
-    doubled4 = sum(a.doubled * b.doubled for a, b in zip(x.eps, y.eps)) - sum(
-        a.doubled * b.doubled for a, b in zip(x.delta, y.delta)
-    )
+    doubled4 = sum(a * b for a, b in zip(x.eps, y.eps)) - sum(a * b for a, b in zip(x.delta, y.delta))
     return Fraction(doubled4, 4)
 
 
@@ -95,7 +93,7 @@ class Root:
 
 def make_root(w: Weight) -> Root:
     """Build a root, deriving parity from the total d-degree."""
-    total_d = sum(a.doubled for a in w.delta)
+    total_d = sum(w.delta)
     if total_d % 2 != 0:
         raise ValueError("root has non-integral delta part")
     return Root(w, (total_d // 2) % 2)
@@ -103,13 +101,12 @@ def make_root(w: Weight) -> Root:
 
 def root_str(root: Root) -> str:
     """Compact form like 'd3-e1', 'd2+e4', 'e1-d1', '2d1'."""
-    parts: list[tuple[int, str]] = []
-    for i, a in enumerate(root.weight.delta, start=1):
-        if a:
-            parts.append((a.as_int(), f"d{i}"))
-    for j, b in enumerate(root.weight.eps, start=1):
-        if b:
-            parts.append((b.as_int(), f"e{j}"))
+    w = root.weight
+    named = [(a, f"d{i}") for i, a in enumerate(w.delta, start=1)]
+    named += [(b, f"e{j}") for j, b in enumerate(w.eps, start=1)]
+    if any(doubled % 2 for doubled, _ in named):
+        raise ValueError(f"root {w.display()} has a half-integral coordinate")
+    parts = [(doubled // 2, name) for doubled, name in named if doubled]
     parts.sort(key=lambda t: t[0] < 0)  # positive terms first, axis order kept
     out = ""
     for coef, name in parts:
@@ -378,10 +375,6 @@ class WeylElement:
         for j, v in enumerate(exp[n:]):
             out[n + self.eps_perm[j]] = self.eps_signs[j] * v
         return tuple(out)
-
-    def apply_to_weight(self, w: Weight) -> Weight:
-        key = self.apply_to_exponent(w.exponent_key())
-        return Weight.from_doubled(key[: len(self.delta_perm)], key[len(self.delta_perm):])
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other."""

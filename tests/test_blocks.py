@@ -14,7 +14,7 @@ from ospchar.blocks import (
     preceq,
     same_central_character,
 )
-from ospchar.exactnum import HalfInt, Weight
+from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard
 
@@ -99,18 +99,8 @@ class TestFingerprints:
                     es = [j for _, j in combo]
                     if len(set(ds)) < best or len(set(es)) < best:
                         continue
-                    red_d = tuple(
-                        sorted(
-                            (abs(a) for t, a in enumerate(s.delta) if t not in ds),
-                            key=lambda h: h.doubled,
-                        )
-                    )
-                    red_e = tuple(
-                        sorted(
-                            (abs(b) for t, b in enumerate(s.eps) if t not in es),
-                            key=lambda h: h.doubled,
-                        )
-                    )
+                    red_d = tuple(sorted(abs(a) for t, a in enumerate(s.delta) if t not in ds))
+                    red_e = tuple(sorted(abs(b) for t, b in enumerate(s.eps) if t not in es))
                     assert (red_d, red_e) == (fp.reduced_delta, fp.reduced_eps)
 
     def test_d_typical_twins_distinguished(self):
@@ -134,9 +124,9 @@ class TestBottomOfBlock:
         assert len(trace.steps) == 2
         s1, s2 = trace.steps
         assert s1.before.display() == "(11/2,9/2,5/2|11/2,5/2,1/2)"
-        assert s1.chosen_b == HalfInt(5) and s1.b_tilde == HalfInt(3)
+        assert s1.chosen_b == 5 and s1.b_tilde == 3  # doubled: 5/2 -> 3/2
         assert s1.after.display() == "(11/2,9/2,-3/2|11/2,3/2,1/2)"
-        assert s2.chosen_b == HalfInt(11) and s2.b_tilde == HalfInt(5)
+        assert s2.chosen_b == 11 and s2.b_tilde == 5
         assert s2.after.display() == "(9/2,-3/2,-5/2|5/2,3/2,1/2)"
         assert trace.result.parts == (5,)
 
@@ -147,11 +137,21 @@ class TestBottomOfBlock:
 
         assert partition_from_shifted(trace.steps[0].after, B33).parts == (6, 6, 1, 1, 1, 1)
 
+    def test_half_integral_remainder_is_an_internal_error(self):
+        from ospchar.blocks import partition_from_shifted
+
+        # the standard rho of D:2:2 is integral, so a half-odd coordinate in
+        # the shifted weight leaves a half-integral remainder
+        alg = Algebra("D", 2, 2)
+        s = b_standard(alg).rho + Weight.from_doubled([1, 0], [0, 0])
+        with pytest.raises(InternalError):
+            partition_from_shifted(s, alg)
+
     def test_osp_3_2_single_step(self):
         lam = HookPartition.of((1,), 1, 1)
         trace = bottom_of_block(lam, B11)
         assert len(trace.steps) == 1
-        assert trace.steps[0].b_tilde == HalfInt(1)
+        assert trace.steps[0].b_tilde == 1
         assert trace.steps[0].after.display() == "(-1/2|1/2)"
         assert trace.result.parts == ()
         assert same_central_character(

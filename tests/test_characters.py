@@ -539,12 +539,6 @@ class TestSupercharacterAndDimension:
         assert dims == {cr.dimension}
         assert dimension(cr) == cr.dimension >= 1
 
-    def test_j_divisibility_guard_raises_on_wrong_j(self):
-        from ospchar.characters import _scalar_divide
-
-        with pytest.raises(JDivisibilityFailure):
-            _scalar_divide(monomial(Weight.zero(1, 1), 3), 2)
-
 
 class TestMonomialText:
     def test_variables_and_half_exponents(self):

@@ -70,6 +70,19 @@ class TestBottom:
             },
         ]
 
+    def test_text_trace(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bottom", "--algebra", "B:3:3", "--partition", "6,6,5,2,1,1",
+            "--output", "text",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "osp(7|6)  lambda = (6,6,5,2,1,1)",
+            "  (11/2,9/2,5/2|11/2,5/2,1/2)  --[b=5/2 -> 3/2]-->  (11/2,9/2,-3/2|11/2,3/2,1/2)",
+            "  (11/2,9/2,-3/2|11/2,3/2,1/2)  --[b=11/2 -> 5/2]-->  (9/2,-3/2,-5/2|5/2,3/2,1/2)",
+            "bottom: (5)",
+        ]
+
 
 class TestCharacter:
     def test_trivial_module_payload(self, capsys):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospchar.exactnum import (
-    HalfInt,
     LaurentPolynomial,
     NotDivisible,
     Weight,
     evaluate_at_one,
     exact_divide,
+    half_str,
     monomial,
     poly_from_json,
     poly_to_json,
@@ -23,21 +23,11 @@ def w(delta, eps):
     return Weight.from_ints(delta, eps)
 
 
-class TestHalfInt:
-    def test_arithmetic_closure(self):
-        a, b = HalfInt(3), HalfInt(-1)  # 3/2, -1/2
-        assert (a + b).doubled == 2
-        assert (a - b).doubled == 4
-        assert (-a).doubled == -3
-        assert (a * 3).doubled == 9
-
-    def test_str_renders_halves(self):
-        assert str(HalfInt(7)) == "7/2"
-        assert str(HalfInt(-1)) == "-1/2"
-        assert str(HalfInt(4)) == "2"
-
-    def test_ordering_is_by_value(self):
-        assert HalfInt(1) < HalfInt(2) < HalfInt(4)
+class TestHalfStr:
+    def test_renders_halves(self):
+        assert half_str(7) == "7/2"
+        assert half_str(-1) == "-1/2"
+        assert half_str(4) == "2"
 
 
 class TestMonomial:

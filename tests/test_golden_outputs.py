@@ -1,9 +1,9 @@
-"""Replay the benchmark's golden character outputs through the CLI.
+"""Replay the benchmark's golden outputs through the CLI.
 
 ``perfbench/golden.json`` stores, for every benchmark operation, its argv
-and sha256("{exit code}\\n{stdout}").  Replaying the character workloads
-here makes any byte change in character output fail the tests directly.
-The file is only read.
+and sha256("{exit code}\\n{stdout}").  Replaying the workloads here makes
+any byte change in ``classify``, ``bottom`` or ``character`` output fail the
+tests directly.  The file is only read.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from ospchar.cli import main
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
-@pytest.mark.parametrize("workload", ["char-sweep", "char-large"])
+@pytest.mark.parametrize("workload", ["census", "char-sweep", "char-large"])
 def test_replay_matches_golden_digest(workload, capsys):
     rows = json.loads(GOLDEN.read_text())["workloads"][workload]
     assert rows

@@ -94,14 +94,13 @@ class TestNaturalWeight:
             for lam in hook_partitions(n, m, 7):
                 plus, minus = natural_weight(lam)
                 kappa_m = plus.eps[-1]
-                assert (plus == minus) == (kappa_m.doubled == 0)
+                assert (plus == minus) == (kappa_m == 0)
                 assert (plus == minus) == (lam.part(n + 1) < m)
 
     def test_parts_weakly_decreasing_on_both_sides(self):
         for lam in hook_partitions(2, 3, 7):
             plus, _ = natural_weight(lam)
-            deltas = [h.doubled for h in plus.delta]
-            kappas = [h.doubled for h in plus.eps]
+            deltas, kappas = list(plus.delta), list(plus.eps)
             assert deltas == sorted(deltas, reverse=True)
             assert kappas == sorted(kappas, reverse=True)
             assert all(k >= 0 for k in kappas)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospchar.exactnum import HalfInt, Weight, monomial
+from ospchar.exactnum import Weight, monomial
 from ospchar.rootdata import (
     Algebra,
     EpsDeltaSequence,
@@ -63,7 +63,7 @@ class TestPairing:
         assert pairing(w([0], [1]), w([0], [1])) == 1
 
     def test_delta_sign_convention(self):
-        x = Weight((HalfInt(11),), (HalfInt(0),))  # (11/2) d_1
+        x = Weight.from_doubled([11], [0])  # (11/2) d_1
         assert pairing(x, w([1], [0])) == Fraction(-11, 2)
 
 
@@ -73,9 +73,9 @@ class TestBorelFromSequence:
         for m, n in [(1, 1), (2, 2), (3, 2), (1, 3)]:
             alg = Algebra("B", m, n)
             b = b_standard(alg)
-            want = Weight(
-                tuple(HalfInt(2 * (n - m - i) + 1) for i in range(1, n + 1)),
-                tuple(HalfInt(2 * (m - j) + 1) for j in range(1, m + 1)),
+            want = Weight.from_doubled(
+                [2 * (n - m - i) + 1 for i in range(1, n + 1)],
+                [2 * (m - j) + 1 for j in range(1, m + 1)],
             )
             assert b.rho == want
 
@@ -84,9 +84,9 @@ class TestBorelFromSequence:
         for m, n in [(2, 1), (2, 2), (3, 2)]:
             alg = Algebra("D", m, n)
             b = b_standard(alg)
-            want = Weight(
-                tuple(HalfInt.of(n - m - i + 1) for i in range(1, n + 1)),
-                tuple(HalfInt.of(m - j) for j in range(1, m + 1)),
+            want = Weight.from_ints(
+                [n - m - i + 1 for i in range(1, n + 1)],
+                [m - j for j in range(1, m + 1)],
             )
             assert b.rho == want
 
