@@ -19,8 +19,12 @@ and so is D_0 = A_{rho_0}.
    (Moody-Patera, Bull. AMS 7 (1982)).  The alternants are grouped by
    nu_delta; each group runs one eps recursion over its whole eps
    numerator and one delta recursion, and their outer product is summed.
-3. Orbits.  Each m_mu is divided by j exactly, then written out on the
-   delta-orbit times the eps-orbit of mu (``rootdata.weyl_orbit``).
+3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
+   {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
+   its dimension is sum_mu (m_mu / j) |W mu|, and ``orbits_json`` writes the
+   CLI's JSON straight from it.  The polynomial itself, every mu written
+   out on its delta-orbit times its eps-orbit (``expand_orbits``), is built
+   only on demand.
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -37,6 +41,7 @@ recursion over all of W at once, remain as test oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import add
 
@@ -74,25 +79,74 @@ class JDivisibilityFailure(Exception):
 
 @dataclass(frozen=True)
 class CharacterResult:
-    character: LaurentPolynomial
+    """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
+    (doubled exponent) to its nonzero multiplicity.  ``character`` expands
+    it on first access."""
+
+    orbits: dict[tuple[int, ...], int]
     highest_weight: Weight
     borel_used: BorelData
     T_used: tuple[Root, ...]
     j_used: int
-    dimension: int
     atypicality_k: int
 
-    def to_json(self) -> dict:
-        from .exactnum import poly_to_json
+    @functools.cached_property
+    def character(self) -> LaurentPolynomial:
+        return expand_orbits(self.borel_used.algebra, self.orbits)
 
+    @functools.cached_property
+    def dimension(self) -> int:
+        alg = self.borel_used.algebra
+        delta, eps = weyl_factors(alg)
+        n = alg.n
+        return sum(
+            coef * len(delta.orbit(mu[:n])) * len(eps.orbit(mu[n:])) for mu, coef in self.orbits.items()
+        )
+
+    def to_json(self) -> dict:
+        """Every field but the character, which ``orbits_json`` writes."""
         return {
             "hw": self.highest_weight.display(),
             "borel": str(self.borel_used.sequence),
             "T": [str(r) for r in self.T_used],
             "j": self.j_used,
             "dim": str(self.dimension),
-            "character": poly_to_json(self.character),
         }
+
+
+def expand_orbits(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> LaurentPolynomial:
+    """The polynomial sum_mu c_mu sum_{x in W mu} e^x of an orbit form
+    {dominant mu: nonzero c_mu}."""
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, coef in orbits.items():
+        for exp in weyl_orbit(alg, mu):
+            terms[exp] = coef
+    return LaurentPolynomial._adopt(alg.rank, terms)
+
+
+def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
+    """Compact JSON text of the terms of ``expand_orbits(alg, orbits)``, each
+    {"coef": str(c), "exp": [...]} with sorted keys, in descending lex order.
+
+    Descending lex order sorts by the delta part first, and the coefficient of
+    e^{(w d, e)} equals that of e^{(d, e)} for w in the delta factor.  So the
+    eps terms of a dominant delta part are written once, as a template, and
+    each d in its delta-orbit fills in the template's prefix slot.
+    """
+    n = alg.n
+    delta, eps = weyl_factors(alg)
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for mu, coef in orbits.items():
+        groups.setdefault(mu[:n], {}).update(dict.fromkeys(eps.orbit(mu[n:]), coef))
+    rows = []
+    for mu_delta, coefs in groups.items():
+        template = ",".join(
+            f'{{"coef":"{coefs[e]}","exp":[@,{",".join(map(str, e))}]}}' for e in sorted(coefs, reverse=True)
+        )
+        for d in delta.orbit(mu_delta):
+            rows.append((d, template.replace("@", ",".join(map(str, d)))))
+    rows.sort(reverse=True)
+    return "[" + ",".join(text for _, text in rows) + "]"
 
 
 def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -114,8 +168,8 @@ def _cleared_sum(
     shifted: Weight,
     excluded_odd: set[Root],
     j: int = 1,
-) -> LaurentPolynomial:
-    """(1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
+) -> dict[tuple[int, ...], int]:
+    """Orbit form of (1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
     e^{shifted + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
     alg = b.algebra
     seed = monomial(shifted + b.rho_odd, 1)
@@ -123,7 +177,7 @@ def _cleared_sum(
         if r in excluded_odd:
             continue
         seed = seed * (LaurentPolynomial.one(alg.rank) + monomial(-r.weight, 1))
-    return divided_alternating_sum(alg, seed, j)
+    return _divided_orbits(alg, seed, j)
 
 
 def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -> LaurentPolynomial:
@@ -133,14 +187,18 @@ def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -
     rho_0 + (weight lattice of g_0), and ``JDivisibilityFailure`` when a
     multiplicity is not divisible by j.
     """
-    terms = {}
+    return expand_orbits(alg, _divided_orbits(alg, seed, j))
+
+
+def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple[int, ...], int]:
+    """Orbit form {dominant mu: m_mu / j} of divided_alternating_sum."""
+    orbits = {}
     for mu, mult in _dominant_multiplicities(alg, _alternant_coefficients(alg, seed)).items():
         quotient, rest = divmod(mult, j)
         if rest:
             raise JDivisibilityFailure(f"coefficient {mult} at {mu} not divisible by {j}")
-        for exp in weyl_orbit(alg, mu):
-            terms[exp] = quotient
-    return LaurentPolynomial(alg.rank, terms)
+        orbits[mu] = quotient
+    return orbits
 
 
 def _alternant_coefficients(alg: Algebra, seed: LaurentPolynomial) -> dict[tuple[int, ...], int]:
@@ -242,11 +300,12 @@ def kw_character(
     lam_b = highest_weight_via_reflections(lam, b, minus=False)
     if not set(T) <= b.pos_odd:
         raise InternalError(f"distinguished set is not positive for {b.sequence}")
-    poly = _cleared_sum(b, lam_b + b.rho, set(T), j)
+    orbits = _cleared_sum(b, lam_b + b.rho, set(T), j)
 
     hw_plus, hw_minus = natural_weight(lam)
     if minus:
-        poly = sigma_twist(alg, poly)
+        # negating e_m keeps a type-D dominant weight dominant
+        orbits = {mu[:-1] + (-mu[-1],): coef for mu, coef in orbits.items()}
         hw = hw_minus
         b_used = sigma_twist(alg, b)
         T_used = tuple(sigma_twist(alg, r) for r in T)
@@ -255,12 +314,11 @@ def kw_character(
         b_used = b
         T_used = T
     return CharacterResult(
-        character=poly,
+        orbits=orbits,
         highest_weight=hw,
         borel_used=b_used,
         T_used=T_used,
         j_used=j,
-        dimension=evaluate_at_one(poly),
         atypicality_k=report.atypicality_k,
     )
 
@@ -278,7 +336,7 @@ def kw_character_with_borel(
     Used for the Borel-independence checks; no tameness screening here.
     """
     lam_b = highest_weight_via_reflections(lam, b, minus=minus)
-    return _cleared_sum(b, lam_b + b.rho, set(T), j)
+    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, set(T), j))
 
 
 def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Root, ...]:
@@ -313,7 +371,7 @@ def euler_char_character(
     excluded = {
         r for r in b.pos_odd if levi_weights and in_rational_span(levi_weights, r.weight)
     }
-    return _cleared_sum(b, lam_b + b.rho, excluded)
+    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, excluded))
 
 
 def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
@@ -333,7 +391,7 @@ def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
         if total % 2:
             raise InternalError(f"weight {exp} has half-integral d-degree")
         out[exp] = coef if (total // 2) % 2 == hw_parity else -coef
-    return LaurentPolynomial(cr.character.rank, out)
+    return LaurentPolynomial._adopt(cr.character.rank, out)
 
 
 def dimension(cr: CharacterResult) -> int:

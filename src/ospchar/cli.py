@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .exactnum import NotDivisible, Weight, half_str, monomial
+from .exactnum import InputError, NotDivisible, Weight, half_str, monomial
 from .rootdata import (
     Algebra,
     FamilyMismatch,
@@ -38,10 +38,12 @@ from .characters import (
     euler_char_character,
     kw_character,
     monomial_text,
+    orbits_json,
 )
 
-DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, UnsupportedCase, ValueError)
-INTERNAL_ERRORS = (NotDivisible, JDivisibilityFailure, InternalError)
+DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, UnsupportedCase, InputError)
+# any other ValueError is a broken invariant, not bad input
+INTERNAL_ERRORS = (NotDivisible, JDivisibilityFailure, InternalError, ValueError)
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | None = None) -> None:
@@ -105,7 +107,12 @@ def _cmd_character(args) -> int:
     payload.update(cr.to_json())
     payload["k"] = cr.atypicality_k
     if args.output == "json":
-        _emit(payload, True)
+        # the character is written from its orbit form and spliced in at its
+        # sorted place: the keys before it ("T", "algebra", "borel") hold
+        # no object, so the first '"character":null' is that key
+        payload["character"] = None
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        print(text.replace('"character":null', '"character":' + orbits_json(alg, cr.orbits), 1))
         return 0
     # the text rendering of a large character costs as much as computing it
     lines = [

@@ -21,6 +21,10 @@ class InternalError(Exception):
     """A step produced data the underlying theory rules out."""
 
 
+class InputError(ValueError):
+    """A malformed or out-of-range input: an algebra spec or a partition."""
+
+
 def half_str(doubled: int) -> str:
     """Render the half-integer doubled/2 as ``p`` or ``p/2``."""
     if doubled % 2 == 0:
@@ -139,6 +143,15 @@ class LaurentPolynomial:
         self.terms = clean
 
     @classmethod
+    def _adopt(cls, rank: int, terms: dict[tuple[int, ...], int]) -> "LaurentPolynomial":
+        """Wrap a dict already in canonical form (nonzero coefficients, exponents
+        of length rank) without copying or checking it; the caller hands it over."""
+        p = cls.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, rank: int) -> "LaurentPolynomial":
         return cls(rank)
 
@@ -169,17 +182,19 @@ class LaurentPolynomial:
                 out[exp] = new
             else:
                 out.pop(exp, None)
-        return LaurentPolynomial(self.rank, out)
+        return LaurentPolynomial._adopt(self.rank, out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._adopt(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial(self.rank, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return LaurentPolynomial.zero(self.rank)
+            return LaurentPolynomial._adopt(self.rank, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -190,7 +205,7 @@ class LaurentPolynomial:
                     out[exp] = new
                 else:
                     del out[exp]
-        return LaurentPolynomial(self.rank, out)
+        return LaurentPolynomial._adopt(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -201,7 +216,7 @@ class LaurentPolynomial:
             out[fn(exp)] = coef
         if len(out) != len(self.terms):
             raise ValueError("exponent map is not injective on the support")
-        return LaurentPolynomial(self.rank, out)
+        return LaurentPolynomial._adopt(self.rank, out)
 
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(w.exponent_key(), 0)
@@ -308,11 +323,3 @@ def divide_by_factors(num: LaurentPolynomial, factors: Iterable[LaurentPolynomia
         out = exact_divide(out, f)
     return out
 
-
-def poly_to_json(p: LaurentPolynomial) -> list[dict]:
-    """JSON form: term objects sorted by the leading-term order, leading first."""
-    return [{"exp": list(e), "coef": str(c)} for e, c in p.sorted_terms()]
-
-
-def poly_from_json(obj: list[dict], rank: int) -> LaurentPolynomial:
-    return LaurentPolynomial(rank, {tuple(t["exp"]): int(t["coef"]) for t in obj})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import Weight
+from .exactnum import InputError, Weight
 from .rootdata import FAMILY_D, BorelData, EpsDeltaSequence, reflection_walk
 
 
@@ -183,7 +183,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "0", "()"):
         return ()
-    parts = tuple(int(x) for x in text.split(","))
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"bad partition {text!r}, expected comma-separated integers") from None
     return tuple(p for p in parts if p != 0)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import InternalError, LaurentPolynomial, Weight
+from .exactnum import InputError, InternalError, LaurentPolynomial, Weight
 
 FAMILY_B = "B"
 FAMILY_D = "D"
@@ -43,20 +43,19 @@ class Algebra:
 
     def __post_init__(self):
         if self.family not in (FAMILY_B, FAMILY_D):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InputError(f"unknown family {self.family!r}")
         if self.m < 1 or self.n < 1:
-            raise ValueError("ranks m, n must be positive")
+            raise InputError("ranks m, n must be positive")
         if self.family == FAMILY_D and self.m < 2:
-            raise ValueError("family D requires m >= 2")
+            raise InputError("family D requires m >= 2")
 
     @classmethod
     def parse(cls, text: str) -> "Algebra":
         """Parse 'B:m:n' or 'D:m:n'."""
         parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad algebra spec {text!r}, expected FAMILY:m:n")
-        fam, m, n = parts[0].upper(), int(parts[1]), int(parts[2])
-        return cls(fam, m, n)
+        if len(parts) != 3 or not all(p.strip().isdecimal() for p in parts[1:]):
+            raise InputError(f"bad algebra spec {text!r}, expected FAMILY:m:n")
+        return cls(parts[0].upper(), int(parts[1]), int(parts[2]))
 
     @property
     def rank(self) -> int:

@@ -516,8 +516,10 @@ class TestSupercharacterAndDimension:
     def test_single_term_unchanged(self):
         from ospchar.characters import CharacterResult
 
+        # one dominant weight: its W-orbit has a single d-parity
         hw = Weight.from_ints([3], [1])
-        cr = CharacterResult(monomial(hw, 1), hw, b_standard(B11), (), 1, 1, 0)
+        cr = CharacterResult({hw.exponent_key(): 1}, hw, b_standard(B11), (), 1, 0)
+        assert len(cr.character.terms) == cr.dimension == 4
         assert supercharacter(cr) == cr.character
 
     def test_parity_grading_flips_odd_weight_spaces(self):

@@ -5,10 +5,17 @@ import json
 import pytest
 
 from ospchar.atyp import is_tame
+from ospchar.characters import expand_orbits, kw_character, monomial_text
 from ospchar.cli import build_parser, main
-from ospchar.exactnum import evaluate_at_one, poly_from_json
-from ospchar.hook import HookPartition, highest_weight_via_reflections, parse_partition
-from ospchar.rootdata import Algebra, b_standard
+from ospchar.exactnum import evaluate_at_one
+from ospchar.hook import (
+    HookPartition,
+    highest_weight_via_reflections,
+    hook_partitions,
+    parse_partition,
+)
+from ospchar.rootdata import Algebra, b_standard, dominant, sigma_twist
+from json_oracle import poly_from_json, poly_to_json
 from test_characters import naive_cleared_sum
 
 
@@ -133,6 +140,60 @@ class TestCharacter:
         assert json.loads(err)["error"]["code"] == "FamilyMismatch"
 
 
+@pytest.mark.parametrize("label", ["D:2:1", "D:2:2", "D:3:1", "B:1:2"])
+def test_character_output_matches_expanded_oracle(capsys, label):
+    """JSON written from the orbit form against json.dumps of the expanded
+    polynomial, byte for byte; the minus twin against the diagram twist of
+    the plain polynomial; and the text rendering of the same polynomial."""
+    alg = Algebra.parse(label)
+    checked = 0
+    for lam in hook_partitions(alg.n, alg.m, 6):
+        if not is_tame(lam, alg).tame:
+            continue
+        plain = expand_orbits(alg, kw_character(lam, alg).orbits)
+        argv = ["character", "--algebra", label, "--partition", ",".join(map(str, lam.parts)) or "0"]
+        for minus in (False, True) if alg.family == "D" else (False,):
+            cr = kw_character(lam, alg, minus=minus)
+            want = sigma_twist(alg, plain) if minus else plain
+            assert all(dominant(alg, mu) == mu for mu in cr.orbits), lam.parts
+            assert cr.character == want, lam.parts
+            assert cr.dimension == evaluate_at_one(want), lam.parts
+
+            flags = ["--minus"] if minus else []
+            code, out, _ = run_cli(capsys, *argv, *flags)
+            assert code == 0
+            payload = json.loads(out)
+            payload["character"] = poly_to_json(want)
+            assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", lam.parts
+            assert payload["dim"] == str(evaluate_at_one(want))
+
+            code, out, _ = run_cli(capsys, *argv, *flags, "--output", "text")
+            assert code == 0
+            assert out.splitlines() == [
+                f"{alg.osp_name()}  L({cr.highest_weight.display()})",
+                f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
+                f"T = {{{', '.join(str(r) for r in cr.T_used)}}}",
+                f"dim = {evaluate_at_one(want)}",
+                f"ch = {monomial_text(want, alg.n, alg.m)}",
+            ], lam.parts
+            checked += 1
+    assert checked >= 10
+
+
+def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
+    from ospchar import characters
+
+    argv = ("character", "--algebra", "D:3:1", "--partition", "3,2,1", "--minus")
+    _, want, _ = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON path expanded the orbit form")
+
+    monkeypatch.setattr(characters, "expand_orbits", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
 class TestBlockFamily:
     def test_golden(self, capsys):
         code, out, _ = run_cli(
@@ -172,6 +233,30 @@ class TestErrors:
             capsys, "classify", "--algebra", "D:1:1", "--partition", "0"
         )
         assert code == 1
+        assert json.loads(err)["error"]["code"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "algebra, partition",
+        [("Q:1:1", "0"), ("B:x:1", "0"), ("B:1", "0"), ("B:1:1", "3,x"), ("B:1:1", "1.5")],
+    )
+    def test_malformed_input_exit_one(self, capsys, algebra, partition):
+        code, _, err = run_cli(
+            capsys, "character", "--algebra", algebra, "--partition", partition
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["code"] == "InputError"
+
+    def test_stray_value_error_is_internal(self, capsys, monkeypatch):
+        from ospchar import cli
+
+        def boom(*args, **kwargs):
+            raise ValueError("weight rank mismatch")
+
+        monkeypatch.setattr(cli, "kw_character", boom)
+        code, _, err = run_cli(
+            capsys, "character", "--algebra", "B:1:1", "--partition", "0"
+        )
+        assert code == 2
         assert json.loads(err)["error"]["code"] == "ValueError"
 
     def test_internal_fault_exit_two(self, capsys, monkeypatch):

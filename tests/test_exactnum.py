@@ -14,9 +14,8 @@ from ospchar.exactnum import (
     exact_divide,
     half_str,
     monomial,
-    poly_from_json,
-    poly_to_json,
 )
+from json_oracle import poly_from_json, poly_to_json
 
 
 def w(delta, eps):
@@ -135,6 +134,33 @@ class TestRingProperties:
         for exp, c in reversed(term_list):
             backward = backward + LaurentPolynomial(2, {exp: c})
         assert forward == backward
+
+
+class TestConstructors:
+    def test_public_constructor_cleans_and_checks(self):
+        terms = {(2, 0): 3, (0, 2): 0}
+        p = LaurentPolynomial(2, terms)
+        assert p.terms == {(2, 0): 3}
+        terms[(4, 4)] = 1
+        assert p.terms == {(2, 0): 3}  # a copy, not the caller's dict
+        with pytest.raises(ValueError, match="rank mismatch"):
+            LaurentPolynomial(2, {(2, 0, 0): 1})
+        with pytest.raises(ValueError, match="rank mismatch"):
+            LaurentPolynomial(3, {(2, 0): 1})
+
+    def test_adopt_keeps_the_dict(self):
+        terms = {(2, 0): 3}
+        assert LaurentPolynomial._adopt(2, terms).terms is terms
+
+    @given(polys, polys, st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_arithmetic_stays_canonical(self, p, q, k):
+        flip = lambda e: (e[1], -e[0])  # noqa: E731
+        for r in (p + q, p - q, -p, p * q, p * k, k * p, p.map_exponents(flip)):
+            assert r.rank == 2
+            assert all(r.terms.values())
+            assert all(len(e) == 2 for e in r.terms)
+        assert (p * 0).is_zero() and p - p == LaurentPolynomial.zero(2)
 
 
 class TestSerialization:
