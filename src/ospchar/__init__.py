@@ -62,7 +62,6 @@ from .characters import (
     CharacterResult,
     JDivisibilityFailure,
     denominators,
-    dimension,
     euler_char_character,
     kw_character,
     supercharacter,

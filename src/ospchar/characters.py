@@ -16,9 +16,12 @@ and so is D_0 = A_{rho_0}.
 2. Racah.  For one factor, comparing the coefficient of e^{mu + rho} in
    q A_rho = numerator gives, for dominant mu in decreasing height,
    m_mu = c_{mu + rho} - sum_{w != 1} sgn(w) m_{dom(mu + rho - w rho)}
-   (Moody-Patera, Bull. AMS 7 (1982)).  The alternants are grouped by
-   nu_delta; each group runs one eps recursion over its whole eps
-   numerator and one delta recursion, and their outer product is summed.
+   (Moody-Patera, Bull. AMS 7 (1982)).  The recursion is vector-valued:
+   a coefficient and a multiplicity are {label: int}, so each dominant
+   weight of a factor is visited once.  The eps recursion runs once, its
+   numerator keyed by nu_eps and labelled by nu_delta; the delta recursion
+   runs once over the distinct nu_delta, each labelled by itself.  m_mu
+   sums, over the labels, the delta multiplicity times the eps one.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
    {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
    its dimension is sum_mu (m_mu / j) |W mu|, and ``orbits_json`` writes the
@@ -50,7 +53,6 @@ from .exactnum import (
     LaurentPolynomial,
     NotDivisible,
     Weight,
-    evaluate_at_one,
     monomial,
 )
 from .hook import HookPartition, highest_weight_via_reflections, natural_weight
@@ -172,12 +174,25 @@ def _cleared_sum(
     """Orbit form of (1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
     e^{shifted + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
     alg = b.algebra
-    seed = monomial(shifted + b.rho_odd, 1)
+    seed = LaurentPolynomial._adopt(alg.rank, _seed_terms(b, shifted, excluded_odd))
+    return _divided_orbits(alg, seed, j)
+
+
+def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: set[Root]) -> dict[tuple[int, ...], int]:
+    """Terms of the seed of ``_cleared_sum``, expanded one binomial at a
+    time: each term keeps its coefficient and also adds it at its exponent
+    minus beta.  Every coefficient is positive, so nothing cancels."""
+    terms = {(shifted + b.rho_odd).exponent_key(): 1}
     for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
         if r in excluded_odd:
             continue
-        seed = seed * (LaurentPolynomial.one(alg.rank) + monomial(-r.weight, 1))
-    return _divided_orbits(alg, seed, j)
+        step = (-r.weight).exponent_key()
+        out = dict(terms)
+        for exp, coef in terms.items():
+            lower = tuple(map(add, exp, step))
+            out[lower] = out.get(lower, 0) + coef
+        terms = out
+    return terms
 
 
 def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -> LaurentPolynomial:
@@ -226,22 +241,24 @@ def _dominant_multiplicities(
     alg: Algebra, alternants: dict[tuple[int, ...], int]
 ) -> dict[tuple[int, ...], int]:
     """Dominant weight multiplicities of sum_nu c_nu A_nu / A_{rho_0}, one
-    Weyl factor at a time, the alternants grouped by their delta part
-    (module docstring, step 2)."""
+    Weyl factor at a time (module docstring, step 2)."""
     n = alg.n
     rho = even_rho(alg)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    eps_numerator: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for nu, coef in alternants.items():
         top = tuple(a - b for a, b in zip(nu, rho))
         if not _in_weight_lattice(n, top):
             raise NotDivisible(f"alternant at {nu} lies outside rho_0 + the weight lattice of g_0")
-        groups.setdefault(nu[:n], {})[nu[n:]] = coef
+        eps_numerator.setdefault(nu[n:], {})[nu[:n]] = coef
     delta, eps = weyl_factors(alg)
+    eps_by_label: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for mu_eps, by_label in _racah(eps, eps_numerator).items():
+        for nu_delta, b in by_label.items():
+            eps_by_label.setdefault(nu_delta, []).append((mu_eps, b))
     mult: dict[tuple[int, ...], int] = {}
-    for nu_delta, eps_numerator in groups.items():
-        eps_mult = _racah(eps, eps_numerator)
-        for mu_delta, a in _racah(delta, {nu_delta: 1}).items():
-            for mu_eps, b in eps_mult.items():
+    for mu_delta, by_label in _racah(delta, {d: {d: 1} for d in eps_by_label}).items():
+        for nu_delta, a in by_label.items():
+            for mu_eps, b in eps_by_label[nu_delta]:
                 mu = mu_delta + mu_eps
                 new = mult.get(mu, 0) + a * b
                 if new:
@@ -251,22 +268,33 @@ def _dominant_multiplicities(
     return mult
 
 
-def _racah(factor: WeylFactor, numerator: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+def _racah(
+    factor: WeylFactor, numerator: dict[tuple[int, ...], dict[tuple[int, ...], int]]
+) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """Dominant weight multiplicities of sum_nu c_nu A_nu / A_rho over one
-    Weyl factor, by Racah's recursion (see the module docstring)."""
+    Weyl factor, by Racah's recursion (see the module docstring).  Each c_nu
+    and each multiplicity is a vector {label: nonzero int}, so one pass over
+    the dominant weights serves every label."""
+    if not numerator:
+        return {}
     rho = factor.rho
     tops = [tuple(a - b for a, b in zip(nu, rho)) for nu in numerator]
     ceiling = max(height(t, rho) for t in tops)
-    mult: dict[tuple[int, ...], int] = {}
+    mult: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     weights = sorted(((height(mu, rho), mu) for mu in factor.weights_below(tops)), reverse=True)
     for h, mu in weights:
-        total = numerator.get(tuple(map(add, mu, rho)), 0)
+        total = dict(numerator.get(tuple(map(add, mu, rho)), ()))
         for shift_height, sign, shift in factor.shifts:
             if h + shift_height > ceiling:
                 break  # every dominant weight above the ceiling has multiplicity 0
             higher = mult.get(factor.dominant(tuple(map(add, mu, shift))))
             if higher:
-                total -= sign * higher
+                for label, m in higher.items():
+                    new = total.get(label, 0) - sign * m
+                    if new:
+                        total[label] = new
+                    else:
+                        del total[label]
         if total:
             mult[mu] = total
     return mult
@@ -392,10 +420,6 @@ def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
             raise InternalError(f"weight {exp} has half-integral d-degree")
         out[exp] = coef if (total // 2) % 2 == hw_parity else -coef
     return LaurentPolynomial._adopt(cr.character.rank, out)
-
-
-def dimension(cr: CharacterResult) -> int:
-    return evaluate_at_one(cr.character)
 
 
 def monomial_text(p: LaurentPolynomial, n: int, m: int) -> str:

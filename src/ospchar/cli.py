@@ -2,7 +2,8 @@
 
 Output is machine-readable JSON by default (sorted, byte-identical across
 runs); --output text prints a human summary.  Domain errors exit 1 with a
-structured payload, internal faults exit 2.
+structured payload; internal faults, and any other exception, exit 2 with
+the same payload.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import json
 import sys
 
-from .exactnum import InputError, NotDivisible, Weight, half_str, monomial
+from .exactnum import InputError, Weight, half_str, monomial
 from .rootdata import (
     Algebra,
     FamilyMismatch,
@@ -30,9 +31,8 @@ from .hook import (
     parse_partition,
 )
 from .atyp import NotTame, is_tame
-from .blocks import InternalError, WrongRegime, bottom_of_block, lambda_x_family
+from .blocks import WrongRegime, bottom_of_block, lambda_x_family
 from .characters import (
-    JDivisibilityFailure,
     canonical_levi_roots,
     denominators,
     euler_char_character,
@@ -41,9 +41,10 @@ from .characters import (
     orbits_json,
 )
 
+# bad input exits 1; anything else, a stray ValueError included, is an
+# internal fault (NotDivisible, JDivisibilityFailure, InternalError, a bug)
+# and exits 2
 DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, UnsupportedCase, InputError)
-# any other ValueError is a broken invariant, not bad input
-INTERNAL_ERRORS = (NotDivisible, JDivisibilityFailure, InternalError, ValueError)
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | None = None) -> None:
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         _fail(args, exc, 1)
         return 1
-    except INTERNAL_ERRORS as exc:
+    except Exception as exc:
         _fail(args, exc, 2)
         return 2
 

@@ -194,6 +194,22 @@ def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
     assert code == 0 and out == want
 
 
+def test_character_never_uses_the_generic_product(capsys, monkeypatch):
+    # the seed is expanded binomial by binomial, not by LaurentPolynomial.__mul__
+    from ospchar.exactnum import LaurentPolynomial
+
+    argv = ("character", "--algebra", "B:2:3", "--partition", "3,2")
+    _, want, _ = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character used the generic product")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
 class TestBlockFamily:
     def test_golden(self, capsys):
         code, out, _ = run_cli(
@@ -246,18 +262,21 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["code"] == "InputError"
 
-    def test_stray_value_error_is_internal(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, KeyError], ids=lambda e: e.__name__)
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch, error):
+        # a stray ValueError is a broken invariant, a KeyError a bug: neither is bad input
         from ospchar import cli
 
         def boom(*args, **kwargs):
-            raise ValueError("weight rank mismatch")
+            raise error("forced")
 
         monkeypatch.setattr(cli, "kw_character", boom)
         code, _, err = run_cli(
             capsys, "character", "--algebra", "B:1:1", "--partition", "0"
         )
         assert code == 2
-        assert json.loads(err)["error"]["code"] == "ValueError"
+        assert f'"code":"{error.__name__}"' in err
+        assert json.loads(err)["error"]["code"] == error.__name__
 
     def test_internal_fault_exit_two(self, capsys, monkeypatch):
         from ospchar import cli
