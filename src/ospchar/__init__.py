@@ -6,7 +6,6 @@ from .exactnum import (
     NotDivisible,
     Weight,
     evaluate_at_one,
-    exact_divide,
     monomial,
 )
 from .rootdata import (
@@ -16,23 +15,16 @@ from .rootdata import (
     FamilyMismatch,
     NotSimpleIsotropic,
     Root,
-    WeylElement,
-    apply_weyl,
     b_odd,
     b_standard,
     borel_from_sequence,
     odd_reflection,
     pairing,
     sigma_twist,
-    weyl_alternating_sum,
-    weyl_elements,
 )
 from .hook import (
-    FrobeniusData,
     HookPartition,
     HookViolation,
-    UnsupportedCase,
-    frobenius_weight,
     highest_weight_via_reflections,
     natural_weight,
     transpose,
@@ -41,10 +33,8 @@ from .atyp import (
     NotTame,
     TamenessReport,
     atypicality_degree,
-    distinguished_T_bodd,
     e_of_lambda,
     is_tame,
-    j_lambda,
 )
 from .blocks import (
     BottomTrace,

@@ -4,7 +4,7 @@ The degree of atypicality of a shifted highest weight is the maximum number
 of mutually orthogonal isotropic positive roots orthogonal to it.  Mutual
 orthogonality forces distinct d-indices and distinct e-indices, so the
 degree is a maximum bipartite matching; production uses augmenting paths,
-the tests keep a subset brute force as the oracle.
+and ``atypicality_degree_brute``, a subset brute force, is their oracle.
 
 Tameness is decided on the standard-Borel shifted weight.  Orthogonality to
 d_i -+ e_j is compared on doubled entries as derived from the pairing, whose
@@ -207,21 +207,8 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
     return TamenessReport(k, True, witness, T, e_val, j)
 
 
-def distinguished_T_bodd(lam: HookPartition, alg: Algebra) -> tuple[Root, ...]:
-    """The explicit distinguished set for the canonical witness Borel."""
-    report = is_tame(lam, alg)
-    if not report.tame or report.atypicality_k == 0:
-        raise NotTame("distinguished set requires a tame module with k >= 1")
-    return report.distinguished_T
-
-
-def j_lambda(report: TamenessReport, alg: Algebra, lam: HookPartition) -> int:
-    if not report.tame:
-        raise NotTame("j is defined for tame modules only")
-    return _j_value(alg, lam, report.atypicality_k)
-
-
-# Brute-force oracle, kept for the tests and the acceptance suite.
+# Brute-force oracle.  No production path calls it; it stays in the library
+# because the benchmark's correctness check (perfbench/oracles.py) imports it.
 
 
 def atypicality_degree_brute(shifted: Weight, alg: Algebra, borel: BorelData | None = None) -> int:

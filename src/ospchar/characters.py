@@ -37,14 +37,15 @@ the character of a finite-dimensional g_0-module, a Laurent polynomial.  An
 alternant outside the lattice raises ``NotDivisible``, as its division is not
 guaranteed; none occurs for a highest weight lambda_b, because every seed
 exponent is lambda_b + rho_0 minus a sum of odd roots.  The division by j
-stays a checked exact division.  The naive Weyl sum and the long division
-(``rootdata.weyl_alternating_sum``, ``exactnum.divide_by_factors``), and the
-recursion over all of W at once, remain as test oracles.
+stays a checked exact division.  The naive Weyl sum, the long division and
+the recursion over all of W at once are the oracles for this pipeline; they
+live in the tests (``tests/oracles.py``), not here.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Set
 from dataclasses import dataclass
 from operator import add
 
@@ -65,9 +66,9 @@ from .rootdata import (
     Root,
     WeylFactor,
     b_standard,
+    coords_in_basis,
     even_rho,
     height,
-    in_rational_span,
     sigma_twist,
     straighten,
     weyl_factors,
@@ -168,7 +169,7 @@ def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
 def _cleared_sum(
     b: BorelData,
     shifted: Weight,
-    excluded_odd: set[Root],
+    excluded_odd: Set[Root],
     j: int = 1,
 ) -> dict[tuple[int, ...], int]:
     """Orbit form of (1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
@@ -178,7 +179,7 @@ def _cleared_sum(
     return _divided_orbits(alg, seed, j)
 
 
-def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: set[Root]) -> dict[tuple[int, ...], int]:
+def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: Set[Root]) -> dict[tuple[int, ...], int]:
     """Terms of the seed of ``_cleared_sum``, expanded one binomial at a
     time: each term keeps its coefficient and also adds it at its exponent
     minus beta.  Every coefficient is positive, so nothing cancels."""
@@ -195,18 +196,13 @@ def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: set[Root]) -> dict[
     return terms
 
 
-def divided_alternating_sum(alg: Algebra, seed: LaurentPolynomial, j: int = 1) -> LaurentPolynomial:
-    """(1/j) D_0^{-1} sum_w sgn(w) w(seed), through the dominant chamber.
+def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple[int, ...], int]:
+    """Orbit form {dominant mu: m_mu / j} of (1/j) D_0^{-1} sum_w sgn(w) w(seed).
 
     Raises ``NotDivisible`` when a surviving alternant lies outside
     rho_0 + (weight lattice of g_0), and ``JDivisibilityFailure`` when a
     multiplicity is not divisible by j.
     """
-    return expand_orbits(alg, _divided_orbits(alg, seed, j))
-
-
-def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple[int, ...], int]:
-    """Orbit form {dominant mu: m_mu / j} of divided_alternating_sum."""
     orbits = {}
     for mu, mult in _dominant_multiplicities(alg, _alternant_coefficients(alg, seed)).items():
         quotient, rest = divmod(mult, j)
@@ -311,7 +307,16 @@ def kw_character(
     atypical tame modules use the canonical witness Borel.  The minus twin
     is the diagram twist of the plain result.
     """
-    report = is_tame(lam, alg)
+    return _kw_character(lam, alg, is_tame(lam, alg), minus)
+
+
+def _kw_character(
+    lam: HookPartition,
+    alg: Algebra,
+    report: TamenessReport,
+    minus: bool = False,
+) -> CharacterResult:
+    """``kw_character`` for a caller that already holds ``is_tame(lam, alg)``."""
     if not report.tame:
         raise NotTame(f"{lam} is not tame over {alg.osp_name()}")
     if minus and alg.family != FAMILY_D:
@@ -395,11 +400,18 @@ def euler_char_character(
     Evaluated in the u_1 form: the seed carries the product over odd
     nilradical roots, avoiding any division by Levi factors.
     """
-    levi_weights = [r.weight for r in levi_simple_roots]
-    excluded = {
-        r for r in b.pos_odd if levi_weights and in_rational_span(levi_weights, r.weight)
-    }
+    excluded = _levi_odd_roots(b, tuple(levi_simple_roots))
     return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, excluded))
+
+
+@functools.lru_cache(maxsize=None)
+def _levi_odd_roots(b: BorelData, levi_simple_roots: tuple[Root, ...]) -> frozenset[Root]:
+    """The positive odd roots in the span of the Levi's simple roots, found
+    by one exact solve per root; built once per (Borel, Levi) and shared."""
+    levi_weights = [r.weight for r in levi_simple_roots]
+    if not levi_weights:
+        return frozenset()
+    return frozenset(r for r in b.pos_odd if coords_in_basis(levi_weights, r.weight) is not None)
 
 
 def supercharacter(cr: CharacterResult) -> LaurentPolynomial:

@@ -8,13 +8,12 @@ rational or floating arithmetic ever occurs.  Coefficients are Python ints
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NotDivisible(Exception):
-    """Raised when an exact Laurent division leaves a nonzero remainder."""
+    """An exact division is not guaranteed: a remainder would be left."""
 
 
 class InternalError(Exception):
@@ -244,82 +243,3 @@ def monomial(w: Weight, c: int) -> LaurentPolynomial:
 def evaluate_at_one(p: LaurentPolynomial) -> int:
     """Substitute every e^g -> 1, i.e. sum all coefficients."""
     return sum(p.terms.values())
-
-
-def _cwise_min(exps: Iterator[tuple[int, ...]], rank: int) -> tuple[int, ...]:
-    mins = None
-    for e in exps:
-        if mins is None:
-            mins = list(e)
-        else:
-            for i, v in enumerate(e):
-                if v < mins[i]:
-                    mins[i] = v
-    if mins is None:
-        raise InternalError("componentwise minimum of an empty support")
-    return tuple(mins)
-
-
-def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
-    """Return q with q*den == num, exactly.
-
-    Long division along the lex leading-term order on doubled exponent
-    vectors (delta axes before eps axes).  A quotient term escaping the
-    componentwise box forced by the support minima, or a coefficient that
-    den's leading coefficient does not divide, proves non-divisibility.
-    """
-    num._check(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero():
-        return LaurentPolynomial.zero(num.rank)
-
-    rank = num.rank
-    num_min = _cwise_min(iter(num.terms), rank)
-    den_min = _cwise_min(iter(den.terms), rank)
-    # componentwise floor for quotient exponents: min(q) = min(num) - min(den)
-    q_floor = tuple(a - b for a, b in zip(num_min, den_min))
-
-    lead = max(den.terms)
-    lead_coef = den.terms[lead]
-    tail = [(e, c) for e, c in den.terms.items() if e != lead]
-
-    rem = dict(num.terms)
-    heap = [tuple(-v for v in e) for e in rem]
-    heapq.heapify(heap)
-    quotient: dict[tuple[int, ...], int] = {}
-
-    while heap:
-        exp = tuple(-v for v in heapq.heappop(heap))
-        coef = rem.pop(exp, 0)
-        if not coef:
-            continue
-        q_exp = tuple(a - b for a, b in zip(exp, lead))
-        if any(q < f for q, f in zip(q_exp, q_floor)):
-            raise NotDivisible("remainder does not vanish")
-        q_coef, mod = divmod(coef, lead_coef)
-        if mod:
-            raise NotDivisible("leading coefficient does not divide")
-        quotient[q_exp] = q_coef
-        for t_exp, t_coef in tail:
-            exp2 = tuple(a + b for a, b in zip(q_exp, t_exp))
-            new = rem.get(exp2, 0) - q_coef * t_coef
-            if new:
-                if exp2 not in rem:
-                    heapq.heappush(heap, tuple(-v for v in exp2))
-                rem[exp2] = new
-            else:
-                rem.pop(exp2, None)
-
-    if rem:
-        raise NotDivisible("remainder does not vanish")
-    return LaurentPolynomial(rank, quotient)
-
-
-def divide_by_factors(num: LaurentPolynomial, factors: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
-    """Divide sequentially by each factor of a product-form denominator."""
-    out = num
-    for f in factors:
-        out = exact_divide(out, f)
-    return out
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import InputError, InternalError, LaurentPolynomial, Weight
+from .exactnum import InputError, InternalError, Weight
 
 FAMILY_B = "B"
 FAMILY_D = "D"
@@ -344,82 +344,6 @@ def _factor_elements(rank: int, paired_flips: bool) -> Iterator[tuple[tuple[int,
                 yield perm, signs
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Signed permutations acting separately on the d-axes and e-axes.
-
-    Basis action: d_i -> delta_signs[i] * d_{delta_perm[i]} (0-based), and
-    likewise on the e side.  In family D the e-side sign flips multiply to +1.
-    """
-
-    delta_perm: tuple[int, ...]
-    delta_signs: tuple[int, ...]
-    eps_perm: tuple[int, ...]
-    eps_signs: tuple[int, ...]
-
-    @property
-    def sign(self) -> int:
-        s = _perm_sign(self.delta_perm) * _perm_sign(self.eps_perm)
-        for x in self.delta_signs:
-            s *= x
-        for x in self.eps_signs:
-            s *= x
-        return s
-
-    def apply_to_exponent(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        n = len(self.delta_perm)
-        out = [0] * len(exp)
-        for i, v in enumerate(exp[:n]):
-            out[self.delta_perm[i]] = self.delta_signs[i] * v
-        for j, v in enumerate(exp[n:]):
-            out[n + self.eps_perm[j]] = self.eps_signs[j] * v
-        return tuple(out)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other."""
-        n, m = len(self.delta_perm), len(self.eps_perm)
-        dp = tuple(self.delta_perm[other.delta_perm[i]] for i in range(n))
-        ds = tuple(other.delta_signs[i] * self.delta_signs[other.delta_perm[i]] for i in range(n))
-        ep = tuple(self.eps_perm[other.eps_perm[j]] for j in range(m))
-        es = tuple(other.eps_signs[j] * self.eps_signs[other.eps_perm[j]] for j in range(m))
-        return WeylElement(dp, ds, ep, es)
-
-
-def weyl_elements(alg: Algebra) -> Iterator[WeylElement]:
-    """Enumerate W once; for family D only even numbers of e-sign flips."""
-    for dp, ds in _factor_elements(alg.n, False):
-        for ep, es in _factor_elements(alg.m, alg.family == FAMILY_D):
-            yield WeylElement(dp, ds, ep, es)
-
-
-def weyl_order(alg: Algebra) -> int:
-    base = math.factorial(alg.n) * (2 ** alg.n) * math.factorial(alg.m) * (2 ** alg.m)
-    return base // 2 if alg.family == FAMILY_D else base
-
-
-def apply_weyl(w: WeylElement, p: LaurentPolynomial) -> LaurentPolynomial:
-    return p.map_exponents(w.apply_to_exponent)
-
-
-def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
-    """The signed sum of all Weyl images of p, iterating W once.
-
-    No production path calls this: it is the test oracle for the
-    dominant-chamber pipeline of ``characters``.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    for w in weyl_elements(alg):
-        s = w.sign
-        for exp, coef in p.terms.items():
-            key = w.apply_to_exponent(exp)
-            new = out.get(key, 0) + s * coef
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return LaurentPolynomial(p.rank, out)
-
-
 # ---------------------------------------------------------------------------
 # The dominant chamber, one Weyl factor at a time
 #
@@ -699,20 +623,13 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
 
 
 def sigma_twist(alg: Algebra, obj):
-    """Negate the e_m coordinate everywhere (weights, Borels, exponents)."""
+    """Negate the e_m coordinate of a weight, root, Borel or sequence."""
     if alg.family != FAMILY_D:
         raise FamilyMismatch("the diagram twist exists only in family D")
     if isinstance(obj, Weight):
         return _sigma_weight(obj)
     if isinstance(obj, Root):
         return Root(_sigma_weight(obj.weight), obj.parity)
-    if isinstance(obj, LaurentPolynomial):
-        last = alg.n + alg.m - 1
-
-        def flip(exp: tuple[int, ...]) -> tuple[int, ...]:
-            return exp[:last] + (-exp[last],)
-
-        return obj.map_exponents(flip)
     if isinstance(obj, BorelData):
         seq = obj.sequence
         if seq.symbols[-1] == "e":
@@ -770,6 +687,3 @@ def coords_in_basis(basis: list[Weight], target: Weight) -> list[Fraction] | Non
             return None
     return coords
 
-
-def in_rational_span(vectors: list[Weight], target: Weight) -> bool:
-    return coords_in_basis(vectors, target) is not None

@@ -1,0 +1,327 @@
+"""Reference implementations the library's production paths are checked
+against.  None of them runs in production, and no library module imports
+this file.
+
+- Exact long division of Laurent polynomials (``exact_divide``,
+  ``divide_by_factors``), the route the character pipeline replaced.
+- The Weyl group element by element (``weyl_group``) and the naive signed
+  sum over it (``weyl_alternating_sum``).
+- The diagram twist of a polynomial (``sigma_twist_poly``).
+- The closed Frobenius form of a Borel highest weight (``frobenius_weight``),
+  against the odd-reflection walk of ``hook.highest_weight_via_reflections``.
+- The naive character pipeline: seed product, whole Weyl sum, long division
+  by the factors of D_0, then division by j (``naive_cleared_sum``).
+- Supersymmetry of supercharacters (``supersymmetry_violations``).
+"""
+
+from __future__ import annotations
+
+import functools
+import heapq
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
+
+from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight, monomial
+from ospchar.hook import HookPartition, HookViolation, transpose
+from ospchar.rootdata import FAMILY_D, Algebra, BorelData, EpsDeltaSequence, FamilyMismatch
+
+# ---------------------------------------------------------------------------
+# Exact long division
+
+
+def _cwise_min(exps: Iterator[tuple[int, ...]], rank: int) -> tuple[int, ...]:
+    mins = None
+    for e in exps:
+        if mins is None:
+            mins = list(e)
+        else:
+            for i, v in enumerate(e):
+                if v < mins[i]:
+                    mins[i] = v
+    if mins is None:
+        raise InternalError("componentwise minimum of an empty support")
+    return tuple(mins)
+
+
+def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolynomial:
+    """Return q with q*den == num, exactly.
+
+    Long division along the lex leading-term order on doubled exponent
+    vectors (delta axes before eps axes).  A quotient term escaping the
+    componentwise box forced by the support minima, or a coefficient that
+    den's leading coefficient does not divide, proves non-divisibility.
+    """
+    num._check(den)
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero Laurent polynomial")
+    if num.is_zero():
+        return LaurentPolynomial.zero(num.rank)
+
+    rank = num.rank
+    num_min = _cwise_min(iter(num.terms), rank)
+    den_min = _cwise_min(iter(den.terms), rank)
+    # componentwise floor for quotient exponents: min(q) = min(num) - min(den)
+    q_floor = tuple(a - b for a, b in zip(num_min, den_min))
+
+    lead = max(den.terms)
+    lead_coef = den.terms[lead]
+    tail = [(e, c) for e, c in den.terms.items() if e != lead]
+
+    rem = dict(num.terms)
+    heap = [tuple(-v for v in e) for e in rem]
+    heapq.heapify(heap)
+    quotient: dict[tuple[int, ...], int] = {}
+
+    while heap:
+        exp = tuple(-v for v in heapq.heappop(heap))
+        coef = rem.pop(exp, 0)
+        if not coef:
+            continue
+        q_exp = tuple(a - b for a, b in zip(exp, lead))
+        if any(q < f for q, f in zip(q_exp, q_floor)):
+            raise NotDivisible("remainder does not vanish")
+        q_coef, mod = divmod(coef, lead_coef)
+        if mod:
+            raise NotDivisible("leading coefficient does not divide")
+        quotient[q_exp] = q_coef
+        for t_exp, t_coef in tail:
+            exp2 = tuple(a + b for a, b in zip(q_exp, t_exp))
+            new = rem.get(exp2, 0) - q_coef * t_coef
+            if new:
+                if exp2 not in rem:
+                    heapq.heappush(heap, tuple(-v for v in exp2))
+                rem[exp2] = new
+            else:
+                rem.pop(exp2, None)
+
+    if rem:
+        raise NotDivisible("remainder does not vanish")
+    return LaurentPolynomial(rank, quotient)
+
+
+def divide_by_factors(num: LaurentPolynomial, factors: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
+    """Divide sequentially by each factor of a product-form denominator."""
+    out = num
+    for f in factors:
+        out = exact_divide(out, f)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The Weyl group, element by element
+
+WeylAction = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _signed_permutations(rank: int, paired_flips: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(perm, signs) of every signed permutation of rank axes; with
+    paired_flips only those with an even number of sign flips."""
+    for perm in itertools.permutations(range(rank)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            if not paired_flips or math.prod(signs) == 1:
+                yield perm, signs
+
+
+def _perm_sign(perm: tuple[int, ...]) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_group(alg: Algebra) -> tuple[tuple[int, WeylAction], ...]:
+    """Every w in W = W(C_n) x W(B_m or D_m) as (sgn w, w acting on a doubled
+    exponent).  w sends d_i to delta_signs[i] d_{delta_perm[i]} (0-based),
+    and likewise on the eps axes, whose sign flips pair up in family D."""
+    n = alg.n
+
+    def element(dp, ds, ep, es) -> WeylAction:
+        def act(exp: tuple[int, ...]) -> tuple[int, ...]:
+            out = [0] * len(exp)
+            for i, v in enumerate(exp[:n]):
+                out[dp[i]] = ds[i] * v
+            for j, v in enumerate(exp[n:]):
+                out[n + ep[j]] = es[j] * v
+            return tuple(out)
+
+        return act
+
+    out = []
+    for dp, ds in _signed_permutations(n, False):
+        for ep, es in _signed_permutations(alg.m, alg.family == FAMILY_D):
+            sign = _perm_sign(dp) * _perm_sign(ep) * math.prod(ds) * math.prod(es)
+            out.append((sign, element(dp, ds, ep, es)))
+    return tuple(out)
+
+
+def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
+    """The signed sum of all Weyl images of p, iterating W once."""
+    out: dict[tuple[int, ...], int] = {}
+    for s, act in weyl_group(alg):
+        for exp, coef in p.terms.items():
+            key = act(exp)
+            new = out.get(key, 0) + s * coef
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return LaurentPolynomial(p.rank, out)
+
+
+def sigma_twist_poly(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
+    """The diagram twist of a polynomial: negate the e_m exponent of every
+    term (family D only)."""
+    if alg.family != FAMILY_D:
+        raise FamilyMismatch("the diagram twist exists only in family D")
+    last = alg.n + alg.m - 1
+
+    def flip(exp: tuple[int, ...]) -> tuple[int, ...]:
+        return exp[:last] + (-exp[last],)
+
+    return p.map_exponents(flip)
+
+
+# ---------------------------------------------------------------------------
+# The closed Frobenius form of a Borel highest weight
+
+
+@dataclass(frozen=True)
+class FrobeniusData:
+    """Block Frobenius coordinates (p_i | q_j) with the block breakpoints."""
+
+    p: tuple[int, ...]
+    q: tuple[int, ...]
+    d_cum: tuple[int, ...]
+    e_cum: tuple[int, ...]
+
+
+def frobenius_data(lam: HookPartition, seq: EpsDeltaSequence) -> FrobeniusData:
+    """Coordinates for the sequence read as d^{d_1} e^{e_1} ... d^{d_r} e^{e_r}."""
+    n, m = lam.n, lam.m
+    blocks: list[tuple[int, int]] = []
+    i = 0
+    symbols = seq.symbols
+    while i < len(symbols):
+        nd = 0
+        while i < len(symbols) and symbols[i] == "d":
+            nd += 1
+            i += 1
+        ne = 0
+        while i < len(symbols) and symbols[i] == "e":
+            ne += 1
+            i += 1
+        blocks.append((nd, ne))
+    d_cum, e_cum, td, te = [], [], 0, 0
+    for nd, ne in blocks:
+        td += nd
+        te += ne
+        d_cum.append(td)
+        e_cum.append(te)
+
+    lam_t = transpose(lam.parts)
+
+    def lam_at(i: int) -> int:
+        return lam.part(i)
+
+    def lam_t_at(j: int) -> int:
+        return lam_t[j - 1] if j <= len(lam_t) else 0
+
+    p = []
+    for i in range(1, n + 1):
+        u = next(u for u in range(len(blocks)) if i <= d_cum[u])
+        e_before = e_cum[u - 1] if u >= 1 else 0
+        p.append(max(lam_at(i) - e_before, 0))
+    q = []
+    for j in range(1, m + 1):
+        u = next(u for u in range(len(blocks)) if j <= e_cum[u])
+        q.append(max(lam_t_at(j) - d_cum[u], 0))
+    return FrobeniusData(tuple(p), tuple(q), tuple(d_cum), tuple(e_cum))
+
+
+def frobenius_weight(lam: HookPartition, b: BorelData, minus: bool | None = None) -> Weight:
+    """Closed-form highest weight via block Frobenius coordinates.
+
+    With minus unset, the Borel's sign flag decides: unsigned Borels carry
+    the plain module, signed D Borels carry the minus twin.  Explicitly
+    requesting the other pairing on a delta-ending D sequence hits the
+    combination with no known closed formula and raises ValueError.
+    """
+    alg = b.algebra
+    if lam.n != alg.n or lam.m != alg.m:
+        raise HookViolation("partition ambient does not match the algebra")
+    seq = b.sequence
+    signed = seq.sign == -1
+    if minus is None:
+        minus = signed
+    if minus and alg.family != FAMILY_D:
+        raise FamilyMismatch("minus twin exists only in family D")
+    if alg.family == FAMILY_D and seq.symbols[-1] == "d" and minus != signed:
+        raise ValueError("no closed formula for this sign pairing on a delta-ending sequence")
+    fd = frobenius_data(lam, seq)
+    q = list(fd.q)
+    if minus:
+        q[-1] = -q[-1]
+    return Weight.from_ints(fd.p, q)
+
+
+# ---------------------------------------------------------------------------
+# The naive character pipeline
+
+
+def even_factors(b: BorelData) -> list[LaurentPolynomial]:
+    """The factors e^{alpha/2} - e^{-alpha/2} of D_0, one per positive even root."""
+    return [monomial(r.weight.half(), 1) + monomial(-r.weight.half(), -1) for r in b.pos_even]
+
+
+def cleared_seed(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
+    """e^{lam_b + rho + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
+    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
+    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
+        if r not in excluded:
+            seed = seed * (LaurentPolynomial.one(b.algebra.rank) + monomial(-r.weight, 1))
+    return seed
+
+
+def naive_cleared_sum(b: BorelData, lam_b: Weight, excluded, j: int = 1) -> LaurentPolynomial:
+    """The whole Weyl sum of the seed, long division by the factors of D_0,
+    then division by j."""
+    alg = b.algebra
+    seed = cleared_seed(b, lam_b, excluded)
+    quotient = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b))
+    out = {}
+    for exp, coef in quotient.terms.items():
+        q, r = divmod(coef, j)
+        if r:
+            raise NotDivisible(f"coefficient {coef} at {exp} not divisible by {j}")
+        out[exp] = q
+    return LaurentPolynomial(alg.rank, out)
+
+
+# ---------------------------------------------------------------------------
+# Supersymmetry (Sergeev-Veselov, Ann. Math. 174 (2011))
+
+
+def supersymmetry_violations(sc: LaurentPolynomial, n: int, m: int) -> list[tuple[int, int, int]]:
+    """The (i, j, s), 0-based, for which substituting e^{eps_i} = t and
+    e^{delta_j} = t^s (s = +-1) into sc leaves a term of nonzero t-degree.
+
+    A supercharacter of a finite-dimensional module is supersymmetric: it
+    does not depend on t after each such substitution.  Exponents are
+    doubled, so the t-degree of e^x is x_{eps_i} + s x_{delta_j}, halved.
+    """
+    bad = []
+    for i in range(m):
+        for j in range(n):
+            for s in (1, -1):
+                reduced: dict[tuple[tuple[int, ...], int], int] = {}
+                for exp, coef in sc.terms.items():
+                    degree = exp[n + i] + s * exp[j]
+                    if not degree:
+                        continue
+                    rest = tuple(v for axis, v in enumerate(exp) if axis not in (j, n + i))
+                    key = (rest, degree)
+                    reduced[key] = reduced.get(key, 0) + coef
+                if any(reduced.values()):
+                    bad.append((i, j, s))
+    return bad

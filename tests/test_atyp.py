@@ -3,16 +3,13 @@
 import pytest
 
 from ospchar.atyp import (
-    NotTame,
     _d_case_ii_index,
     _distinguished_T,
     _iso_edges,
     atypicality_degree,
     atypicality_degree_brute,
-    distinguished_T_bodd,
     e_of_lambda,
     is_tame,
-    j_lambda,
 )
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
@@ -162,22 +159,18 @@ class TestDistinguishedT:
     def test_b_square_trivial(self):
         for k in (1, 2):
             alg = Algebra("B", k, k)
-            T = distinguished_T_bodd(HookPartition.of((), k, k), alg)
+            T = is_tame(HookPartition.of((), k, k), alg).distinguished_T
             assert [str(r) for r in T] == [f"e{i}-d{i}" for i in range(1, k + 1)]
 
     def test_d_minus_pair_case(self):
         alg = Algebra("D", 2, 1)
-        T = distinguished_T_bodd(HookPartition.of((), 1, 2), alg)
+        T = is_tame(HookPartition.of((), 1, 2), alg).distinguished_T
         assert [str(r) for r in T] == ["d1-e2"]
 
     def test_d_plus_pair_case(self):
         lam = HookPartition.of((3, 3, 3, 2, 2, 2, 1), 2, 3)
-        T = distinguished_T_bodd(lam, D32)
+        T = is_tame(lam, D32).distinguished_T
         assert [str(r) for r in T] == ["d2+e3"]
-
-    def test_not_tame_raises(self):
-        with pytest.raises(NotTame):
-            distinguished_T_bodd(HookPartition.of((6, 6, 5, 2, 1, 1), 3, 3), B33)
 
     def test_built_once_and_shared(self):
         for alg, k, index in ((B33, 2, None), (B33, 3, None), (D32, 1, 2), (D32, 2, None)):
@@ -208,7 +201,7 @@ class TestDistinguishedT:
 class TestJLambda:
     def test_b_type_table(self):
         rep = is_tame(HookPartition.of((5,), 3, 3), B33)
-        assert j_lambda(rep, B33, HookPartition.of((5,), 3, 3)) == 8  # k = 2
+        assert rep.j_lambda == 8  # k = 2
 
     def test_d_type_k1_e0(self):
         alg = Algebra("D", 2, 2)
@@ -236,9 +229,3 @@ class TestJLambda:
             assert rep.j_lambda == math.factorial(k) * 2**k
         rep = is_tame(HookPartition.of((), 2, 2), Algebra("D", 2, 2))
         assert rep.j_lambda == 2 * 2  # 2! 2^{2-1}
-
-    def test_not_tame_raises(self):
-        lam = HookPartition.of((6, 6, 5, 2, 1, 1), 3, 3)
-        rep = is_tame(lam, B33)
-        with pytest.raises(NotTame):
-            j_lambda(rep, B33, lam)

@@ -14,10 +14,11 @@ from ospchar.characters import (
     _dominant_multiplicities,
     _racah,
     _seed_terms,
+    _divided_orbits,
     canonical_levi_roots,
     denominators,
-    divided_alternating_sum,
     euler_char_character,
+    expand_orbits,
     kw_character,
     kw_character_with_borel,
     supercharacter,
@@ -26,7 +27,6 @@ from ospchar.exactnum import (
     LaurentPolynomial,
     NotDivisible,
     Weight,
-    divide_by_factors,
     evaluate_at_one,
     monomial,
 )
@@ -39,20 +39,26 @@ from ospchar.hook import (
 from ospchar.rootdata import (
     Algebra,
     all_sequences,
-    apply_weyl,
     b_odd,
     b_standard,
     borel_from_sequence,
+    coords_in_basis,
     dominant,
     even_rho,
     height,
-    in_rational_span,
     pairing,
-    sigma_twist,
     straighten,
-    weyl_alternating_sum,
-    weyl_elements,
     weyl_factors,
+)
+from oracles import (
+    cleared_seed,
+    divide_by_factors,
+    even_factors,
+    naive_cleared_sum,
+    sigma_twist_poly,
+    supersymmetry_violations,
+    weyl_alternating_sum,
+    weyl_group,
 )
 
 B11 = Algebra("B", 1, 1)
@@ -64,6 +70,19 @@ D32 = Algebra("D", 3, 2)
 
 def one(alg):
     return monomial(Weight.zero(alg.n, alg.m), 1)
+
+
+def chamber_quotient(alg, seed, j=1):
+    """(1/j) D_0^{-1} sum_w sgn(w) w(seed), through the dominant chamber."""
+    return expand_orbits(alg, _divided_orbits(alg, seed, j))
+
+
+def in_span(weights, target):
+    return coords_in_basis(weights, target) is not None
+
+
+def is_w_invariant(alg, p):
+    return all(p.map_exponents(act) == p for _, act in weyl_group(alg))
 
 
 class TestDenominators:
@@ -123,9 +142,7 @@ class TestKWCharacter:
             for lam in hook_partitions(alg.n, alg.m, 4):
                 if not is_tame(lam, alg).tame:
                     continue
-                cr = kw_character(lam, alg)
-                for el in weyl_elements(alg):
-                    assert apply_weyl(el, cr.character) == cr.character
+                assert is_w_invariant(alg, kw_character(lam, alg).character)
 
     def test_no_weight_exceeds_highest(self):
         b = b_standard(B11)
@@ -146,14 +163,11 @@ class TestKWCharacter:
                     minus = seq.sign == -1
                     got = kw_character_with_borel(lam, alg, b, (), 1, minus=minus)
                     if minus:
-                        got = sigma_twist(alg, got)
+                        got = sigma_twist_poly(alg, got)
                     assert got == ref, (alg.label(), lam.parts, str(seq))
 
     def test_round_trip_against_uncleared_numerator(self):
         # ch * D_0 * j re-assembles the raw alternating sum exactly
-        from ospchar.rootdata import weyl_alternating_sum
-        from ospchar.exactnum import LaurentPolynomial as LP
-
         lam = HookPartition.of((2,), 2, 2)
         rep = is_tame(lam, B22)
         assert rep.tame and rep.atypicality_k == 1
@@ -161,12 +175,7 @@ class TestKWCharacter:
         b = cr.borel_used
         d0, _ = denominators(b)
         lam_b = highest_weight_via_reflections(lam, b)
-        seed = monomial(lam_b + b.rho + b.rho_odd, 1)
-        for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-            if r in set(cr.T_used):
-                continue
-            seed = seed * (LP.one(B22.rank) + monomial(-r.weight, 1))
-        raw = weyl_alternating_sum(B22, seed)
+        raw = weyl_alternating_sum(B22, cleared_seed(b, lam_b, set(cr.T_used)))
         assert cr.character * d0 * cr.j_used == raw
 
     def test_sigma_twist_identity_family_d(self):
@@ -176,7 +185,7 @@ class TestKWCharacter:
                     continue
                 plus = kw_character(lam, alg)
                 minus = kw_character(lam, alg, minus=True)
-                assert minus.character == sigma_twist(alg, plus.character)
+                assert minus.character == sigma_twist_poly(alg, plus.character)
                 assert minus.highest_weight == natural_weight(lam)[1]
                 assert minus.character.coefficient(minus.highest_weight) == 1
 
@@ -189,11 +198,9 @@ class TestKWCharacter:
         assert all(c > 0 for c in cr.character.terms.values())
         assert cr.j_used == 8
         assert cr.dimension == 3276  # frozen from this evaluation, cross-run stable
-        import random
-
         rng = random.Random(11)
-        for el in rng.sample(list(weyl_elements(alg)), 12):
-            assert apply_weyl(el, cr.character) == cr.character
+        for _, act in rng.sample(weyl_group(alg), 12):
+            assert cr.character.map_exponents(act) == cr.character
 
 
 ORACLE_ALGEBRAS = [Algebra.parse(a) for a in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:1", "D:2:2")]
@@ -206,19 +213,6 @@ def tame_weights(alg, max_size=6):
             yield lam, rep
 
 
-def even_factors(b):
-    return [monomial(r.weight.half(), 1) + monomial(-r.weight.half(), -1) for r in b.pos_even]
-
-
-def cleared_seed(b, lam_b, excluded):
-    """e^{lam_b + rho + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
-    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
-    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        if r not in excluded:
-            seed = seed * (LaurentPolynomial.one(b.algebra.rank) + monomial(-r.weight, 1))
-    return seed
-
-
 @pytest.mark.parametrize("alg", [B22, D22, D32], ids=Algebra.label)
 def test_seed_terms_match_the_generic_product(alg):
     # every Borel, with the distinguished set and with the Euler excluded set
@@ -228,26 +222,12 @@ def test_seed_terms_match_the_generic_product(alg):
             b = borel_from_sequence(alg, seq)
             lam_b = highest_weight_via_reflections(lam, b, minus=seq.sign == -1)
             levi = [r.weight for r in canonical_levi_roots(b, rep)]
-            euler = {r for r in b.pos_odd if levi and in_rational_span(levi, r.weight)}
+            euler = {r for r in b.pos_odd if levi and in_span(levi, r.weight)}
             for excluded in ({r for r in rep.distinguished_T if r in b.pos_odd}, euler):
                 want = cleared_seed(b, lam_b, excluded)
                 assert _seed_terms(b, lam_b + b.rho, excluded) == want.terms, (lam.parts, str(seq))
                 checked += 1
     assert checked >= 2 * len(list(all_sequences(alg)))
-
-
-def naive_cleared_sum(b, lam_b, excluded, j=1):
-    """Oracle: the whole Weyl sum of the seed, long division by the factors
-    of D_0, then division by j."""
-    alg = b.algebra
-    seed = cleared_seed(b, lam_b, excluded)
-    quotient = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b))
-    out = {}
-    for exp, coef in quotient.terms.items():
-        q, r = divmod(coef, j)
-        assert r == 0
-        out[exp] = q
-    return LaurentPolynomial(alg.rank, out)
 
 
 def kac_typical_dimension(lam, alg):
@@ -287,7 +267,7 @@ class TestDominantPipelineOracle:
             levi = canonical_levi_roots(b, rep)
             lam_b = highest_weight_via_reflections(lam, b)
             weights = [r.weight for r in levi]
-            excluded = {r for r in b.pos_odd if weights and in_rational_span(weights, r.weight)}
+            excluded = {r for r in b.pos_odd if weights and in_span(weights, r.weight)}
             got = euler_char_character(levi, lam_b, b)
             assert got == naive_cleared_sum(b, lam_b, excluded), lam.parts
 
@@ -329,7 +309,7 @@ class TestDominantPipelineOracle:
                 terms[exp] = rng.choice([-2, -1, 1, 3])
             seed = LaurentPolynomial(alg.rank, terms)
             want = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b_standard(alg)))
-            assert divided_alternating_sum(alg, seed) == want, terms
+            assert chamber_quotient(alg, seed) == want, terms
 
 
 def whole_w_multiplicities(alg, alternants):
@@ -337,10 +317,10 @@ def whole_w_multiplicities(alg, alternants):
     every w != 1 and the dominance interval of the whole even root system."""
     rho = even_rho(alg)
     shifts = []
-    for el in weyl_elements(alg):
-        shift = tuple(a - b for a, b in zip(rho, el.apply_to_exponent(rho)))
+    for sign, act in weyl_group(alg):
+        shift = tuple(a - b for a, b in zip(rho, act(rho)))
         if any(shift):
-            shifts.append((height(shift, rho), el.sign, shift))
+            shifts.append((height(shift, rho), sign, shift))
     shifts.sort()
     tops = []
     for nu in alternants:
@@ -432,7 +412,7 @@ class TestEmptyNumerator:
             flipped = (-nu[0],) + nu[1:]
             seed = LaurentPolynomial(alg.rank, {nu: 1, flipped: 1})
             assert _alternant_coefficients(alg, seed) == {}
-            assert divided_alternating_sum(alg, seed).is_zero()
+            assert chamber_quotient(alg, seed).is_zero()
 
 
 class TestDivisibilityProof:
@@ -441,7 +421,7 @@ class TestDivisibilityProof:
         # coordinate is half-integral, so rho_0 + P does not contain it
         seed = monomial(Weight.from_doubled([3], [1]), 1)
         with pytest.raises(NotDivisible):
-            divided_alternating_sum(B11, seed)
+            chamber_quotient(B11, seed)
         with pytest.raises(NotDivisible):
             divide_by_factors(weyl_alternating_sum(B11, seed), even_factors(b_standard(B11)))
 
@@ -449,14 +429,14 @@ class TestDivisibilityProof:
         alg = Algebra("B", 2, 1)
         seed = monomial(Weight.from_doubled([4], [4, 1]), 1)
         with pytest.raises(NotDivisible):
-            divided_alternating_sum(alg, seed)
+            chamber_quotient(alg, seed)
 
     def test_j_divides_the_dominant_multiplicities(self):
         alg = Algebra("B", 1, 1)
         seed = monomial(Weight.from_doubled([2], [1]), 6)  # 6 * A_{rho_0}
-        assert divided_alternating_sum(alg, seed, 3) == one(alg) * 2
+        assert chamber_quotient(alg, seed, 3) == one(alg) * 2
         with pytest.raises(JDivisibilityFailure):
-            divided_alternating_sum(alg, seed, 4)
+            chamber_quotient(alg, seed, 4)
 
 
 class TestStructuralCrossChecks:
@@ -497,14 +477,13 @@ class TestSignedBorelCase:
         assert cr.dimension == 1120
         assert cr.character.coefficient(cr.highest_weight) == 1
         assert all(c > 0 for c in cr.character.terms.values())
-        for el in weyl_elements(D22):
-            assert apply_weyl(el, cr.character) == cr.character
+        assert is_w_invariant(D22, cr.character)
         euler = euler_char_character(
             canonical_levi_roots(b, rep), lam_b, b
         )
         assert euler == cr.character
         crm = kw_character(lam, D22, minus=True)
-        assert crm.character == sigma_twist(D22, cr.character)
+        assert crm.character == sigma_twist_poly(D22, cr.character)
         assert str(crm.borel_used.sequence) == "eded"
         assert [str(r) for r in crm.T_used] == ["d1-e2"]
 
@@ -594,3 +573,55 @@ class TestMonomialText:
         from ospchar.characters import monomial_text
 
         assert monomial_text(cr.character, 1, 1) == "1"
+
+
+SUPERSYMMETRY_SWEEP = [
+    (Algebra.parse(label), size)
+    for label, size in (("B:1:1", 5), ("B:2:1", 5), ("B:1:2", 5), ("D:2:1", 5), ("D:2:2", 4), ("B:2:2", 4), ("D:3:2", 3))
+]
+
+
+def test_supercharacters_are_supersymmetric():
+    # Sergeev-Veselov: every supercharacter is t-free after e^{eps_i} = t,
+    # e^{delta_j} = t^{+-1}; plain characters are not, so the check bites
+    checked = plain_failures = 0
+    for alg, size in SUPERSYMMETRY_SWEEP:
+        for lam, _ in tame_weights(alg, size):
+            cr = kw_character(lam, alg)
+            assert supersymmetry_violations(supercharacter(cr), alg.n, alg.m) == [], (alg.label(), lam.parts)
+            plain_failures += bool(supersymmetry_violations(cr.character, alg.n, alg.m))
+            checked += 1
+    assert checked >= 50
+    assert plain_failures >= 3 * checked // 4
+
+
+def test_supersymmetry_catches_a_perturbed_orbit():
+    # one more copy of a whole W-orbit keeps W-invariance but breaks supersymmetry
+    lam = HookPartition.of((2, 1), 2, 2)
+    cr = kw_character(lam, D22)
+    mu = max(cr.orbits)
+    sc = supercharacter(cr) + expand_orbits(D22, {mu: 1})
+    assert is_w_invariant(D22, sc)
+    assert supersymmetry_violations(sc, D22.n, D22.m)
+
+
+def test_euler_excluded_set_is_built_once(monkeypatch):
+    import ospchar.characters as characters
+
+    solves = []
+    original = characters.coords_in_basis
+
+    def counting(basis, target):
+        solves.append(target)
+        return original(basis, target)
+
+    monkeypatch.setattr(characters, "coords_in_basis", counting)
+    characters._levi_odd_roots.cache_clear()
+    b = b_odd(D32)
+    levi = b.simple_roots[:-1]
+    zero = Weight.zero(D32.n, D32.m)
+    first = euler_char_character(levi, zero, b)
+    assert len(solves) == len(b.pos_odd)
+    second = euler_char_character(list(levi), zero, b)
+    assert len(solves) == len(b.pos_odd)
+    assert second == first == monomial(zero, 4)

@@ -14,9 +14,9 @@ from ospchar.hook import (
     hook_partitions,
     parse_partition,
 )
-from ospchar.rootdata import Algebra, b_standard, dominant, sigma_twist
+from ospchar.rootdata import Algebra, b_standard, dominant
 from json_oracle import poly_from_json, poly_to_json
-from test_characters import naive_cleared_sum
+from oracles import naive_cleared_sum, sigma_twist_poly
 
 
 def run_cli(capsys, *argv):
@@ -154,7 +154,7 @@ def test_character_output_matches_expanded_oracle(capsys, label):
         argv = ["character", "--algebra", label, "--partition", ",".join(map(str, lam.parts)) or "0"]
         for minus in (False, True) if alg.family == "D" else (False,):
             cr = kw_character(lam, alg, minus=minus)
-            want = sigma_twist(alg, plain) if minus else plain
+            want = sigma_twist_poly(alg, plain) if minus else plain
             assert all(dominant(alg, mu) == mu for mu in cr.orbits), lam.parts
             assert cr.character == want, lam.parts
             assert cr.dimension == evaluate_at_one(want), lam.parts
@@ -330,3 +330,23 @@ class TestVerify:
         )
         assert code == 0
         assert "[PASS] D:2:1  trivial-kw-is-one" in out
+
+    def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
+        import sys
+
+        from ospchar import atyp
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return atyp.is_tame(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ospchar") and getattr(module, "is_tame", None) is atyp.is_tame:
+                monkeypatch.setattr(module, "is_tame", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
+        assert code == 0 and json.loads(out)["ok"] is True
+        swept = list(hook_partitions(2, 2, 4))
+        assert len(calls) <= len(swept)
+        assert len(set(calls)) == len(calls)

@@ -11,11 +11,11 @@ from ospchar.exactnum import (
     NotDivisible,
     Weight,
     evaluate_at_one,
-    exact_divide,
     half_str,
     monomial,
 )
 from json_oracle import poly_from_json, poly_to_json
+from oracles import exact_divide
 
 
 def w(delta, eps):

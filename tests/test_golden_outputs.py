@@ -7,14 +7,17 @@ tests directly.  The file is only read.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from ospchar.cli import main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden.json"
 
 
 @pytest.mark.parametrize("workload", ["census", "char-sweep", "char-large"])
@@ -28,3 +31,41 @@ def test_replay_matches_golden_digest(workload, capsys):
         if hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest() != row["sha256"]:
             changed.append(" ".join(row["argv"]))
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"
+
+
+def _benchmark_oracles(monkeypatch):
+    """perfbench/oracles.py, loaded by path under its own module name (the
+    tests' own oracles module holds the name ``oracles``), writing nothing."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", PERFBENCH / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _wrong_k(payload):
+    payload["report"]["k"] += 1
+
+
+def _untamed_bottom(payload):
+    payload["trace"]["result"] = [6, 6, 5, 2, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, tamper",
+    [
+        (["classify", "--algebra", "B:3:3", "--partition", "5"], _wrong_k),
+        (["bottom", "--algebra", "B:3:3", "--partition", "6,6,5,2,1,1"], _untamed_bottom),
+    ],
+    ids=["classify", "bottom"],
+)
+def test_benchmark_oracles_import_and_check_cli_output(argv, tamper, capsys, monkeypatch):
+    # the benchmark's correctness gate imports library names; a move that
+    # breaks one of those imports fails here, not only inside the benchmark
+    oracles = _benchmark_oracles(monkeypatch)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert oracles.check(list(argv), out) is None
+    payload = json.loads(out)
+    tamper(payload)
+    assert oracles.check(list(argv), json.dumps(payload)) is not None

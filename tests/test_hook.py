@@ -4,12 +4,8 @@ import pytest
 
 from ospchar.exactnum import Weight
 from ospchar.hook import (
-    FrobeniusData,
     HookPartition,
     HookViolation,
-    UnsupportedCase,
-    frobenius_data,
-    frobenius_weight,
     highest_weight_via_reflections,
     hook_partitions,
     natural_weight,
@@ -19,11 +15,13 @@ from ospchar.hook import (
 from ospchar.rootdata import (
     Algebra,
     EpsDeltaSequence,
+    FamilyMismatch,
     all_sequences,
     b_odd,
     b_standard,
     borel_from_sequence,
 )
+from oracles import FrobeniusData, frobenius_data, frobenius_weight
 
 
 def columns_oracle(parts):
@@ -140,9 +138,9 @@ class TestFrobeniusWeight:
         plain_delta_ending = borel_from_sequence(alg, EpsDeltaSequence.parse("deed"))
         signed = borel_from_sequence(alg, EpsDeltaSequence.parse("deed-"))
         lam = HookPartition.of((2, 1), 2, 2)
-        with pytest.raises(UnsupportedCase):
+        with pytest.raises(ValueError):
             frobenius_weight(lam, plain_delta_ending, minus=True)
-        with pytest.raises(UnsupportedCase):
+        with pytest.raises(ValueError):
             frobenius_weight(lam, signed, minus=False)
 
     def test_signed_sequence_carries_minus_twin(self):
@@ -155,6 +153,11 @@ class TestFrobeniusWeight:
 
 
 class TestReflectionWalk:
+    def test_minus_twin_rejected_in_family_b(self):
+        alg = Algebra("B", 2, 2)
+        with pytest.raises(FamilyMismatch):
+            highest_weight_via_reflections(HookPartition.of((1,), 2, 2), b_odd(alg), minus=True)
+
     def test_agrees_with_frobenius_exhaustively(self):
         for label in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:2", "D:2:1"):
             alg = Algebra.parse(label)
