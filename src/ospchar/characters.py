@@ -3,10 +3,13 @@
 The formula ch = (1/j) D_0^{-1} sum_w sgn(w) w(e^{s} / prod_{T}(1 + e^{-beta}))
 is evaluated with denominators cleared: the odd denominator identity
 e^{rho_1} prod_{pos odd}(1 + e^{-beta}) = D_1 turns the T-quotient into the
-complementary product, so W acts on one pre-expanded integer polynomial,
-the seed.  The numerator is W-antisymmetric and the character W-invariant,
-so only the dominant chamber is computed, in three steps, each one factor
-of W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
+complementary product, the seed.  Only the seed's alternants matter, and
+``_seed_terms`` builds terms with the same alternants: it straightens their
+eps part before each W_eps-invariant factor (the odd roots through a delta_i
+that T does not touch), so only the blocks T touches are expanded in full.
+The numerator is W-antisymmetric and the character W-invariant, so only the
+dominant chamber is computed, in three steps, each one factor of
+W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
 alternant A_nu = sum_w sgn(w) e^{w nu} is A^delta_{nu_delta} A^eps_{nu_eps},
 and so is D_0 = A_{rho_0}.
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Set
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .exactnum import (
     InternalError,
@@ -180,20 +183,67 @@ def _cleared_sum(
 
 
 def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: Set[Root]) -> dict[tuple[int, ...], int]:
-    """Terms of the seed of ``_cleared_sum``, expanded one binomial at a
-    time: each term keeps its coefficient and also adds it at its exponent
-    minus beta.  Every coefficient is positive, so nothing cancels."""
-    terms = {(shifted + b.rho_odd).exponent_key(): 1}
+    """Terms with the W-alternants of the seed of ``_cleared_sum``.
+
+    The odd roots through a delta_i that no excluded root touches multiply to
+    e^{-sigma_i} Q_i, sigma_i half their sum and Q_i the product of their
+    e^{beta/2} + e^{-beta/2}.  Q_i is W_eps-invariant, so alternation over W_eps
+    commutes with it: the touched blocks are expanded first, from
+    e^{shifted + rho_1 - sum_i sigma_i}, and the terms eps-straightened before each Q_i.
+    """
+    touched = {_delta_index(r) for r in excluded_odd}
+    steps, blocks = [], {}
+    start = (shifted + b.rho_odd).exponent_key()
     for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        if r in excluded_odd:
-            continue
-        step = (-r.weight).exponent_key()
+        i = _delta_index(r)
+        if i not in touched:
+            half = tuple(v // 2 for v in r.weight.exponent_key())
+            blocks.setdefault(i, []).append(half)
+            start = tuple(map(sub, start, half))
+        elif r not in excluded_odd:
+            steps.append((-r.weight).exponent_key())
+    terms = {start: 1}
+    for step in steps:
         out = dict(terms)
         for exp, coef in terms.items():
             lower = tuple(map(add, exp, step))
             out[lower] = out.get(lower, 0) + coef
         terms = out
+    for halves in blocks.values():
+        terms = _eps_straightened(b.algebra, terms)
+        for half in halves:
+            out = {}
+            for exp, coef in terms.items():
+                for key in (tuple(map(add, exp, half)), tuple(map(sub, exp, half))):
+                    new = out.get(key, 0) + coef
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+            terms = out
     return terms
+
+
+def _delta_index(r: Root) -> int:
+    """The i of the delta_i that the odd root r passes through."""
+    return next(i for i, v in enumerate(r.weight.delta) if v)
+
+
+def _eps_straightened(alg: Algebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Each term's eps part straightened by ``WeylFactor.straighten``: walls dropped, zeros merged away."""
+    n, eps = alg.n, weyl_factors(alg)[1]
+    out: dict[tuple[int, ...], int] = {}
+    for exp, coef in terms.items():
+        hit = eps.straighten(exp[n:])
+        if hit is None:
+            continue
+        key = exp[:n] + hit[1]
+        new = out.get(key, 0) + hit[0] * coef
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
 
 
 def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple[int, ...], int]:
@@ -354,22 +404,6 @@ def _kw_character(
         j_used=j,
         atypicality_k=report.atypicality_k,
     )
-
-
-def kw_character_with_borel(
-    lam: HookPartition,
-    alg: Algebra,
-    b: BorelData,
-    T: tuple[Root, ...],
-    j: int,
-    minus: bool = False,
-) -> LaurentPolynomial:
-    """The raw formula for an arbitrary Borel and distinguished set.
-
-    Used for the Borel-independence checks; no tameness screening here.
-    """
-    lam_b = highest_weight_via_reflections(lam, b, minus=minus)
-    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, set(T), j))
 
 
 def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Root, ...]:

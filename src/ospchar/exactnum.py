@@ -208,15 +208,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def map_exponents(self, fn) -> "LaurentPolynomial":
-        """Apply a bijective lattice map to every exponent; coefficients kept."""
-        out: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
-            out[fn(exp)] = coef
-        if len(out) != len(self.terms):
-            raise ValueError("exponent map is not injective on the support")
-        return LaurentPolynomial._adopt(self.rank, out)
-
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(w.exponent_key(), 0)
 

@@ -6,11 +6,15 @@ this file.
   ``divide_by_factors``), the route the character pipeline replaced.
 - The Weyl group element by element (``weyl_group``) and the naive signed
   sum over it (``weyl_alternating_sum``).
-- The diagram twist of a polynomial (``sigma_twist_poly``).
+- An exponent map applied to a polynomial (``map_exponents``) and the
+  diagram twist of a polynomial (``sigma_twist_poly``).
 - The closed Frobenius form of a Borel highest weight (``frobenius_weight``),
   against the odd-reflection walk of ``hook.highest_weight_via_reflections``.
-- The naive character pipeline: seed product, whole Weyl sum, long division
-  by the factors of D_0, then division by j (``naive_cleared_sum``).
+- The naive character pipeline: the fully expanded seed product
+  (``cleared_seed``), whole Weyl sum, long division by the factors of D_0,
+  then division by j (``naive_cleared_sum``).
+- The formula over an arbitrary Borel and distinguished set
+  (``kw_character_with_borel``), for Borel-independence checks.
 - Supersymmetry of supercharacters (``supersymmetry_violations``).
 """
 
@@ -23,9 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from ospchar.characters import _cleared_sum, expand_orbits
 from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight, monomial
-from ospchar.hook import HookPartition, HookViolation, transpose
-from ospchar.rootdata import FAMILY_D, Algebra, BorelData, EpsDeltaSequence, FamilyMismatch
+from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, transpose
+from ospchar.rootdata import FAMILY_D, Algebra, BorelData, EpsDeltaSequence, FamilyMismatch, Root
 
 # ---------------------------------------------------------------------------
 # Exact long division
@@ -169,6 +174,14 @@ def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomia
     return LaurentPolynomial(p.rank, out)
 
 
+def map_exponents(p: LaurentPolynomial, fn: WeylAction) -> LaurentPolynomial:
+    """Apply a bijective lattice map to every exponent; coefficients kept."""
+    out = {fn(exp): coef for exp, coef in p.terms.items()}
+    if len(out) != len(p.terms):
+        raise ValueError("exponent map is not injective on the support")
+    return LaurentPolynomial._adopt(p.rank, out)
+
+
 def sigma_twist_poly(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
     """The diagram twist of a polynomial: negate the e_m exponent of every
     term (family D only)."""
@@ -179,7 +192,7 @@ def sigma_twist_poly(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
     def flip(exp: tuple[int, ...]) -> tuple[int, ...]:
         return exp[:last] + (-exp[last],)
 
-    return p.map_exponents(flip)
+    return map_exponents(p, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +294,20 @@ def cleared_seed(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
         if r not in excluded:
             seed = seed * (LaurentPolynomial.one(b.algebra.rank) + monomial(-r.weight, 1))
     return seed
+
+
+def kw_character_with_borel(
+    lam: HookPartition,
+    alg: Algebra,
+    b: BorelData,
+    T: tuple[Root, ...],
+    j: int,
+    minus: bool = False,
+) -> LaurentPolynomial:
+    """The formula for an arbitrary Borel and distinguished set, through the
+    production pipeline; no tameness screening.  For Borel-independence checks."""
+    lam_b = highest_weight_via_reflections(lam, b, minus=minus)
+    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, set(T), j))
 
 
 def naive_cleared_sum(b: BorelData, lam_b: Weight, excluded, j: int = 1) -> LaurentPolynomial:

@@ -14,13 +14,14 @@ from ospchar.characters import (
     _dominant_multiplicities,
     _racah,
     _seed_terms,
+    _delta_index,
     _divided_orbits,
+    _eps_straightened,
     canonical_levi_roots,
     denominators,
     euler_char_character,
     expand_orbits,
     kw_character,
-    kw_character_with_borel,
     supercharacter,
 )
 from ospchar.exactnum import (
@@ -54,6 +55,8 @@ from oracles import (
     cleared_seed,
     divide_by_factors,
     even_factors,
+    kw_character_with_borel,
+    map_exponents,
     naive_cleared_sum,
     sigma_twist_poly,
     supersymmetry_violations,
@@ -82,7 +85,7 @@ def in_span(weights, target):
 
 
 def is_w_invariant(alg, p):
-    return all(p.map_exponents(act) == p for _, act in weyl_group(alg))
+    return all(map_exponents(p, act) == p for _, act in weyl_group(alg))
 
 
 class TestDenominators:
@@ -200,7 +203,7 @@ class TestKWCharacter:
         assert cr.dimension == 3276  # frozen from this evaluation, cross-run stable
         rng = random.Random(11)
         for _, act in rng.sample(weyl_group(alg), 12):
-            assert cr.character.map_exponents(act) == cr.character
+            assert map_exponents(cr.character, act) == cr.character
 
 
 ORACLE_ALGEBRAS = [Algebra.parse(a) for a in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:1", "D:2:2")]
@@ -215,8 +218,10 @@ def tame_weights(alg, max_size=6):
 
 @pytest.mark.parametrize("alg", [B22, D22, D32], ids=Algebra.label)
 def test_seed_terms_match_the_generic_product(alg):
-    # every Borel, with the distinguished set and with the Euler excluded set
-    checked = 0
+    # every Borel, with the distinguished set and with the Euler excluded set:
+    # the seed is eps-straightened between its free delta blocks, so it has
+    # the alternants of the full product, not its terms
+    checked = straightened = 0
     for lam, rep in tame_weights(alg, 3):
         for seq in all_sequences(alg):
             b = borel_from_sequence(alg, seq)
@@ -225,9 +230,55 @@ def test_seed_terms_match_the_generic_product(alg):
             euler = {r for r in b.pos_odd if levi and in_span(levi, r.weight)}
             for excluded in ({r for r in rep.distinguished_T if r in b.pos_odd}, euler):
                 want = cleared_seed(b, lam_b, excluded)
-                assert _seed_terms(b, lam_b + b.rho, excluded) == want.terms, (lam.parts, str(seq))
+                seed = LaurentPolynomial._adopt(alg.rank, _seed_terms(b, lam_b + b.rho, excluded))
+                got = _alternant_coefficients(alg, seed)
+                assert got == _alternant_coefficients(alg, want), (lam.parts, str(seq))
                 checked += 1
+                straightened += seed != want
     assert checked >= 2 * len(list(all_sequences(alg)))
+    assert straightened
+
+
+def straightened_before_touched_blocks(b, lam_b, excluded):
+    """A wrong seed: the free delta blocks expanded in full, then the terms
+    eps-straightened, and only then the blocks that hold an excluded root."""
+    alg = b.algebra
+    touched = {_delta_index(r) for r in excluded}
+    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
+    for late in (False, True):
+        if late:
+            seed = LaurentPolynomial._adopt(alg.rank, _eps_straightened(alg, seed.terms))
+        for r in b.pos_odd - set(excluded):
+            if (_delta_index(r) in touched) == late:
+                seed = seed * (one(alg) + monomial(-r.weight, 1))
+    return seed
+
+
+@pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+def test_straightening_before_a_touched_block_changes_the_alternants(alg):
+    # the alternant check above bites: a block holding a root of T is not
+    # W_eps-invariant, so straightening may not move past it
+    changed = 0
+    for lam, rep in tame_weights(alg, 4):
+        if rep.atypicality_k:
+            b, T = rep.witness_borel, set(rep.distinguished_T)
+            lam_b = highest_weight_via_reflections(lam, b)
+            want = _alternant_coefficients(alg, cleared_seed(b, lam_b, T))
+            changed += _alternant_coefficients(alg, straightened_before_touched_blocks(b, lam_b, T)) != want
+    assert changed
+
+
+@pytest.mark.parametrize("label, parts", [("B:3:3", (5,)), ("B:2:3", (3, 2))], ids=["B:3:3-5", "B:2:3-3,2"])
+def test_kw_orbits_match_the_full_seed(label, parts):
+    # the weights where the full seed was the bottleneck: 37 456 and 3 344 terms
+    alg = Algebra.parse(label)
+    lam = HookPartition.of(parts, alg.n, alg.m)
+    cr = kw_character(lam, alg)
+    b, T = cr.borel_used, set(cr.T_used)
+    lam_b = highest_weight_via_reflections(lam, b)
+    full = cleared_seed(b, lam_b, T)
+    assert len(_seed_terms(b, lam_b + b.rho, T)) < len(full.terms)
+    assert cr.orbits == _divided_orbits(alg, full, cr.j_used)
 
 
 def kac_typical_dimension(lam, alg):
