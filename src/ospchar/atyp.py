@@ -3,8 +3,12 @@
 The degree of atypicality of a shifted highest weight is the maximum number
 of mutually orthogonal isotropic positive roots orthogonal to it.  Mutual
 orthogonality forces distinct d-indices and distinct e-indices, so the
-degree is a maximum bipartite matching; production uses augmenting paths,
-and ``atypicality_degree_brute``, a subset brute force, is their oracle.
+degree is a maximum bipartite matching.  On doubled entries a_i, b_j the
+edges join |a_i| = |b_j| (a_i = -b_j for the minus roots d_i - e_j alone):
+the graph is a disjoint union of complete bipartite graphs, one per value,
+and its maximum matching is the multiset intersection of the two sides
+(``matched_values``).  ``atypicality_degree_brute``, a subset brute force,
+is its oracle.
 
 Tameness is decided on the standard-Borel shifted weight.  Orthogonality to
 d_i -+ e_j is compared on doubled entries as derived from the pairing, whose
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .exactnum import InternalError, Weight
@@ -41,43 +47,16 @@ class NotTame(Exception):
     """The requested quantity exists only for tame modules."""
 
 
-def max_bipartite_matching(edges: dict[int, set[int]], n_left: int) -> dict[int, int]:
-    """Kuhn's augmenting paths; returns a maximum left->right assignment."""
-    match_right: dict[int, int] = {}
-
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in edges.get(u, ()):
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, set())
-    return {u: v for v, u in match_right.items()}
-
-
-def _iso_edges(shifted: Weight, alg: Algebra, minus_only: bool = False) -> dict[int, set[int]]:
-    """Edges (i, j), 0-based, where some isotropic positive root on the pair
-    (d_{i+1}, e_{j+1}) is orthogonal to the shifted weight.
-
-    On doubled entries a_i, b_j: (s, d_i - e_j) = 0 iff a_i = -b_j, and
-    (s, d_i + e_j) = 0 iff a_i = b_j.
-    """
-    edges: dict[int, set[int]] = {}
-    for i, a in enumerate(shifted.delta):
-        hits = {j for j, b in enumerate(shifted.eps) if a == -b or (not minus_only and a == b)}
-        if hits:
-            edges[i] = hits
-    return edges
+def matched_values(ds: Iterable[int], es: Iterable[int]) -> Counter:
+    """The values of a maximum matching of equal entries between ds and es,
+    with multiplicity: each value class is complete bipartite and gives the
+    smaller of its two counts."""
+    return Counter(ds) & Counter(es)
 
 
 def atypicality_degree(shifted: Weight, alg: Algebra) -> int:
-    """Maximum matching between d-entries and e-entries of the shifted weight."""
-    return len(max_bipartite_matching(_iso_edges(shifted, alg), alg.n))
+    """Maximum matching of |d-entries| against |e-entries| of the shifted weight."""
+    return matched_values(map(abs, shifted.delta), map(abs, shifted.eps)).total()
 
 
 @dataclass(frozen=True)
@@ -189,8 +168,8 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
 
     case_ii_index: int | None = None
     if alg.family == FAMILY_B or lam.part(alg.n + 1) < alg.m:
-        minus_k = len(max_bipartite_matching(_iso_edges(shifted, alg, minus_only=True), alg.n))
-        tame = minus_k == k
+        # only the minus roots d_i - e_j, orthogonal when a_i = -b_j
+        tame = matched_values((-a for a in shifted.delta), shifted.eps).total() == k
     else:
         case_ii_index = _d_case_ii_index(shifted, alg)
         tame = case_ii_index is not None and k == 1

@@ -1,13 +1,15 @@
 """Central-character fingerprints, the dominance order, the bottom-of-block
 algorithm, and the finite family of tame weights sharing a type-D k=1 block.
 
-A central character is fingerprinted by removing one matched atypical entry
-per pair from the shifted weight and keeping the surviving absolute values;
-dominance is decided exactly through simple-root coordinates.
+A central character is fingerprinted by removing the matched atypical pairs
+(a multiset intersection) from the shifted weight and keeping the surviving
+absolute values; dominance is decided exactly through simple-root
+coordinates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactnum import InternalError, Weight, half_str
@@ -18,7 +20,7 @@ from .hook import (
     natural_weight,
     transpose,
 )
-from .atyp import NotTame, e_of_lambda, is_tame, max_bipartite_matching, _iso_edges
+from .atyp import NotTame, e_of_lambda, is_tame, matched_values
 from .rootdata import (
     FAMILY_B,
     FAMILY_D,
@@ -45,37 +47,18 @@ class CentralCharFingerprint:
 
 
 def fingerprint(shifted: Weight, alg: Algebra) -> CentralCharFingerprint:
-    """Remove greedily matched atypical pairs, keep sorted absolute values.
+    """Remove the matched atypical pairs, keep sorted absolute values.
 
-    Matching is by descending absolute entry value; the edge graph splits
-    into complete bipartite blocks per value, so every maximal matching
-    removes the same multiset (the tests check this against brute force).
+    The pairs are the intersection of the |d-entries| and |e-entries| as
+    multisets (``atyp.matched_values``): k is its size, and every maximum
+    matching removes these values, so the reduced multisets are the two
+    differences (the tests check this against a brute-force matching).
     """
-    edges = _iso_edges(shifted, alg)
-    matching = max_bipartite_matching(edges, alg.n)
-    # re-run greedily by value class for determinism of the removed pairs
-    by_abs_d: dict[int, list[int]] = {}
-    for i, a in enumerate(shifted.delta):
-        by_abs_d.setdefault(abs(a), []).append(i)
-    by_abs_e: dict[int, list[int]] = {}
-    for j, b in enumerate(shifted.eps):
-        by_abs_e.setdefault(abs(b), []).append(j)
-
-    removed_d: set[int] = set()
-    removed_e: set[int] = set()
-    for value in sorted(set(by_abs_d) & set(by_abs_e), reverse=True):
-        # |a_i| = |b_j| is exactly the orthogonality edge, so each value class
-        # is complete bipartite and contributes min of the two counts
-        ds, es = by_abs_d[value], by_abs_e[value]
-        take = min(len(ds), len(es))
-        removed_d.update(ds[:take])
-        removed_e.update(es[:take])
-
-    k = len(matching)
-    if len(removed_d) != k:
-        raise InternalError("greedy pair removal disagrees with the maximum matching")
-    red_d = tuple(sorted(abs(a) for i, a in enumerate(shifted.delta) if i not in removed_d))
-    red_e = tuple(sorted(abs(b) for j, b in enumerate(shifted.eps) if j not in removed_e))
+    abs_d, abs_e = [abs(a) for a in shifted.delta], [abs(b) for b in shifted.eps]
+    matched = matched_values(abs_d, abs_e)
+    k = matched.total()
+    red_d = tuple(sorted((Counter(abs_d) - matched).elements()))
+    red_e = tuple(sorted((Counter(abs_e) - matched).elements()))
 
     eps_sign = 0
     if alg.family == FAMILY_D and k == 0 and all(shifted.eps):

@@ -452,20 +452,18 @@ def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
     """Flip signs on weight spaces of odd parity relative to the top weight.
 
     Parity is graded by the total d-degree: odd roots shift it by one, even
-    roots by zero or two.
+    roots by zero or two.  W keeps the d-degree modulo 2 on an integral
+    delta part, so one sign per dominant weight serves its whole orbit.
     """
-    n = cr.highest_weight.n
-    hw_d = sum(cr.highest_weight.exponent_key()[:n])
-    if hw_d % 2:
-        raise InternalError(f"highest weight {cr.highest_weight.display()} has half-integral d-degree")
-    hw_parity = (hw_d // 2) % 2
-    out = {}
-    for exp, coef in cr.character.terms.items():
-        total = sum(exp[:n])
-        if total % 2:
-            raise InternalError(f"weight {exp} has half-integral d-degree")
-        out[exp] = coef if (total // 2) % 2 == hw_parity else -coef
-    return LaurentPolynomial._adopt(cr.character.rank, out)
+    alg = cr.borel_used.algebra
+
+    def parity(exp: tuple[int, ...]) -> int:
+        if any(a % 2 for a in exp[: alg.n]):
+            raise InternalError(f"weight {exp} has a half-integral delta coordinate")
+        return sum(exp[: alg.n]) // 2 % 2
+
+    top = parity(cr.highest_weight.exponent_key())
+    return expand_orbits(alg, {mu: c if parity(mu) == top else -c for mu, c in cr.orbits.items()})
 
 
 def monomial_text(p: LaurentPolynomial, n: int, m: int) -> str:

@@ -525,50 +525,26 @@ def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:
 def odd_reflection(b: BorelData, alpha: Root, gamma: Weight) -> tuple[BorelData, Weight]:
     """Reflect the Borel at an isotropic odd simple root alpha.
 
-    Returns the new Borel and the new highest weight of the same module:
-    the shifted weight gamma + rho is kept if (gamma, alpha) != 0 and gains
-    alpha otherwise.
+    The reflection at the simple root d - e between positions p and p + 1
+    swaps those two symbols; at the family-D terminal root d_n + e_m it
+    swaps the last two and signs the sequence.  The new Borel has
+    rho' = rho + alpha, so the highest weight of the same module is gamma
+    when (gamma, alpha) = 0 and gamma - alpha otherwise.
     """
     if alpha not in b.simple_roots or not alpha.is_isotropic or alpha.parity != 1:
         raise NotSimpleIsotropic(f"{alpha} is not an isotropic odd simple root")
-    alg = b.algebra
-    seq = b.sequence
-    numbered = seq.numbered()
-    weights = [_symbol_weight(alg, s, seq.sign) for s in numbered]
-
-    new_symbols = None
-    new_sign = seq.sign
-    for i in range(len(numbered) - 1):
-        if numbered[i][0] != numbered[i + 1][0] and weights[i] - weights[i + 1] == alpha.weight:
-            syms = list(seq.symbols)
-            syms[i], syms[i + 1] = syms[i + 1], syms[i]
-            new_symbols = tuple(syms)
-            break
-    else:
-        # terminal case: D-type unsigned sequence ending d e, alpha = d_n + e_m
-        if (
-            alg.family == FAMILY_D
-            and seq.sign == 1
-            and numbered[-1] == ("e", alg.m)
-            and numbered[-2][0] == "d"
-            and alpha.weight == weights[-2] + weights[-1]
-        ):
-            syms = list(seq.symbols)
-            syms[-1], syms[-2] = syms[-2], syms[-1]
-            new_symbols = tuple(syms)
-            new_sign = -1
-        else:
-            raise NotSimpleIsotropic(f"no sequence move realizes reflection at {alpha}")
-
-    if new_sign == -1 and new_symbols[-1] == "e":
+    p = b.simple_roots.index(alpha)
+    symbols = list(b.sequence.symbols)
+    sign = b.sequence.sign
+    if p == len(symbols) - 1:
+        # the terminal root d_n + e_m of an unsigned sequence ending d e
+        p, sign = p - 1, -1
+    symbols[p], symbols[p + 1] = symbols[p + 1], symbols[p]
+    if sign == -1 and symbols[-1] == "e":
         # a signed sequence ending in e denotes the same Borel unsigned
-        new_sign = 1
-    b2 = borel_from_sequence(alg, EpsDeltaSequence(new_symbols, new_sign))
-    if pairing(gamma, alpha.weight) != 0:
-        gamma2 = gamma + b.rho - b2.rho
-    else:
-        gamma2 = gamma + b.rho + alpha.weight - b2.rho
-    return b2, gamma2
+        sign = 1
+    b2 = borel_from_sequence(b.algebra, EpsDeltaSequence(tuple(symbols), sign))
+    return b2, gamma - alpha.weight if pairing(gamma, alpha.weight) != 0 else gamma
 
 
 def _bubble_moves(start: tuple[str, ...], target: tuple[str, ...]) -> Iterator[int]:
@@ -589,30 +565,23 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
     """Carry a standard-Borel highest weight to the target Borel.
 
     The chain bubble-sorts the sequence, one odd reflection per adjacent
-    swap; a signed D target is reached by first parking e_m at the right
-    end, flipping at the terminal root d_n + e_m, and then walking -e_m
-    left into place.
+    swap, each at the simple root of the swapped positions; a signed D
+    target is reached by first parking e_m at the right end, flipping at
+    the terminal root d_n + e_m, and then walking -e_m left into place.
     """
     b = b_standard(alg)
+    last = len(target.symbols) - 1
     if target.sign == -1:
         em_pos = max(i for i, s in enumerate(target.symbols) if s == "e")
         park = target.symbols[:em_pos] + target.symbols[em_pos + 1 :] + ("e",)
-        moves = list(_bubble_moves(b.sequence.symbols, park))
-        stages: list[tuple[str, int]] = [("swap", i) for i in moves]
-        stages.append(("flip", len(target.symbols) - 2))
-        for pos in range(len(target.symbols) - 2, em_pos, -1):
-            stages.append(("swap", pos - 1))
+        stages = list(_bubble_moves(b.sequence.symbols, park))
+        stages.append(last)  # the terminal root d_n + e_m
+        stages += range(last - 2, em_pos - 1, -1)
     else:
-        stages = [("swap", i) for i in _bubble_moves(b.sequence.symbols, target.symbols)]
+        stages = list(_bubble_moves(b.sequence.symbols, target.symbols))
 
-    for kind, pos in stages:
-        numbered = b.sequence.numbered()
-        weights = [_symbol_weight(alg, s, b.sequence.sign) for s in numbered]
-        if kind == "swap":
-            alpha = make_root(weights[pos] - weights[pos + 1])
-        else:
-            alpha = make_root(weights[pos] + weights[pos + 1])
-        b, gamma = odd_reflection(b, alpha, gamma)
+    for p in stages:
+        b, gamma = odd_reflection(b, b.simple_roots[p], gamma)
     if b.sequence != target:
         raise InternalError(f"reflection walk reached {b.sequence}, not {target}")
     return b, gamma

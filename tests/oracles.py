@@ -16,6 +16,10 @@ this file.
 - The formula over an arbitrary Borel and distinguished set
   (``kw_character_with_borel``), for Borel-independence checks.
 - Supersymmetry of supercharacters (``supersymmetry_violations``).
+- Atypicality and tameness from their definitions: orthogonality edges read
+  off the pairing (``pairing_edges``), a maximum matching by trying every
+  edge subset (``max_matching_brute``), and Kac-Wakimoto's tameness
+  condition checked on every Borel (``tame_by_definition``).
 """
 
 from __future__ import annotations
@@ -27,10 +31,22 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from ospchar.atyp import atypicality_degree_brute
 from ospchar.characters import _cleared_sum, expand_orbits
 from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight, monomial
-from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, transpose
-from ospchar.rootdata import FAMILY_D, Algebra, BorelData, EpsDeltaSequence, FamilyMismatch, Root
+from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
+from ospchar.rootdata import (
+    FAMILY_D,
+    Algebra,
+    BorelData,
+    EpsDeltaSequence,
+    FamilyMismatch,
+    Root,
+    all_sequences,
+    b_standard,
+    borel_from_sequence,
+    pairing,
+)
 
 # ---------------------------------------------------------------------------
 # Exact long division
@@ -352,3 +368,56 @@ def supersymmetry_violations(sc: LaurentPolynomial, n: int, m: int) -> list[tupl
                 if any(reduced.values()):
                     bad.append((i, j, s))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Atypicality and tameness from their definitions
+
+
+def pairing_edges(shifted: Weight, alg: Algebra, minus_only: bool) -> dict[int, set[int]]:
+    """The definition: (i, j), 0-based, is an edge when d_i - e_j, or (unless
+    minus_only) d_i + e_j, is orthogonal to the shifted weight."""
+    n, m = alg.n, alg.m
+    edges: dict[int, set[int]] = {}
+    for i in range(1, n + 1):
+        di = Weight.basis_delta(n, m, i)
+        for j in range(1, m + 1):
+            ej = Weight.basis_eps(n, m, j)
+            if pairing(shifted, di - ej) == 0 or (not minus_only and pairing(shifted, di + ej) == 0):
+                edges.setdefault(i - 1, set()).add(j - 1)
+    return edges
+
+
+def max_matching_brute(edges: dict[int, set[int]]) -> int:
+    """The most edges with pairwise distinct ends, trying every edge subset
+    from the largest possible size down."""
+    pairs = [(i, j) for i in edges for j in edges[i]]
+    for size in range(min(len(edges), len({j for _, j in pairs})), 0, -1):
+        for combo in itertools.combinations(pairs, size):
+            if len({i for i, _ in combo}) == size == len({j for _, j in combo}):
+                return size
+    return 0
+
+
+def tame_by_definition(lam: HookPartition, alg: Algebra) -> bool:
+    """Kac-Wakimoto's definition: L(lambda) is tame when some Borel b has k
+    mutually orthogonal isotropic odd simple roots orthogonal to
+    lambda_b + rho_b, where k is the degree of atypicality.
+
+    Every Borel is tried, signed ones included, each with the highest weight
+    of the plus module: pairing signed Borels with the minus twin instead
+    gives a false answer (D:2:2, (2,2,2,2)).
+    """
+    k = atypicality_degree_brute(natural_weight(lam)[0] + b_standard(alg).rho, alg)
+    for seq in all_sequences(alg):
+        b = borel_from_sequence(alg, seq)
+        shifted = highest_weight_via_reflections(lam, b) + b.rho
+        orth = [
+            r.weight
+            for r in b.simple_roots
+            if r.parity == 1 and r.is_isotropic and pairing(shifted, r.weight) == 0
+        ]
+        for subset in itertools.combinations(orth, k):
+            if all(pairing(x, y) == 0 for x, y in itertools.combinations(subset, 2)):
+                return True
+    return False

@@ -176,7 +176,7 @@ def test_criterion_7_property_suite():
 
 
 def test_criterion_8_atypicality_oracle():
-    """Matching-based degree equals subset brute force, |lambda| <= 8, rank <= (3,3)."""
+    """Multiset-intersection degree equals subset brute force, |lambda| <= 8, rank <= (3,3)."""
     checked = 0
     for fam in ("B", "D"):
         for m in range(1, 4):
@@ -189,7 +189,7 @@ def test_criterion_8_atypicality_oracle():
                     s = natural_weight(lam)[0] + rho
                     assert atypicality_degree(s, alg) == atypicality_degree_brute(s, alg)
                     checked += 1
-    passed(8, f"matching == brute force on {checked} shifted weights")
+    passed(8, f"intersection == brute force on {checked} shifted weights")
 
 
 def test_criterion_9_bottom_uniqueness():

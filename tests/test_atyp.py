@@ -5,16 +5,17 @@ import pytest
 from ospchar.atyp import (
     _d_case_ii_index,
     _distinguished_T,
-    _iso_edges,
     atypicality_degree,
     atypicality_degree_brute,
     e_of_lambda,
     is_tame,
+    matched_values,
 )
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard, pairing
 from ospchar.hook import highest_weight_via_reflections
+from oracles import max_matching_brute, pairing_edges, tame_by_definition
 
 B33 = Algebra("B", 3, 3)
 D32 = Algebra("D", 3, 2)
@@ -53,22 +54,6 @@ class TestAtypicalityDegree:
                 assert atypicality_degree(s, alg) == atypicality_degree_brute(s, alg)
 
 
-def pairing_edges(shifted, alg, minus_only):
-    """The definition: (i, j) is an edge when d_i - e_j, or (unless
-    minus_only) d_i + e_j, is orthogonal to the shifted weight."""
-    n, m = alg.n, alg.m
-    edges = {}
-    for i in range(1, n + 1):
-        di = Weight.basis_delta(n, m, i)
-        for j in range(1, m + 1):
-            ej = Weight.basis_eps(n, m, j)
-            if pairing(shifted, di - ej) == 0 or (
-                not minus_only and pairing(shifted, di + ej) == 0
-            ):
-                edges.setdefault(i - 1, set()).add(j - 1)
-    return edges
-
-
 def pairing_case_ii_hits(shifted, alg):
     n, m = alg.n, alg.m
     em = Weight.basis_eps(n, m, m)
@@ -80,8 +65,10 @@ class TestIntegerEdges:
         for alg in (Algebra("B", 2, 2), B33, Algebra("D", 2, 2), D32):
             for lam in hook_partitions(alg.n, alg.m, 8):
                 s = shifted_st(lam, alg)
-                for minus_only in (False, True):
-                    assert _iso_edges(s, alg, minus_only) == pairing_edges(s, alg, minus_only)
+                # any sign, as atypicality_degree; minus roots only, as is_tame
+                assert atypicality_degree(s, alg) == max_matching_brute(pairing_edges(s, alg, False))
+                minus_k = matched_values((-a for a in s.delta), s.eps).total()
+                assert minus_k == max_matching_brute(pairing_edges(s, alg, True))
                 hits = pairing_case_ii_hits(s, alg)
                 if len(hits) > 1:
                     with pytest.raises(InternalError):
@@ -139,6 +126,24 @@ class TestIsTame:
         assert set(obj) == {"k", "tame", "T", "e", "j"}
         assert obj["k"] == 1 and obj["tame"] is True
         assert obj["T"] == ["e1-d1"] and obj["j"] == 2 and obj["e"] is None
+
+
+class TestTamenessByDefinition:
+    def test_is_tame_matches_the_definition_on_every_borel(self):
+        # the plus module on every Borel, signed ones included; sizes keep
+        # the sweep to about a second
+        cases = [
+            (Algebra(fam, m, n), 6)
+            for fam, m, n in (("B", 1, 1), ("B", 1, 2), ("B", 2, 1), ("B", 2, 2), ("D", 2, 1), ("D", 2, 2))
+        ]
+        cases += [(Algebra("B", 3, 2), 4), (Algebra("D", 3, 2), 4)]
+        seen = set()
+        for alg, size in cases:
+            for lam in hook_partitions(alg.n, alg.m, size):
+                tame = is_tame(lam, alg).tame
+                assert tame == tame_by_definition(lam, alg), (alg.label(), lam.parts)
+                seen.add(tame)
+        assert seen == {True, False}
 
 
 class TestEOfLambda:

@@ -17,6 +17,7 @@ from ospchar.blocks import (
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard
+from oracles import max_matching_brute, pairing_edges
 
 B33 = Algebra("B", 3, 3)
 B11 = Algebra("B", 1, 1)
@@ -85,15 +86,14 @@ class TestFingerprints:
 
     def test_reduced_multiset_matches_every_maximal_matching(self):
         # brute-force all maximal matchings and compare the surviving entries
-        from ospchar.atyp import _iso_edges
-
         for alg in (Algebra("B", 2, 2), Algebra("D", 2, 2)):
             for lam in hook_partitions(alg.n, alg.m, 7):
                 s = shifted(lam, alg)
                 fp = fingerprint(s, alg)
-                edges = _iso_edges(s, alg)
+                edges = pairing_edges(s, alg, False)
                 pairs = [(i, j) for i in edges for j in edges[i]]
                 best = fp.k
+                assert best == max_matching_brute(edges)
                 for combo in itertools.combinations(pairs, best):
                     ds = [i for i, _ in combo]
                     es = [j for _, j in combo]

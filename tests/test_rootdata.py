@@ -397,6 +397,29 @@ class TestOddReflection:
         b2, _ = odd_reflection(b, alpha, Weight.zero(1, 2))
         assert str(b2.sequence) == "eed-"
 
+    def test_reflection_adds_alpha_to_rho_and_makes_minus_alpha_simple(self):
+        # the identity odd_reflection relies on for the new highest weight
+        D32 = Algebra("D", 3, 2)
+        terminal_flips = 0
+        for alg in (B22, D22, D32):
+            gammas = (Weight.zero(alg.n, alg.m), Weight.from_ints([3, 1][: alg.n], [2, 1, 1][: alg.m]))
+            for seq in all_sequences(alg):
+                b = borel_from_sequence(alg, seq)
+                for alpha in b.simple_roots:
+                    if alpha.parity != 1 or not alpha.is_isotropic:
+                        continue
+                    for gamma in gammas:
+                        b2, g2 = odd_reflection(b, alpha, gamma)
+                        assert b2.rho == b.rho + alpha.weight
+                        assert make_root(-alpha.weight) in b2.simple_roots
+                        # the shifted weight is kept, or gains alpha when orthogonal
+                        gain = alpha.weight if pairing(gamma, alpha.weight) == 0 else Weight.zero(alg.n, alg.m)
+                        assert g2 + b2.rho == gamma + b.rho + gain
+                    if alpha == b.simple_roots[-1]:
+                        assert alg.family == "D" and b2.sequence.sign == -1
+                        terminal_flips += 1
+        assert terminal_flips > 0
+
     def test_atypicality_invariant_along_chains(self):
         from ospchar.atyp import atypicality_degree_brute
         from ospchar.hook import HookPartition, natural_weight
