@@ -1,13 +1,7 @@
 """Exact classification and character evaluation for tame modules over the
 ortho-symplectic Lie superalgebras osp(2m+1|2n) and osp(2m|2n)."""
 
-from .exactnum import (
-    LaurentPolynomial,
-    NotDivisible,
-    Weight,
-    evaluate_at_one,
-    monomial,
-)
+from .exactnum import LaurentPolynomial, NotDivisible, Weight
 from .rootdata import (
     Algebra,
     BorelData,
@@ -51,7 +45,6 @@ from .blocks import (
 from .characters import (
     CharacterResult,
     JDivisibilityFailure,
-    denominators,
     euler_char_character,
     kw_character,
     supercharacter,

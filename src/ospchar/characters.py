@@ -57,7 +57,6 @@ from .exactnum import (
     LaurentPolynomial,
     NotDivisible,
     Weight,
-    monomial,
 )
 from .hook import HookPartition, highest_weight_via_reflections, natural_weight
 from .atyp import NotTame, TamenessReport, is_tame
@@ -155,20 +154,6 @@ def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
     return "[" + ",".join(text for _, text in rows) + "]"
 
 
-def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Expanded product forms of the even and odd Weyl denominators."""
-    rank = b.algebra.rank
-    d0 = LaurentPolynomial.one(rank)
-    for r in sorted(b.pos_even, key=lambda r: r.weight.exponent_key()):
-        half = r.weight.half()
-        d0 = d0 * (monomial(half, 1) + monomial(-half, -1))
-    d1 = LaurentPolynomial.one(rank)
-    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        half = r.weight.half()
-        d1 = d1 * (monomial(half, 1) + monomial(-half, 1))
-    return d0, d1
-
-
 def _cleared_sum(
     b: BorelData,
     shifted: Weight,
@@ -177,9 +162,7 @@ def _cleared_sum(
 ) -> dict[tuple[int, ...], int]:
     """Orbit form of (1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
     e^{shifted + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
-    alg = b.algebra
-    seed = LaurentPolynomial._adopt(alg.rank, _seed_terms(b, shifted, excluded_odd))
-    return _divided_orbits(alg, seed, j)
+    return _divided_orbits(b.algebra, _seed_terms(b, shifted, excluded_odd), j)
 
 
 def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: Set[Root]) -> dict[tuple[int, ...], int]:
@@ -246,8 +229,9 @@ def _eps_straightened(alg: Algebra, terms: dict[tuple[int, ...], int]) -> dict[t
     return out
 
 
-def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple[int, ...], int]:
-    """Orbit form {dominant mu: m_mu / j} of (1/j) D_0^{-1} sum_w sgn(w) w(seed).
+def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> dict[tuple[int, ...], int]:
+    """Orbit form {dominant mu: m_mu / j} of (1/j) D_0^{-1} sum_w sgn(w) w(seed),
+    the seed given as its terms {doubled exponent: coefficient}.
 
     Raises ``NotDivisible`` when a surviving alternant lies outside
     rho_0 + (weight lattice of g_0), and ``JDivisibilityFailure`` when a
@@ -262,10 +246,11 @@ def _divided_orbits(alg: Algebra, seed: LaurentPolynomial, j: int) -> dict[tuple
     return orbits
 
 
-def _alternant_coefficients(alg: Algebra, seed: LaurentPolynomial) -> dict[tuple[int, ...], int]:
-    """c_nu with sum_w sgn(w) w(seed) = sum_nu c_nu A_nu, nu strictly dominant."""
+def _alternant_coefficients(alg: Algebra, seed: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """c_nu with sum_w sgn(w) w(seed) = sum_nu c_nu A_nu, nu strictly dominant;
+    the seed is given as its terms."""
     out: dict[tuple[int, ...], int] = {}
-    for exp, coef in seed.terms.items():
+    for exp, coef in seed.items():
         hit = straighten(alg, exp)
         if hit is None:
             continue
@@ -427,15 +412,16 @@ def euler_char_character(
     levi_simple_roots: tuple[Root, ...],
     lam_b: Weight,
     b: BorelData,
-) -> LaurentPolynomial:
+) -> dict[tuple[int, ...], int]:
     """Euler characteristic character of the parabolic Verma head, for a
-    one-dimensional Levi module of b-highest weight lam_b.
+    one-dimensional Levi module of b-highest weight lam_b, in Weyl-orbit form
+    (as ``CharacterResult.orbits``).
 
     Evaluated in the u_1 form: the seed carries the product over odd
     nilradical roots, avoiding any division by Levi factors.
     """
     excluded = _levi_odd_roots(b, tuple(levi_simple_roots))
-    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, excluded))
+    return _cleared_sum(b, lam_b + b.rho, excluded)
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,66 +150,12 @@ class LaurentPolynomial:
         p.terms = terms
         return p
 
-    @classmethod
-    def zero(cls, rank: int) -> "LaurentPolynomial":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "LaurentPolynomial":
-        return cls(rank, {(0,) * rank: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; equality is structural
-
-    def _check(self, other: "LaurentPolynomial") -> None:
-        if self.rank != other.rank:
-            raise ValueError("polynomial rank mismatch")
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            new = out.get(exp, 0) + coef
-            if new:
-                out[exp] = new
-            else:
-                out.pop(exp, None)
-        return LaurentPolynomial._adopt(self.rank, out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._adopt(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            if not other:
-                return LaurentPolynomial.zero(self.rank)
-            return LaurentPolynomial._adopt(self.rank, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exp, 0) + c1 * c2
-                if new:
-                    out[exp] = new
-                else:
-                    del out[exp]
-        return LaurentPolynomial._adopt(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, w: Weight) -> int:
-        return self.terms.get(w.exponent_key(), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending leading-term (lex, delta axes first) order."""
@@ -222,15 +168,3 @@ class LaurentPolynomial:
         more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
         return "LaurentPolynomial(" + " + ".join(parts) + more + ")"
 
-
-def monomial(w: Weight, c: int) -> LaurentPolynomial:
-    """The single-term element c*e^w; zero c gives the zero element."""
-    rank = w.n + w.m
-    if c == 0:
-        return LaurentPolynomial.zero(rank)
-    return LaurentPolynomial(rank, {w.exponent_key(): c})
-
-
-def evaluate_at_one(p: LaurentPolynomial) -> int:
-    """Substitute every e^g -> 1, i.e. sum all coefficients."""
-    return sum(p.terms.values())

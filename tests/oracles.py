@@ -2,6 +2,9 @@
 against.  None of them runs in production, and no library module imports
 this file.
 
+- Laurent polynomial arithmetic (``monomial``, ``poly_sum``, ``scaled``,
+  ``poly_product``, ``evaluate_at_one``) and the expanded Weyl denominators
+  (``denominators``), which the library keeps only as root data.
 - Exact long division of Laurent polynomials (``exact_divide``,
   ``divide_by_factors``), the route the character pipeline replaced.
 - The Weyl group element by element (``weyl_group``) and the naive signed
@@ -15,6 +18,7 @@ this file.
   then division by j (``naive_cleared_sum``).
 - The formula over an arbitrary Borel and distinguished set
   (``kw_character_with_borel``), for Borel-independence checks.
+- Weyl's dimension formula on the alternant form (``weyl_dimension``).
 - Supersymmetry of supercharacters (``supersymmetry_violations``).
 - Atypicality and tameness from their definitions: orthogonality edges read
   off the pairing (``pairing_edges``), a maximum matching by trying every
@@ -29,11 +33,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from ospchar.atyp import atypicality_degree_brute
 from ospchar.characters import _cleared_sum, expand_orbits
-from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight, monomial
+from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
 from ospchar.rootdata import (
     FAMILY_D,
@@ -47,6 +52,55 @@ from ospchar.rootdata import (
     borel_from_sequence,
     pairing,
 )
+
+# ---------------------------------------------------------------------------
+# Laurent polynomial arithmetic
+
+
+def monomial(w: Weight, c: int = 1) -> LaurentPolynomial:
+    """The single-term element c*e^w; zero c gives the zero element."""
+    return LaurentPolynomial(w.n + w.m, {w.exponent_key(): c})
+
+
+def poly_sum(*polys: LaurentPolynomial) -> LaurentPolynomial:
+    """The sum of one or more polynomials of one rank."""
+    out: dict[tuple[int, ...], int] = {}
+    for p in polys:
+        for exp, coef in p.terms.items():
+            out[exp] = out.get(exp, 0) + coef
+    return LaurentPolynomial(polys[0].rank, out)
+
+
+def scaled(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    return LaurentPolynomial(p.rank, {exp: k * coef for exp, coef in p.terms.items()})
+
+
+def poly_product(*polys: LaurentPolynomial) -> LaurentPolynomial:
+    """The product of one or more polynomials of one rank."""
+    rank = polys[0].rank
+    out = {(0,) * rank: 1}
+    for p in polys:
+        if p.rank != rank:
+            raise ValueError("polynomial rank mismatch")
+        step: dict[tuple[int, ...], int] = {}
+        for e1, c1 in out.items():
+            for e2, c2 in p.terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                step[exp] = step.get(exp, 0) + c1 * c2
+        out = step
+    return LaurentPolynomial(rank, out)
+
+
+def evaluate_at_one(p: LaurentPolynomial) -> int:
+    """Substitute every e^g -> 1, i.e. sum all coefficients."""
+    return sum(p.terms.values())
+
+
+def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Expanded product forms of the even and odd Weyl denominators."""
+    odd = [poly_sum(monomial(r.weight.half()), monomial(-r.weight.half())) for r in b.pos_odd]
+    return poly_product(*even_factors(b)), poly_product(*odd)
+
 
 # ---------------------------------------------------------------------------
 # Exact long division
@@ -74,11 +128,12 @@ def exact_divide(num: LaurentPolynomial, den: LaurentPolynomial) -> LaurentPolyn
     componentwise box forced by the support minima, or a coefficient that
     den's leading coefficient does not divide, proves non-divisibility.
     """
-    num._check(den)
-    if den.is_zero():
+    if num.rank != den.rank:
+        raise ValueError("polynomial rank mismatch")
+    if not den.terms:
         raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero():
-        return LaurentPolynomial.zero(num.rank)
+    if not num.terms:
+        return LaurentPolynomial(num.rank)
 
     rank = num.rank
     num_min = _cwise_min(iter(num.terms), rank)
@@ -300,16 +355,14 @@ def frobenius_weight(lam: HookPartition, b: BorelData, minus: bool | None = None
 
 def even_factors(b: BorelData) -> list[LaurentPolynomial]:
     """The factors e^{alpha/2} - e^{-alpha/2} of D_0, one per positive even root."""
-    return [monomial(r.weight.half(), 1) + monomial(-r.weight.half(), -1) for r in b.pos_even]
+    return [poly_sum(monomial(r.weight.half()), monomial(-r.weight.half(), -1)) for r in b.pos_even]
 
 
 def cleared_seed(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
     """e^{lam_b + rho + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
-    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
-    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        if r not in excluded:
-            seed = seed * (LaurentPolynomial.one(b.algebra.rank) + monomial(-r.weight, 1))
-    return seed
+    zero = Weight.zero(b.algebra.n, b.algebra.m)
+    binomials = [poly_sum(monomial(zero), monomial(-r.weight)) for r in b.pos_odd if r not in excluded]
+    return poly_product(monomial(lam_b + b.rho + b.rho_odd), *binomials)
 
 
 def kw_character_with_borel(
@@ -339,6 +392,24 @@ def naive_cleared_sum(b: BorelData, lam_b: Weight, excluded, j: int = 1) -> Laur
             raise NotDivisible(f"coefficient {coef} at {exp} not divisible by {j}")
         out[exp] = q
     return LaurentPolynomial(alg.rank, out)
+
+
+def weyl_dimension(alg: Algebra, alternants: dict[tuple[int, ...], int], j: int) -> Fraction:
+    """(1/j) sum_nu c_nu prod_{alpha in D_0^+} (nu, alpha) / (rho_0, alpha).
+
+    Weyl's dimension formula for each A_nu / A_{rho_0} of the alternant form
+    sum_nu c_nu A_nu, so it bypasses the Racah recursion, the orbit sizes and
+    the orbit-wise division by j.
+    """
+    b = b_standard(alg)
+    total = Fraction(0)
+    for nu, coef in alternants.items():
+        x = Weight.from_doubled(nu[: alg.n], nu[alg.n :])
+        term = Fraction(coef)
+        for r in b.pos_even:
+            term *= pairing(x, r.weight) / pairing(b.rho_even, r.weight)
+        total += term
+    return total / j
 
 
 # ---------------------------------------------------------------------------

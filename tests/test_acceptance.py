@@ -8,11 +8,10 @@ from ospchar.atyp import atypicality_degree, atypicality_degree_brute, is_tame
 from ospchar.blocks import bottom_of_block, fingerprint, lambda_x_family
 from ospchar.characters import (
     canonical_levi_roots,
-    denominators,
     euler_char_character,
     kw_character,
 )
-from ospchar.exactnum import Weight, monomial
+from ospchar.exactnum import Weight
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -28,10 +27,13 @@ from ospchar.rootdata import (
     borel_from_sequence,
 )
 from oracles import (
+    denominators,
     exact_divide,
     frobenius_weight,
     kw_character_with_borel,
     map_exponents,
+    monomial,
+    poly_product,
     sigma_twist_poly,
     weyl_group,
 )
@@ -63,8 +65,8 @@ def test_criterion_2_euler_constants():
         alg = Algebra.parse(label)
         b = b_odd(alg)
         zero = Weight.zero(alg.n, alg.m)
-        poly = euler_char_character(b.simple_roots[:-1], zero, b)
-        assert poly == monomial(zero, expected), label
+        euler = euler_char_character(b.simple_roots[:-1], zero, b)
+        assert euler == {zero.exponent_key(): expected}, label
     passed(2, "Euler constants " + ", ".join(f"{l}={v}" for l, v in table))
 
 
@@ -121,7 +123,7 @@ def test_criterion_6_euler_equals_kw():
             b = rep.witness_borel if rep.atypicality_k else b_odd(alg)
             levi = canonical_levi_roots(b, rep)
             lam_b = highest_weight_via_reflections(lam, b)
-            assert euler_char_character(levi, lam_b, b) == cr.character, (label, lam.parts)
+            assert euler_char_character(levi, lam_b, b) == cr.orbits, (label, lam.parts)
             checked += 1
             if alg.family == "D":
                 repm = is_tame(lam, alg, minus=True)
@@ -129,7 +131,7 @@ def test_criterion_6_euler_equals_kw():
                 bm = repm.witness_borel if repm.atypicality_k else b_odd(alg)
                 levim = canonical_levi_roots(bm, repm)
                 lam_bm = highest_weight_via_reflections(lam, bm, minus=True)
-                assert euler_char_character(levim, lam_bm, bm) == crm.character, (
+                assert euler_char_character(levim, lam_bm, bm) == crm.orbits, (
                     label,
                     lam.parts,
                     "minus",
@@ -155,10 +157,10 @@ def test_criterion_7_property_suite():
                 continue
             cr = kw_character(lam, alg)
             assert all(c > 0 for c in cr.character.terms.values())
-            assert cr.character.coefficient(cr.highest_weight) == 1
+            assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
             for _, act in elements:
                 assert map_exponents(cr.character, act) == cr.character
-            assert exact_divide(cr.character * d0, d0) == cr.character
+            assert exact_divide(poly_product(cr.character, d0), d0) == cr.character
             if alg.family == "D":
                 crm = kw_character(lam, alg, minus=True)
                 assert crm.character == sigma_twist_poly(alg, cr.character)

@@ -1,5 +1,4 @@
-"""Tests for denominators, the character formula, Euler characters, and
-supercharacters."""
+"""Tests for the character formula, Euler characters, and supercharacters."""
 
 import random
 from fractions import Fraction
@@ -18,19 +17,12 @@ from ospchar.characters import (
     _divided_orbits,
     _eps_straightened,
     canonical_levi_roots,
-    denominators,
     euler_char_character,
     expand_orbits,
     kw_character,
     supercharacter,
 )
-from ospchar.exactnum import (
-    LaurentPolynomial,
-    NotDivisible,
-    Weight,
-    evaluate_at_one,
-    monomial,
-)
+from ospchar.exactnum import LaurentPolynomial, NotDivisible, Weight
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -53,14 +45,21 @@ from ospchar.rootdata import (
 )
 from oracles import (
     cleared_seed,
+    denominators,
     divide_by_factors,
+    evaluate_at_one,
     even_factors,
     kw_character_with_borel,
     map_exponents,
+    monomial,
     naive_cleared_sum,
+    poly_product,
+    poly_sum,
+    scaled,
     sigma_twist_poly,
     supersymmetry_violations,
     weyl_alternating_sum,
+    weyl_dimension,
     weyl_group,
 )
 
@@ -77,7 +76,7 @@ def one(alg):
 
 def chamber_quotient(alg, seed, j=1):
     """(1/j) D_0^{-1} sum_w sgn(w) w(seed), through the dominant chamber."""
-    return expand_orbits(alg, _divided_orbits(alg, seed, j))
+    return expand_orbits(alg, _divided_orbits(alg, seed.terms, j))
 
 
 def in_span(weights, target):
@@ -97,10 +96,10 @@ class TestDenominators:
     def test_b11_odd_denominator_expansion(self):
         _, d1 = denominators(b_standard(B11))
         # factors for d+e, d-e, d
-        want = (
-            (monomial(Weight.from_doubled([1], [1]), 1) + monomial(Weight.from_doubled([-1], [-1]), 1))
-            * (monomial(Weight.from_doubled([1], [-1]), 1) + monomial(Weight.from_doubled([-1], [1]), 1))
-            * (monomial(Weight.from_doubled([1], [0]), 1) + monomial(Weight.from_doubled([-1], [0]), 1))
+        want = poly_product(
+            poly_sum(monomial(Weight.from_doubled([1], [1]), 1), monomial(Weight.from_doubled([-1], [-1]), 1)),
+            poly_sum(monomial(Weight.from_doubled([1], [-1]), 1), monomial(Weight.from_doubled([-1], [1]), 1)),
+            poly_sum(monomial(Weight.from_doubled([1], [0]), 1), monomial(Weight.from_doubled([-1], [0]), 1)),
         )
         assert d1 == want
 
@@ -137,7 +136,7 @@ class TestKWCharacter:
                 if not rep.tame:
                     continue
                 cr = kw_character(lam, alg)
-                assert cr.character.coefficient(cr.highest_weight) == 1
+                assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
                 assert all(c > 0 for c in cr.character.terms.values())
 
     def test_w_invariance(self):
@@ -179,7 +178,7 @@ class TestKWCharacter:
         d0, _ = denominators(b)
         lam_b = highest_weight_via_reflections(lam, b)
         raw = weyl_alternating_sum(B22, cleared_seed(b, lam_b, set(cr.T_used)))
-        assert cr.character * d0 * cr.j_used == raw
+        assert scaled(poly_product(cr.character, d0), cr.j_used) == raw
 
     def test_sigma_twist_identity_family_d(self):
         for alg in (D21, D22):
@@ -190,14 +189,14 @@ class TestKWCharacter:
                 minus = kw_character(lam, alg, minus=True)
                 assert minus.character == sigma_twist_poly(alg, plus.character)
                 assert minus.highest_weight == natural_weight(lam)[1]
-                assert minus.character.coefficient(minus.highest_weight) == 1
+                assert minus.character.terms[minus.highest_weight.exponent_key()] == 1
 
     def test_osp_7_6_gamma_full_evaluation(self):
         # |W| = 2304 and a 37 456-term seed
         alg = Algebra("B", 3, 3)
         lam = HookPartition.of((5,), 3, 3)
         cr = kw_character(lam, alg)
-        assert cr.character.coefficient(cr.highest_weight) == 1
+        assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
         assert all(c > 0 for c in cr.character.terms.values())
         assert cr.j_used == 8
         assert cr.dimension == 3276  # frozen from this evaluation, cross-run stable
@@ -229,8 +228,8 @@ def test_seed_terms_match_the_generic_product(alg):
             levi = [r.weight for r in canonical_levi_roots(b, rep)]
             euler = {r for r in b.pos_odd if levi and in_span(levi, r.weight)}
             for excluded in ({r for r in rep.distinguished_T if r in b.pos_odd}, euler):
-                want = cleared_seed(b, lam_b, excluded)
-                seed = LaurentPolynomial._adopt(alg.rank, _seed_terms(b, lam_b + b.rho, excluded))
+                want = cleared_seed(b, lam_b, excluded).terms
+                seed = _seed_terms(b, lam_b + b.rho, excluded)
                 got = _alternant_coefficients(alg, seed)
                 assert got == _alternant_coefficients(alg, want), (lam.parts, str(seq))
                 checked += 1
@@ -247,11 +246,11 @@ def straightened_before_touched_blocks(b, lam_b, excluded):
     seed = monomial(lam_b + b.rho + b.rho_odd, 1)
     for late in (False, True):
         if late:
-            seed = LaurentPolynomial._adopt(alg.rank, _eps_straightened(alg, seed.terms))
+            seed = LaurentPolynomial(alg.rank, _eps_straightened(alg, seed.terms))
         for r in b.pos_odd - set(excluded):
             if (_delta_index(r) in touched) == late:
-                seed = seed * (one(alg) + monomial(-r.weight, 1))
-    return seed
+                seed = poly_product(seed, poly_sum(one(alg), monomial(-r.weight, 1)))
+    return seed.terms
 
 
 @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
@@ -263,7 +262,7 @@ def test_straightening_before_a_touched_block_changes_the_alternants(alg):
         if rep.atypicality_k:
             b, T = rep.witness_borel, set(rep.distinguished_T)
             lam_b = highest_weight_via_reflections(lam, b)
-            want = _alternant_coefficients(alg, cleared_seed(b, lam_b, T))
+            want = _alternant_coefficients(alg, cleared_seed(b, lam_b, T).terms)
             changed += _alternant_coefficients(alg, straightened_before_touched_blocks(b, lam_b, T)) != want
     assert changed
 
@@ -278,7 +277,31 @@ def test_kw_orbits_match_the_full_seed(label, parts):
     lam_b = highest_weight_via_reflections(lam, b)
     full = cleared_seed(b, lam_b, T)
     assert len(_seed_terms(b, lam_b + b.rho, T)) < len(full.terms)
-    assert cr.orbits == _divided_orbits(alg, full, cr.j_used)
+    assert cr.orbits == _divided_orbits(alg, full.terms, cr.j_used)
+
+
+# the algebras of verify --max-rank 3
+RANK_3_SWEEP = [Algebra(f, m, n) for m in (1, 2, 3) for n in (1, 2, 3) for f in ("B", "D") if f == "B" or m >= 2]
+
+
+def checked_dimension(lam, alg):
+    """``CharacterResult.dimension``, through Racah, the orbit sizes and the
+    j division, after checking it against Weyl's formula on the alternants."""
+    cr = kw_character(lam, alg)
+    b, T = cr.borel_used, set(cr.T_used)
+    alternants = _alternant_coefficients(alg, _seed_terms(b, highest_weight_via_reflections(lam, b) + b.rho, T))
+    assert weyl_dimension(alg, alternants, cr.j_used) == cr.dimension, (alg.label(), lam.parts)
+    return cr.dimension
+
+
+@pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)
+def test_dimension_matches_weyl_dimension_formula(alg):
+    for lam, _ in tame_weights(alg, 4):
+        checked_dimension(lam, alg)
+
+
+def test_dimension_matches_weyl_dimension_formula_at_d32_top():
+    assert checked_dimension(HookPartition.of((3, 3, 3, 2, 2, 2, 1), D32.n, D32.m), D32) == 5516800
 
 
 def kac_typical_dimension(lam, alg):
@@ -319,7 +342,7 @@ class TestDominantPipelineOracle:
             lam_b = highest_weight_via_reflections(lam, b)
             weights = [r.weight for r in levi]
             excluded = {r for r in b.pos_odd if weights and in_span(weights, r.weight)}
-            got = euler_char_character(levi, lam_b, b)
+            got = expand_orbits(alg, euler_char_character(levi, lam_b, b))
             assert got == naive_cleared_sum(b, lam_b, excluded), lam.parts
 
     def test_kac_dimension_of_typical_weights(self, alg):
@@ -342,9 +365,9 @@ class TestDominantPipelineOracle:
             shifted = highest_weight_via_reflections(lam, b) + b.rho
             numerator = weyl_alternating_sum(alg, monomial(shifted, 1))
             ch = kw_character(lam, alg).character
-            assert ch == divide_by_factors(d1 * numerator, even_factors(b)), lam.parts
+            assert ch == divide_by_factors(poly_product(d1, numerator), even_factors(b)), lam.parts
             if alg.family == "D":
-                assert ch == d1 * divide_by_factors(numerator, even_factors(b)), lam.parts
+                assert ch == poly_product(d1, divide_by_factors(numerator, even_factors(b))), lam.parts
 
     def test_signed_seeds(self, alg):
         # integer combinations of monomials in rho_0 + (weight lattice of g_0),
@@ -414,7 +437,7 @@ class TestFactoredRacah:
         for lam, rep in tame_weights(alg):
             b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
             lam_b = highest_weight_via_reflections(lam, b)
-            alternants = _alternant_coefficients(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)))
+            alternants = _alternant_coefficients(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)).terms)
             assert alternants, lam.parts
             got = _dominant_multiplicities(alg, alternants)
             assert got == whole_w_multiplicities(alg, alternants), lam.parts
@@ -462,8 +485,8 @@ class TestEmptyNumerator:
             nu = tuple(a + 2 for a in even_rho(alg))
             flipped = (-nu[0],) + nu[1:]
             seed = LaurentPolynomial(alg.rank, {nu: 1, flipped: 1})
-            assert _alternant_coefficients(alg, seed) == {}
-            assert chamber_quotient(alg, seed).is_zero()
+            assert _alternant_coefficients(alg, seed.terms) == {}
+            assert chamber_quotient(alg, seed) == LaurentPolynomial(alg.rank)
 
 
 class TestDivisibilityProof:
@@ -485,7 +508,7 @@ class TestDivisibilityProof:
     def test_j_divides_the_dominant_multiplicities(self):
         alg = Algebra("B", 1, 1)
         seed = monomial(Weight.from_doubled([2], [1]), 6)  # 6 * A_{rho_0}
-        assert chamber_quotient(alg, seed, 3) == one(alg) * 2
+        assert chamber_quotient(alg, seed, 3) == scaled(one(alg), 2)
         with pytest.raises(JDivisibilityFailure):
             chamber_quotient(alg, seed, 4)
 
@@ -526,13 +549,11 @@ class TestSignedBorelCase:
         assert lam_b + b.rho == natural_weight(lam)[0] + b_standard(D22).rho
         cr = kw_character(lam, D22)
         assert cr.dimension == 1120
-        assert cr.character.coefficient(cr.highest_weight) == 1
+        assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
         assert all(c > 0 for c in cr.character.terms.values())
         assert is_w_invariant(D22, cr.character)
-        euler = euler_char_character(
-            canonical_levi_roots(b, rep), lam_b, b
-        )
-        assert euler == cr.character
+        euler = euler_char_character(canonical_levi_roots(b, rep), lam_b, b)
+        assert euler == cr.orbits
         crm = kw_character(lam, D22, minus=True)
         assert crm.character == sigma_twist_poly(D22, cr.character)
         assert str(crm.borel_used.sequence) == "eded"
@@ -545,8 +566,8 @@ class TestEulerCharacter:
         for alg, expected in [(B11, 2), (B22, 4), (D22, 2), (D21, 2), (D32, 4)]:
             b = b_odd(alg)
             zero = Weight.zero(alg.n, alg.m)
-            poly = euler_char_character(b.simple_roots[:-1], zero, b)
-            assert poly == monomial(zero, expected), alg.label()
+            euler = euler_char_character(b.simple_roots[:-1], zero, b)
+            assert euler == {zero.exponent_key(): expected}, alg.label()
 
     def test_equals_kw_for_tame_weights(self):
         for alg in (B22, D22):
@@ -558,7 +579,7 @@ class TestEulerCharacter:
                 b = rep.witness_borel if rep.atypicality_k else b_odd(alg)
                 levi = canonical_levi_roots(b, rep)
                 lam_b = highest_weight_via_reflections(lam, b)
-                assert euler_char_character(levi, lam_b, b) == cr.character
+                assert euler_char_character(levi, lam_b, b) == cr.orbits
 
     def test_equals_kw_for_minus_twins(self):
         for alg in (D21, D22):
@@ -570,7 +591,7 @@ class TestEulerCharacter:
                 b = rep.witness_borel if rep.atypicality_k else b_odd(alg)
                 levi = canonical_levi_roots(b, rep)
                 lam_b = highest_weight_via_reflections(lam, b, minus=True)
-                assert euler_char_character(levi, lam_b, b) == crm.character
+                assert euler_char_character(levi, lam_b, b) == crm.orbits
 
 
 class TestSupercharacterAndDimension:
@@ -612,10 +633,10 @@ class TestMonomialText:
     def test_variables_and_half_exponents(self):
         from ospchar.characters import monomial_text
 
-        p = (
-            monomial(Weight.from_ints([2], [0]), 1)
-            + monomial(Weight.from_doubled([1], [-1]), -2)
-            + monomial(Weight.zero(1, 1), 3)
+        p = poly_sum(
+            monomial(Weight.from_ints([2], [0]), 1),
+            monomial(Weight.from_doubled([1], [-1]), -2),
+            monomial(Weight.zero(1, 1), 3),
         )
         assert monomial_text(p, 1, 1) == "y1^2 - 2*y1^(1/2)*x1^(-1/2) + 3"
 
@@ -651,7 +672,7 @@ def test_supersymmetry_catches_a_perturbed_orbit():
     lam = HookPartition.of((2, 1), 2, 2)
     cr = kw_character(lam, D22)
     mu = max(cr.orbits)
-    sc = supercharacter(cr) + expand_orbits(D22, {mu: 1})
+    sc = poly_sum(supercharacter(cr), expand_orbits(D22, {mu: 1}))
     assert is_w_invariant(D22, sc)
     assert supersymmetry_violations(sc, D22.n, D22.m)
 
@@ -675,4 +696,4 @@ def test_euler_excluded_set_is_built_once(monkeypatch):
     assert len(solves) == len(b.pos_odd)
     second = euler_char_character(list(levi), zero, b)
     assert len(solves) == len(b.pos_odd)
-    assert second == first == monomial(zero, 4)
+    assert second == first == {zero.exponent_key(): 4}

@@ -7,7 +7,6 @@ import pytest
 from ospchar.atyp import is_tame
 from ospchar.characters import expand_orbits, kw_character, monomial_text
 from ospchar.cli import build_parser, main
-from ospchar.exactnum import evaluate_at_one
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -16,7 +15,7 @@ from ospchar.hook import (
 )
 from ospchar.rootdata import Algebra, b_standard, dominant
 from json_oracle import poly_from_json, poly_to_json
-from oracles import naive_cleared_sum, sigma_twist_poly
+from oracles import evaluate_at_one, naive_cleared_sum, sigma_twist_poly
 
 
 def run_cli(capsys, *argv):
@@ -194,20 +193,18 @@ def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
     assert code == 0 and out == want
 
 
-def test_character_never_uses_the_generic_product(capsys, monkeypatch):
-    # the seed is expanded binomial by binomial, not by LaurentPolynomial.__mul__
+def test_the_library_defines_no_polynomial_product():
+    # the seed is expanded binomial by binomial and verify compares orbit
+    # forms; the generic Laurent arithmetic lives in tests/oracles.py only
+    import sys
+
     from ospchar.exactnum import LaurentPolynomial
 
-    argv = ("character", "--algebra", "B:2:3", "--partition", "3,2")
-    _, want, _ = run_cli(capsys, *argv)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the character used the generic product")
-
-    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
-    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and out == want
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        assert not hasattr(LaurentPolynomial, op), op
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "ospchar"]
+    for name in ("monomial", "evaluate_at_one", "denominators"):
+        assert not any(hasattr(mod, name) for mod in modules), name
 
 
 class TestBlockFamily:
@@ -330,6 +327,15 @@ class TestVerify:
         )
         assert code == 0
         assert "[PASS] D:2:1  trivial-kw-is-one" in out
+
+    @pytest.mark.parametrize(
+        "bound", [("--max-rank", "0"), ("--max-rank", "-1"), ("--max-size", "-1")], ids="=".join
+    )
+    def test_empty_sweep_is_refused(self, capsys, bound):
+        # a sweep over no algebra or no weight would pass on nothing
+        code, out, err = run_cli(capsys, "verify", *bound)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["code"] == "InputError"
 
     def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
         import sys

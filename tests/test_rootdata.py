@@ -1,16 +1,18 @@
 """Tests for Borel data, Weyl machinery, odd reflections, and the D twist."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ospchar.exactnum import Weight, monomial
+from ospchar.exactnum import Weight
 from ospchar.rootdata import (
     Algebra,
     EpsDeltaSequence,
     FamilyMismatch,
     NotSimpleIsotropic,
+    Root,
     all_sequences,
     b_odd,
     b_standard,
@@ -28,8 +30,17 @@ from ospchar.rootdata import (
     weyl_factors,
     weyl_orbit,
 )
-from ospchar.characters import denominators
-from oracles import map_exponents, sigma_twist_poly, weyl_alternating_sum, weyl_group
+from ospchar.cli import _denominator_checks
+from oracles import (
+    denominators,
+    map_exponents,
+    monomial,
+    poly_sum,
+    scaled,
+    sigma_twist_poly,
+    weyl_alternating_sum,
+    weyl_group,
+)
 
 B11 = Algebra("B", 1, 1)
 B22 = Algebra("B", 2, 2)
@@ -328,28 +339,87 @@ def _even_simple_roots(alg):
     return roots
 
 
+# verify --max-rank 2 and the rank-3 algebras whose expanded products cost
+# under a second each; B:3:3 alone takes tens of seconds
+PRODUCT_CHECK_ALGEBRAS = [
+    Algebra.parse(label)
+    for label in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:1", "D:2:2", "B:2:3", "B:3:2", "D:3:2", "D:2:3")
+]
+
+
+def every_borel(alg):
+    return [borel_from_sequence(alg, seq) for seq in all_sequences(alg)]
+
+
+def product_checks(alg, borels):
+    """The denominator identities on the expanded products, with the names
+    and in the order of ``cli._denominator_checks``."""
+    products = [denominators(b) for b in borels]
+    d0_ref, d1_ref = products[0]
+    return [
+        ("odd-denominator-borel-independent", all(d1 == d1_ref for _, d1 in products), ""),
+        ("even-denominator-sign-stable", all(d0 in (d0_ref, scaled(d0_ref, -1)) for d0, _ in products), ""),
+        # W-invariant: each coefficient is constant on the W-orbit of its exponent
+        (
+            "odd-denominator-weyl-invariant",
+            all(d1_ref.terms.get(x) == coef for exp, coef in d1_ref.terms.items() for x in weyl_orbit(alg, exp)),
+            "",
+        ),
+    ]
+
+
+def with_odd(b, roots):
+    return replace(b, pos_odd=frozenset(roots))
+
+
 class TestDenominatorInvariances:
-    def test_odd_denominator_borel_independent(self):
-        for alg in (B22, D21, D22):
-            ref = None
-            for seq in all_sequences(alg):
-                _, d1 = denominators(borel_from_sequence(alg, seq))
-                if ref is None:
-                    ref = d1
-                assert d1 == ref
+    """The root-data checks of ``verify`` against the products they stand for."""
 
-    def test_even_denominator_at_most_sign(self):
-        for alg in (B22, D22):
-            ref, _ = denominators(b_standard(alg))
-            for seq in all_sequences(alg):
-                d0, _ = denominators(borel_from_sequence(alg, seq))
-                assert d0 == ref or d0 == -1 * ref
+    @pytest.mark.parametrize("alg", PRODUCT_CHECK_ALGEBRAS, ids=Algebra.label)
+    def test_root_data_verdicts_equal_the_product_verdicts(self, alg):
+        borels = every_borel(alg)
+        want = product_checks(alg, borels)
+        assert all(ok for _, ok, _ in want)
+        assert _denominator_checks(alg, borels) == want
 
-    def test_odd_denominator_weyl_invariant(self):
-        for alg in (B11, D21):
-            _, d1 = denominators(b_standard(alg))
-            for _, act in weyl_group(alg):
-                assert map_exponents(d1, act) == d1
+    def planted(self, alg, borels, failing):
+        got, want = _denominator_checks(alg, borels), product_checks(alg, borels)
+        assert got == want
+        assert {name for name, ok, _ in got if not ok} == {failing}
+
+    @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+    def test_dropped_odd_root_breaks_borel_independence(self, alg):
+        borels = every_borel(alg)
+        last = borels[-1]
+        borels[-1] = with_odd(last, sorted(last.pos_odd, key=str)[1:])
+        self.planted(alg, borels, "odd-denominator-borel-independent")
+
+    @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+    def test_negative_beside_a_root(self, alg):
+        # the line of beta counted twice: a set of lines would miss it
+        borels = every_borel(alg)
+        last = borels[-1]
+        beta = min(last.pos_odd, key=str)
+        borels[-1] = with_odd(last, last.pos_odd | {Root(-beta.weight, 1)})
+        self.planted(alg, borels, "odd-denominator-borel-independent")
+        line = {beta, Root(-beta.weight, 1)}
+        borels = [with_odd(b, b.pos_odd | line) for b in every_borel(alg)]
+        self.planted(alg, borels, "odd-denominator-weyl-invariant")
+
+    @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+    def test_odd_root_replaced_by_a_non_root_everywhere(self, alg):
+        # +-(d1 - e1) becomes +-(d1 - 2e1) in every Borel
+        old, new = w([1, 0], [-1, 0]), w([1, 0], [-2, 0])
+        swap = {old: Root(new, 1), -old: Root(-new, 1)}
+        borels = [with_odd(b, [swap.get(r.weight, r) for r in b.pos_odd]) for b in every_borel(alg)]
+        self.planted(alg, borels, "odd-denominator-weyl-invariant")
+
+    @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+    def test_dropped_even_root_breaks_sign_stability(self, alg):
+        borels = every_borel(alg)
+        last = borels[-1]
+        borels[-1] = replace(last, pos_even=frozenset(sorted(last.pos_even, key=str)[1:]))
+        self.planted(alg, borels, "even-denominator-sign-stable")
 
 
 class TestOddReflection:
@@ -449,7 +519,7 @@ class TestSigmaTwist:
     def test_involution_on_all_kinds(self):
         x = w([2], [1, -1])
         assert sigma_twist(D21, sigma_twist(D21, x)) == x
-        p = monomial(x, 3) + monomial(w([0], [0, 1]), -2)
+        p = poly_sum(monomial(x, 3), monomial(w([0], [0, 1]), -2))
         assert sigma_twist_poly(D21, sigma_twist_poly(D21, p)) == p
         for seq in all_sequences(D22):
             b = borel_from_sequence(D22, seq)
