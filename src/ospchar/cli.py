@@ -3,7 +3,10 @@
 Output is machine-readable JSON by default (sorted, byte-identical across
 runs); --output text prints a human summary.  Domain errors exit 1 with a
 structured payload; internal faults, and any other exception, exit 2 with
-the same payload.
+the same payload.  A usage error (no or an unknown command, an unknown or
+missing option) is argparse's: exit 2 with a usage line on stderr and no
+payload.  argv is parsed once, by the named command's own parser, so an
+unknown option is reported as ``ospchar <command>: error: ...``.
 """
 
 from __future__ import annotations
@@ -255,8 +258,9 @@ def _cmd_verify(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """Built on first use and shared: parse_args keeps no state between calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    first use and shared: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="ospchar",
         description="Tame-module classification and exact character evaluation "
@@ -294,11 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=4, help="partition size bound for equalities")
     p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, shared across calls."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command first: help, a usage error, or an option before the command
+        args = parser.parse_args(argv)
+    else:
+        # the top-level parser would only hand argv[1:] on to this one
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:

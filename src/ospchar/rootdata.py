@@ -98,8 +98,10 @@ def make_root(w: Weight) -> Root:
     return Root(w, (total_d // 2) % 2)
 
 
+@functools.lru_cache(maxsize=None)
 def root_str(root: Root) -> str:
-    """Compact form like 'd3-e1', 'd2+e4', 'e1-d1', '2d1'."""
+    """Compact form like 'd3-e1', 'd2+e4', 'e1-d1', '2d1'; rendered once
+    per root, since tameness reports share their roots across calls."""
     w = root.weight
     named = [(a, f"d{i}") for i, a in enumerate(w.delta, start=1)]
     named += [(b, f"e{j}") for j, b in enumerate(w.eps, start=1)]
@@ -286,14 +288,18 @@ def _half_sum(roots: frozenset[Root], n: int, m: int) -> Weight:
     return total.half()
 
 
+@functools.lru_cache(maxsize=None)
 def b_standard(alg: Algebra) -> BorelData:
+    """The Borel of the sequence d^n e^m, built once per algebra."""
     return borel_from_sequence(alg, EpsDeltaSequence(("d",) * alg.n + ("e",) * alg.m))
 
 
+@functools.lru_cache(maxsize=None)
 def b_odd(alg: Algebra) -> BorelData:
     """The Borel with the maximal number of isotropic odd simple roots.
 
     B: (ed)^n with excess symbols prefixed; D: (de)^min with excess prefixed.
+    Built once per algebra.
     """
     n, m = alg.n, alg.m
     k = min(n, m)

@@ -307,6 +307,68 @@ class TestReentrancy:
         assert build_parser() is build_parser()
 
 
+COMMANDS = ("classify", "bottom", "character", "block-family", "verify")
+
+
+class TestArgvContract:
+    """Exit codes and stdout of argument parsing: a usage error is argparse's
+    exit 2 with a usage line on stderr, not a JSON error payload."""
+
+    def exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[c, "--help"] for c in COMMANDS], ids=" ".join)
+    def test_help_exits_zero(self, capsys, argv):
+        code, captured = self.exit_code(capsys, argv)
+        assert code == 0
+        assert captured.out.startswith(f"usage: {' '.join(['ospchar', *argv[:-1]])} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["--algebra", "B:1:1", "classify"],
+            ["classify", "--algebra", "B:1:1", "--partition", "0", "--bogus"],
+            ["verify", "--max-rank", "x"],
+        ]
+        + [[c, "--partition", "0"] for c in COMMANDS[:4]]
+        + [[c, "--algebra", "B:1:1"] for c in COMMANDS[:4]],
+        ids=lambda argv: " ".join(argv) or "no-argv",
+    )
+    def test_usage_error_exits_two_without_a_payload(self, capsys, argv):
+        code, captured = self.exit_code(capsys, argv)
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("usage: ospchar")
+        assert '"error"' not in captured.err
+
+    def test_unknown_option_is_reported_by_the_command(self, capsys):
+        _, captured = self.exit_code(capsys, ["classify", "--algebra", "B:1:1", "--partition", "0", "--bogus"])
+        assert "ospchar classify: error: unrecognized arguments: --bogus" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "bottom", "character"])
+    def test_option_spellings_give_identical_stdout(self, capsys, command):
+        full = (command, "--algebra", "B:3:3", "--partition", "5", "--output", "text")
+        _, want, _ = run_cli(capsys, *full)
+        assert want
+        for argv in (
+            (command, "--alg", "B:3:3", "--part", "5", "--out", "text"),
+            (command, "--algebra=B:3:3", "--partition=5", "--output=text"),
+            (command, "--output", "text", "--partition", "5", "--algebra", "B:3:3"),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out == want, argv
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["classify", "--algebra", "B:3:3", "--partition", "5"]
+        _, want, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr("sys.argv", ["ospchar", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == want
+
+
 class TestVerify:
     def test_single_algebra_all_pass(self, capsys):
         code, out, _ = run_cli(

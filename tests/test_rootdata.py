@@ -24,6 +24,7 @@ from ospchar.rootdata import (
     make_root,
     odd_reflection,
     pairing,
+    root_str,
     sigma_twist,
     straighten,
     weyl_factor,
@@ -149,6 +150,28 @@ class TestBorelCache:
                 borel_from_sequence(B22, EpsDeltaSequence.parse("dde"))
             with pytest.raises(FamilyMismatch):
                 borel_from_sequence(B22, EpsDeltaSequence.parse("eedd-"))
+
+    @pytest.mark.parametrize(
+        "alg",
+        [Algebra(f, m, n) for f in "BD" for m in range(1, 5) for n in range(1, 5) if f == "B" or m >= 2],
+        ids=Algebra.label,
+    )
+    def test_standard_and_odd_borels_are_built_once_per_algebra(self, alg):
+        standard = EpsDeltaSequence(("d",) * alg.n + ("e",) * alg.m)
+        for get, seq in ((b_standard, standard), (b_odd, b_odd(alg).sequence)):
+            assert get(alg) is get(alg)
+            assert get(alg) is get(Algebra(alg.family, alg.m, alg.n))
+            assert get(alg) == borel_from_sequence.__wrapped__(alg, seq)
+        assert b_odd(alg) == b_odd.__wrapped__(alg)
+
+    def test_cached_root_string_equals_a_fresh_rendering(self):
+        for alg in (B22, D22, Algebra("D", 3, 2)):
+            for seq in all_sequences(alg):
+                b = borel_from_sequence(alg, seq)
+                for r in b.positive_roots() | set(b.simple_roots):
+                    text = root_str.__wrapped__(r)
+                    assert root_str(r) == text and str(r) == text
+                    assert root_str(Root(r.weight, r.parity)) is root_str(r)
 
 
 class TestBOdd:
