@@ -28,9 +28,12 @@ and so is D_0 = A_{rho_0}.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
    {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
    its dimension is sum_mu (m_mu / j) |W mu|, and ``orbits_json`` writes the
-   CLI's JSON straight from it.  The polynomial itself, every mu written
-   out on its delta-orbit times its eps-orbit (``expand_orbits``), is built
-   only on demand.
+   CLI's JSON straight from it: the eps exponents of all the eps-orbits that
+   occur are sorted and rendered once, and each dominant delta part gets one
+   template, its coefficients set into the slots of that sorted order, which
+   every point of its delta-orbit fills in.  The polynomial itself, every mu
+   written out on its delta-orbit times its eps-orbit (``expand_orbits``), is
+   built only on demand.
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -136,22 +139,38 @@ def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
     Descending lex order sorts by the delta part first, and the coefficient of
     e^{(w d, e)} equals that of e^{(d, e)} for w in the delta factor.  So the
     eps terms of a dominant delta part are written once, as a template, and
-    each d in its delta-orbit fills in the template's prefix slot.
+    each d in its delta-orbit fills in the template's prefix slot.  The eps
+    exponents of every orbit that occurs are sorted once, and each one's
+    '","exp":[@,...]}' tail is rendered once; a template is its delta part's
+    '{"coef":"c' heads, one per dominant eps weight, set into the slots of
+    that sorted order and joined with the tails.
     """
     n = alg.n
     delta, eps = weyl_factors(alg)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    eps_orbits = {mu[n:]: eps.orbit(mu[n:]) for mu in orbits}
+    exps = sorted([e for orbit in eps_orbits.values() for e in orbit], reverse=True)
+    rank = {e: i for i, e in enumerate(exps)}
+    tails = [f'","exp":[@,{",".join(map(str, e))}]}}' for e in exps]
+    slots_of = {mu_eps: [rank[e] for e in orbit] for mu_eps, orbit in eps_orbits.items()}
+    groups: dict[tuple[int, ...], list[tuple[list[int], int]]] = {}
     for mu, coef in orbits.items():
-        groups.setdefault(mu[:n], {}).update(dict.fromkeys(eps.orbit(mu[n:]), coef))
+        groups.setdefault(mu[:n], []).append((slots_of[mu[n:]], coef))
     rows = []
-    for mu_delta, coefs in groups.items():
-        template = ",".join(
-            f'{{"coef":"{coefs[e]}","exp":[@,{",".join(map(str, e))}]}}' for e in sorted(coefs, reverse=True)
-        )
+    for mu_delta, group in groups.items():
+        heads: list[str | None] = [None] * len(exps)
+        for slots, coef in group:
+            head = f'{{"coef":"{coef}'
+            for i in slots:
+                heads[i] = head
+        template = ",".join([head + tail for head, tail in zip(heads, tails) if head])
         for d in delta.orbit(mu_delta):
             rows.append((d, template.replace("@", ",".join(map(str, d)))))
     rows.sort(reverse=True)
-    return "[" + ",".join(text for _, text in rows) + "]"
+    texts = [text for _, text in rows] or [""]
+    # the brackets go on the end rows: adding them to the joined text would copy it
+    texts[0] = "[" + texts[0]
+    texts[-1] += "]"
+    return ",".join(texts)
 
 
 def _cleared_sum(
@@ -315,10 +334,13 @@ def _racah(
     weights = sorted(((height(mu, rho), mu) for mu in factor.weights_below(tops)), reverse=True)
     for h, mu in weights:
         total = dict(numerator.get(tuple(map(add, mu, rho)), ()))
+        room = ceiling - h
         for shift_height, sign, shift in factor.shifts:
-            if h + shift_height > ceiling:
+            if shift_height > room:
                 break  # every dominant weight above the ceiling has multiplicity 0
-            higher = mult.get(factor.dominant(tuple(map(add, mu, shift))))
+            # every key of mult is dominant, so a direct hit needs no sort
+            lifted = tuple(map(add, mu, shift))
+            higher = mult.get(lifted) or mult.get(factor.dominant(lifted))
             if higher:
                 for label, m in higher.items():
                     new = total.get(label, 0) - sign * m

@@ -69,6 +69,9 @@ def _cmd_classify(args) -> int:
         "minus": args.minus,
         "report": report.to_json(),
     }
+    if args.output == "json":
+        _emit(payload, True)
+        return 0
     lines = [
         f"{alg.osp_name()}  lambda = {lam}"
         + (" (minus twin)" if args.minus else ""),
@@ -80,7 +83,7 @@ def _cmd_classify(args) -> int:
         lines.append(f"j = {report.j_lambda}")
         if report.witness_borel is not None:
             lines.append(f"witness Borel: {report.witness_borel.sequence}")
-    _emit(payload, args.output == "json", lines)
+    _emit(payload, False, lines)
     return 0
 
 
@@ -94,12 +97,15 @@ def _cmd_bottom(args) -> int:
         "partition": list(lam.parts),
         "trace": trace.to_json(),
     }
+    if args.output == "json":
+        _emit(payload, True)
+        return 0
     lines = [f"{alg.osp_name()}  lambda = {lam}"]
     for step in trace.steps:
         b, b_tilde = half_str(step.chosen_b), half_str(step.b_tilde)
         lines.append(f"  {step.before.display()}  --[b={b} -> {b_tilde}]-->  {step.after.display()}")
     lines.append(f"bottom: {trace.result}")
-    _emit(payload, args.output == "json", lines)
+    _emit(payload, False, lines)
     return 0
 
 
@@ -111,12 +117,14 @@ def _cmd_character(args) -> int:
     payload.update(cr.to_json())
     payload["k"] = cr.atypicality_k
     if args.output == "json":
-        # the character is written from its orbit form and spliced in at its
+        # the character is written from its orbit form and printed at its
         # sorted place: the keys before it ("T", "algebra", "borel") hold
-        # no object, so the first '"character":null' is that key
+        # no object, so the first '"character":null' is that key; printing
+        # the pieces leaves the large JSON text uncopied
         payload["character"] = None
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        print(text.replace('"character":null', '"character":' + orbits_json(alg, cr.orbits), 1))
+        head, _, tail = text.partition('"character":null')
+        print(f'{head}"character":', orbits_json(alg, cr.orbits), tail, sep="")
         return 0
     # the text rendering of a large character costs as much as computing it
     lines = [

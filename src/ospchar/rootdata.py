@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator
 
 from .exactnum import InputError, InternalError, Weight
@@ -374,20 +375,26 @@ def _sort_sign(values: tuple[int, ...]) -> int:
     return sign
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_vectors(nonzero: tuple[bool, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
+    """Every vector of signs that is 1 where nonzero is False; sign_product,
+    if given, fixes the product of the signs.  At most 3 * 2^rank keys."""
+    vectors = []
+    for signs in itertools.product((1, -1), repeat=sum(nonzero)):
+        if sign_product is None or math.prod(signs) == sign_product:
+            flips = iter(signs)
+            vectors.append(tuple(next(flips) if v else 1 for v in nonzero))
+    return tuple(vectors)
+
+
 def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
     """Distinct signed permutations of values; sign_product, if given, fixes
     the sign of the product of the entries."""
-    out = []
-    for perm in set(itertools.permutations(map(abs, values))):
-        nonzero = [i for i, v in enumerate(perm) if v]
-        for signs in itertools.product((1, -1), repeat=len(nonzero)):
-            if sign_product is not None and math.prod(signs) != sign_product:
-                continue
-            image = list(perm)
-            for i, s in zip(nonzero, signs):
-                image[i] = s * image[i]
-            out.append(tuple(image))
-    return tuple(out)
+    return tuple(
+        tuple(map(mul, perm, vec))
+        for perm in set(itertools.permutations(map(abs, values)))
+        for vec in _sign_vectors(tuple(map(bool, perm)), sign_product)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ospchar.atyp import is_tame
-from ospchar.characters import expand_orbits, kw_character, monomial_text
+from ospchar.characters import expand_orbits, kw_character, monomial_text, orbits_json
 from ospchar.cli import build_parser, main
 from ospchar.hook import (
     HookPartition,
@@ -179,6 +179,25 @@ def test_character_output_matches_expanded_oracle(capsys, label):
     assert checked >= 10
 
 
+@pytest.mark.parametrize(
+    "label, parts, minus, groups",
+    [
+        ("D:3:2", "3,3,3,2,2,2,1", False, 10),
+        ("D:3:2", "3,3,3,2,2,2,1", True, 10),
+        ("B:2:3", "3,2", False, 13),
+    ],
+)
+def test_orbits_json_matches_the_expanded_oracle_on_large_characters(label, parts, minus, groups):
+    """The shared-tail writer against json.dumps of every expanded term, on
+    characters with many delta groups and eps orbits shared across them."""
+    alg = Algebra.parse(label)
+    lam = HookPartition.of(parse_partition(parts), alg.n, alg.m)
+    orbits = kw_character(lam, alg, minus=minus).orbits
+    assert len({mu[: alg.n] for mu in orbits}) == groups
+    want = json.dumps(poly_to_json(expand_orbits(alg, orbits)), sort_keys=True, separators=(",", ":"))
+    assert orbits_json(alg, orbits) == want
+
+
 def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
     from ospchar import characters
 
@@ -191,6 +210,33 @@ def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
     monkeypatch.setattr(characters, "expand_orbits", refuse)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--algebra", "B:3:3", "--partition", "5"),
+        ("classify", "--algebra", "D:3:2", "--partition", "3,3,3,2,2,2,1", "--minus"),
+        ("bottom", "--algebra", "B:3:3", "--partition", "6,6,5,2,1,1"),
+    ],
+)
+def test_json_output_builds_no_text_lines(capsys, monkeypatch, argv):
+    # the --output text lines name lambda through HookPartition.__str__; the
+    # JSON payload holds its parts, so JSON mode never renders it
+    _, want_json, _ = run_cli(capsys, *argv)
+    _, want_text, _ = run_cli(capsys, *argv, "--output", "text")
+    calls = []
+    original = HookPartition.__str__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(HookPartition, "__str__", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want_json and not calls
+    code, out, _ = run_cli(capsys, *argv, "--output", "text")
+    assert code == 0 and out == want_text and calls
 
 
 def test_the_library_defines_no_polynomial_product():
