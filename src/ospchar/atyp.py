@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .exactnum import InternalError, Weight
-from .hook import HookPartition, HookViolation, natural_weight, transpose
+from .hook import HookPartition, HookViolation, natural_weight
 from .rootdata import (
     FAMILY_B,
     FAMILY_D,
@@ -79,28 +79,30 @@ class TamenessReport:
 
 
 def e_of_lambda(lam: HookPartition) -> int:
-    """i(lambda') - i*(lambda') with empty maxima read as 0; always 0 or 1."""
+    """i(lambda') - i*(lambda') with empty maxima read as 0; always 0 or 1.
+
+    Only lambda'_i for i <= m is read, and lambda'_i counts the parts >= i,
+    so the cost does not grow with lambda_1.
+    """
     m, n = lam.m, lam.n
-    lam_t = transpose(lam.parts)
-
-    def t(i: int) -> int:
-        return lam_t[i - 1] if i <= len(lam_t) else 0
-
-    i_ge = max((i for i in range(1, m + 1) if t(i) - i + m - n >= 0), default=0)
-    i_gt = max((i for i in range(1, m + 1) if t(i) - i + m - n > 0), default=0)
+    t = [sum(1 for p in lam.parts if p >= i) for i in range(1, m + 1)]
+    i_ge = max((i for i in range(1, m + 1) if t[i - 1] - i + m - n >= 0), default=0)
+    i_gt = max((i for i in range(1, m + 1) if t[i - 1] - i + m - n > 0), default=0)
     e = i_ge - i_gt
     if e not in (0, 1):
         raise InternalError(f"e(lambda) = {e}, expected 0 or 1")
     return e
 
 
-def _j_value(alg: Algebra, lam: HookPartition, k: int) -> int:
+def _j_value(alg: Algebra, k: int, e_val: int | None) -> int:
+    """j from k and the report's e, which is None unless the family is D
+    and lambda_{n+1} < m."""
     if k == 0:
         return 1
     if alg.family == FAMILY_B:
         return math.factorial(k) * 2**k
-    if lam.part(alg.n + 1) < alg.m:
-        return math.factorial(k) * 2 ** (k - 1 + e_of_lambda(lam))
+    if e_val is not None:
+        return math.factorial(k) * 2 ** (k - 1 + e_val)
     return 1
 
 
@@ -149,9 +151,11 @@ def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[R
 def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessReport:
     """Classify L of the plain (or minus-twisted) natural weight.
 
-    Typical modules come back tame with an empty distinguished set and
-    j = 1; the minus flag only twists the witness data, tameness itself
-    being symmetric under the diagram twist.
+    The one place that decides the case (the minus roots, or the pair
+    d_i + e_m), e, j and the twist: the minus flag applies sigma to the
+    witness Borel and T, tameness itself being symmetric under the diagram
+    twist.  Typical modules come back tame with an empty distinguished set
+    and j = 1.
     """
     if lam.n != alg.n or lam.m != alg.m:
         raise HookViolation("partition ambient does not match the algebra")
@@ -179,7 +183,7 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
 
     witness = _case_34_borel(alg, case_ii_index) if case_ii_index is not None else b_odd(alg)
     T = _distinguished_T(alg, k, case_ii_index)
-    j = _j_value(alg, lam, k)
+    j = _j_value(alg, k, e_val)
     if minus:
         witness = sigma_twist(alg, witness)
         T = tuple(sigma_twist(alg, r) for r in T)

@@ -20,7 +20,8 @@ from .hook import (
     natural_weight,
     transpose,
 )
-from .atyp import NotTame, e_of_lambda, is_tame, matched_values
+from .atyp import NotTame, _d_case_ii_index, is_tame, matched_values
+from .characters import canonical_levi_roots
 from .rootdata import (
     FAMILY_B,
     FAMILY_D,
@@ -29,7 +30,6 @@ from .rootdata import (
     Root,
     b_standard,
     coords_in_basis,
-    make_root,
     pairing,
 )
 
@@ -188,16 +188,14 @@ def lambda_x_family(lam: HookPartition, alg: Algebra) -> list[tuple[int, HookPar
     if not report.tame or report.atypicality_k != 1:
         raise WrongRegime("requires a tame module of atypicality 1")
 
-    rho = b_standard(alg).rho
-    shifted = natural_weight(lam)[0] + rho
-    n, m = alg.n, alg.m
+    shifted = natural_weight(lam)[0] + b_standard(alg).rho
+    # never None here: with lambda_{n+1} < m a tame pair a_i = -b_j needs
+    # a_n = b_m = 0, since lambda_n >= m - 1 makes every a_i >= 0
+    i = _d_case_ii_index(shifted, alg)
+    m = alg.m
     a_vals = list(shifted.delta)
     b_vals = list(shifted.eps)
-    hits = [i for i in range(n) if a_vals[i] == b_vals[m - 1]]
-    if len(hits) != 1:
-        raise InternalError("expected a unique d-entry matching b_m")
-    i = hits[0]
-    spare_a = a_vals[:i] + a_vals[i + 1 :]
+    spare_a = a_vals[: i - 1] + a_vals[i:]
     xs = [
         x
         for x in range(0, b_vals[m - 2], 2)  # doubled integers: 0, 1, ..., b_{m-1}-1
@@ -214,44 +212,17 @@ def lambda_x_family(lam: HookPartition, alg: Algebra) -> list[tuple[int, HookPar
 
 def admissibility_positivity(lam: HookPartition, alg: Algebra) -> tuple[bool, Root | None]:
     """Check strict positivity of the shifted weight against the even
-    nilradical roots of the canonical parabolic; returns a violation witness."""
+    nilradical roots of the canonical parabolic: the positive even roots
+    outside the span of ``canonical_levi_roots``, tried in descending
+    exponent order; returns the first violation as a witness."""
     report = is_tame(lam, alg)
     if not report.tame or report.atypicality_k == 0:
         raise NotTame("positivity check applies to tame modules with k >= 1")
-    k = report.atypicality_k
     b = report.witness_borel
-    lam_b = highest_weight_via_reflections(lam, b)
-    shifted = lam_b + b.rho
-    n, m = alg.n, alg.m
-
-    if alg.family == FAMILY_B:
-        d_cut, e_cut, short_eps = n - k, m - k, True
-    elif lam.part(n + 1) < m:
-        d_cut, e_cut, short_eps = n - k, m - k - e_of_lambda(lam), False
-    else:
-        d_cut, e_cut, short_eps = n, m, False
-
-    roots: list[Weight] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i <= d_cut:
-                di, dj = Weight.basis_delta(n, m, i), Weight.basis_delta(n, m, j)
-                roots.append(di - dj)
-                roots.append(di + dj)
-    for p in range(1, min(d_cut, n) + 1):
-        roots.append(Weight.basis_delta(n, m, p).scale(2))
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            if s <= e_cut:
-                es, et = Weight.basis_eps(n, m, s), Weight.basis_eps(n, m, t)
-                roots.append(es - et)
-                roots.append(es + et)
-    if short_eps:
-        for q in range(1, min(e_cut, m) + 1):
-            roots.append(Weight.basis_eps(n, m, q))
-
-    for w in roots:
-        value = pairing(shifted, w) / pairing(w, w)
-        if not value > 0:
-            return False, make_root(w)
+    shifted = highest_weight_via_reflections(lam, b) + b.rho
+    levi = [r.weight for r in canonical_levi_roots(b, report)]
+    nilradical = [r for r in b.pos_even if coords_in_basis(levi, r.weight) is None]
+    for r in sorted(nilradical, key=lambda r: r.weight.exponent_key(), reverse=True):
+        if not pairing(shifted, r.weight) / pairing(r.weight, r.weight) > 0:
+            return False, r
     return True, None

@@ -67,14 +67,12 @@ from .rootdata import (
     FAMILY_D,
     Algebra,
     BorelData,
-    FamilyMismatch,
     Root,
     WeylFactor,
     b_standard,
     coords_in_basis,
     even_rho,
     height,
-    sigma_twist,
     straighten,
     weyl_factors,
     weyl_orbit,
@@ -362,9 +360,9 @@ def kw_character(
 
     Typical modules use the standard Borel with an empty distinguished set;
     atypical tame modules use the canonical witness Borel.  The minus twin
-    is the diagram twist of the plain result.
+    is computed on the twisted witness Borel and T that ``is_tame`` reports.
     """
-    return _kw_character(lam, alg, is_tame(lam, alg), minus)
+    return _kw_character(lam, alg, is_tame(lam, alg, minus), minus)
 
 
 def _kw_character(
@@ -373,42 +371,20 @@ def _kw_character(
     report: TamenessReport,
     minus: bool = False,
 ) -> CharacterResult:
-    """``kw_character`` for a caller that already holds ``is_tame(lam, alg)``."""
+    """``kw_character`` for a caller that already holds ``is_tame(lam, alg, minus)``."""
     if not report.tame:
         raise NotTame(f"{lam} is not tame over {alg.osp_name()}")
-    if minus and alg.family != FAMILY_D:
-        raise FamilyMismatch("minus twin exists only in family D")
-
-    if report.atypicality_k == 0:
-        b = b_standard(alg)
-        T: tuple[Root, ...] = ()
-    else:
-        b = report.witness_borel
-        T = report.distinguished_T
-    j = report.j_lambda
-
-    lam_b = highest_weight_via_reflections(lam, b, minus=False)
+    b = report.witness_borel or b_standard(alg)
+    T = report.distinguished_T
+    lam_b = highest_weight_via_reflections(lam, b, minus)
     if not set(T) <= b.pos_odd:
         raise InternalError(f"distinguished set is not positive for {b.sequence}")
-    orbits = _cleared_sum(b, lam_b + b.rho, set(T), j)
-
-    hw_plus, hw_minus = natural_weight(lam)
-    if minus:
-        # negating e_m keeps a type-D dominant weight dominant
-        orbits = {mu[:-1] + (-mu[-1],): coef for mu, coef in orbits.items()}
-        hw = hw_minus
-        b_used = sigma_twist(alg, b)
-        T_used = tuple(sigma_twist(alg, r) for r in T)
-    else:
-        hw = hw_plus
-        b_used = b
-        T_used = T
     return CharacterResult(
-        orbits=orbits,
-        highest_weight=hw,
-        borel_used=b_used,
-        T_used=T_used,
-        j_used=j,
+        orbits=_cleared_sum(b, lam_b + b.rho, set(T), report.j_lambda),
+        highest_weight=natural_weight(lam)[minus],
+        borel_used=b,
+        T_used=T,
+        j_used=report.j_lambda,
         atypicality_k=report.atypicality_k,
     )
 

@@ -107,9 +107,6 @@ class Weight:
             raise ValueError("weight is not halvable in the half-integer lattice")
         return Weight(tuple(a // 2 for a in self.delta), tuple(a // 2 for a in self.eps))
 
-    def is_zero(self) -> bool:
-        return not any(self.delta) and not any(self.eps)
-
     def exponent_key(self) -> tuple[int, ...]:
         """Doubled exponent vector, delta axes first."""
         return self.delta + self.eps

@@ -94,15 +94,16 @@ def highest_weight_via_reflections(lam: HookPartition, b: BorelData, minus: bool
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    """Comma-separated decimal parts; '0' or '' denotes the empty partition."""
+    """Comma-separated decimal parts, kept as given; '0' or '' denotes the
+    empty partition.  ``HookPartition.of`` trims trailing zeros and rejects
+    a zero before a nonzero part."""
     text = text.strip()
     if text in ("", "0", "()"):
         return ()
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"bad partition {text!r}, expected comma-separated integers") from None
-    return tuple(p for p in parts if p != 0)
 
 
 def hook_partitions(n: int, m: int, max_size: int):

@@ -326,31 +326,6 @@ def all_sequences(alg: Algebra) -> Iterator[EpsDeltaSequence]:
 TYPE_C = "C"
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _factor_elements(rank: int, paired_flips: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(perm, signs) of every signed permutation of rank axes; with
-    paired_flips only those with an even number of sign flips."""
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            if not paired_flips or math.prod(signs) == 1:
-                yield perm, signs
-
-
 # ---------------------------------------------------------------------------
 # The dominant chamber, one Weyl factor at a time
 #
@@ -401,17 +376,28 @@ def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> t
 class WeylFactor:
     """One factor of W = W(C_n) x W(B_m or D_m): signed permutations of the
     delta axes exp[:n] (kind "C") or of the eps axes exp[n:] (kind "B" or "D",
-    whose sign flips come in pairs).  ``rho`` is half the sum of ``roots``;
-    ``shifts`` holds (height, sgn w, rho - w rho) for every w != 1, lowest
-    first: the terms of Racah's recursion.  One factor is built per (kind,
-    rank), so factors compare by identity; ``straighten`` and ``orbit`` are
-    cached, since seed terms and dominant weights share their parts.
+    whose sign flips come in pairs).  ``rho`` is half the sum of ``roots``.
+    One factor is built per (kind, rank), so factors compare by identity;
+    ``straighten``, ``orbit`` and ``shifts`` are cached, since seed terms and
+    dominant weights share their parts.
     """
 
     kind: str
     roots: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
-    shifts: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    @functools.cached_property
+    def shifts(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(height, sgn w, rho - w rho) for every w != 1, lowest first: the
+        terms of Racah's recursion.  rho is regular, so each w != 1 is one
+        image w rho != rho of its orbit, and sgn w is the sign that
+        straightens that image back to rho."""
+        shifts = []
+        for image in self.orbit(self.rho):
+            shift = tuple(a - b for a, b in zip(self.rho, image))
+            if any(shift):
+                shifts.append((height(shift, self.rho), self.straighten(image)[0], shift))
+        return tuple(sorted(shifts))
 
     def dominant(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """The image of values in the factor's closed dominant chamber."""
@@ -482,17 +468,7 @@ def _factor_roots(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
 def weyl_factor(kind: str, rank: int) -> WeylFactor:
     """The Weyl factor of type C, B or D and the given rank, built once."""
     roots = _factor_roots(kind, rank)
-    rho = tuple(sum(col) // 2 for col in zip(*roots))
-    shifts = []
-    for perm, signs in _factor_elements(rank, kind == FAMILY_D):
-        image = [0] * rank
-        for i, v in enumerate(rho):
-            image[perm[i]] = signs[i] * v
-        shift = tuple(a - b for a, b in zip(rho, image))
-        if any(shift):
-            shifts.append((height(shift, rho), _perm_sign(perm) * math.prod(signs), shift))
-    shifts.sort()
-    return WeylFactor(kind, roots, rho, tuple(shifts))
+    return WeylFactor(kind, roots, tuple(sum(col) // 2 for col in zip(*roots)))
 
 
 def weyl_factors(alg: Algebra) -> tuple[WeylFactor, WeylFactor]:

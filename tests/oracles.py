@@ -24,6 +24,10 @@ this file.
   off the pairing (``pairing_edges``), a maximum matching by trying every
   edge subset (``max_matching_brute``), and Kac-Wakimoto's tameness
   condition checked on every Borel (``tame_by_definition``).
+- The parity invariant e(lambda) read off the whole transpose
+  (``e_by_transpose``), and the even nilradical of the canonical parabolic
+  listed root by root from the cut points of the witness Borel
+  (``even_nilradical_by_hand``).
 """
 
 from __future__ import annotations
@@ -492,3 +496,48 @@ def tame_by_definition(lam: HookPartition, alg: Algebra) -> bool:
             if all(pairing(x, y) == 0 for x, y in itertools.combinations(subset, 2)):
                 return True
     return False
+
+
+def e_by_transpose(lam: HookPartition) -> int:
+    """The definition of e(lambda): i(lambda') - i*(lambda'), the largest
+    i <= m with lambda'_i - i + m - n >= 0, resp. > 0 (0 when none), on the
+    full transpose lambda'."""
+    m, n = lam.m, lam.n
+    lam_t = transpose(lam.parts)
+
+    def t(i: int) -> int:
+        return lam_t[i - 1] if i <= len(lam_t) else 0
+
+    i_ge = max((i for i in range(1, m + 1) if t(i) - i + m - n >= 0), default=0)
+    i_gt = max((i for i in range(1, m + 1) if t(i) - i + m - n > 0), default=0)
+    return i_ge - i_gt
+
+
+def even_nilradical_by_hand(lam: HookPartition, alg: Algebra) -> list[Weight]:
+    """The positive even roots outside the canonical Levi of a tame atypical
+    weight, by its cut points: the Levi holds the last n - d_cut delta axes
+    and the last m - e_cut eps axes.  Family B cuts k axes of each kind (and
+    keeps the short roots e_q of the cut eps axes), family D with
+    lambda_{n+1} < m cuts k delta axes and k + e eps axes, and family D with
+    lambda_{n+1} = m has no even Levi root."""
+    n, m = alg.n, alg.m
+    k = atypicality_degree_brute(natural_weight(lam)[0] + b_standard(alg).rho, alg)
+    if alg.family != FAMILY_D:
+        d_cut, e_cut, short_eps = n - k, m - k, True
+    elif lam.part(n + 1) < m:
+        d_cut, e_cut, short_eps = n - k, m - k - e_by_transpose(lam), False
+    else:
+        d_cut, e_cut, short_eps = n, m, False
+    d = [Weight.basis_delta(n, m, i) for i in range(1, n + 1)]
+    e = [Weight.basis_eps(n, m, s) for s in range(1, m + 1)]
+    roots = []
+    for i, j in itertools.combinations(range(n), 2):
+        if i < d_cut:
+            roots += [d[i] - d[j], d[i] + d[j]]
+    roots += [d[p].scale(2) for p in range(d_cut)]
+    for s, t in itertools.combinations(range(m), 2):
+        if s < e_cut:
+            roots += [e[s] - e[t], e[s] + e[t]]
+    if short_eps:
+        roots += e[:e_cut]
+    return roots

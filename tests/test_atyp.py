@@ -1,5 +1,10 @@
 """Tests for atypicality degrees, tameness classification, e, T, and j."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ospchar.atyp import (
@@ -15,7 +20,7 @@ from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard, pairing
 from ospchar.hook import highest_weight_via_reflections
-from oracles import max_matching_brute, pairing_edges, tame_by_definition
+from oracles import e_by_transpose, max_matching_brute, pairing_edges, tame_by_definition
 
 B33 = Algebra("B", 3, 3)
 D32 = Algebra("D", 3, 2)
@@ -158,6 +163,34 @@ class TestEOfLambda:
     def test_always_zero_or_one(self):
         for lam in hook_partitions(2, 3, 7):
             assert e_of_lambda(lam) in (0, 1)
+
+    @pytest.mark.parametrize("label", ["D:2:1", "D:3:2", "D:2:3"])
+    def test_part_counts_match_the_transpose(self, label):
+        alg = Algebra.parse(label)
+        for lam in hook_partitions(alg.n, alg.m, 8):
+            assert e_of_lambda(lam) == e_by_transpose(lam), lam.parts
+
+    def test_cost_does_not_grow_with_the_first_part(self):
+        # a transpose of (10^9) holds 10^9 entries; the child's 1 GiB address
+        # space turns such a regression into a MemoryError, not a full host
+        def cap_memory():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ospchar.cli", "classify", "--algebra", "D:2:1", "--partition", "1000000000"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            preexec_fn=cap_memory,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            '{"algebra":"D:2:1","command":"classify","minus":false,"partition":[1000000000],'
+            '"report":{"T":[],"e":1,"j":1,"k":0,"tame":true}}\n'
+        )
 
 
 class TestDistinguishedT:

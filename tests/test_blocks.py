@@ -15,9 +15,9 @@ from ospchar.blocks import (
     same_central_character,
 )
 from ospchar.exactnum import InternalError, Weight
-from ospchar.hook import HookPartition, hook_partitions, natural_weight
-from ospchar.rootdata import Algebra, b_standard
-from oracles import max_matching_brute, pairing_edges
+from ospchar.hook import HookPartition, highest_weight_via_reflections, hook_partitions, natural_weight
+from ospchar.rootdata import Algebra, b_standard, make_root, pairing
+from oracles import even_nilradical_by_hand, max_matching_brute, pairing_edges
 
 B33 = Algebra("B", 3, 3)
 B11 = Algebra("B", 1, 1)
@@ -258,3 +258,40 @@ class TestAdmissibilityPositivity:
     def test_typical_rejected(self):
         with pytest.raises(NotTame):
             admissibility_positivity(HookPartition.of((2,), 1, 1), B11)
+
+    @pytest.mark.parametrize(
+        "label", ["B:1:1", "B:2:2", "B:3:3", "B:2:3", "B:3:2", "D:2:1", "D:2:2", "D:3:2", "D:2:3", "D:3:3"]
+    )
+    def test_against_the_hand_built_nilradical(self, monkeypatch, label):
+        """The roots the check tries, read off its pairing(w, w) calls, are
+        the hand-built nilradical in descending exponent order, up to and
+        including the first violation, which is the witness."""
+        import ospchar.blocks
+
+        tried = []
+
+        def spy(x, y):
+            if x is y:
+                tried.append(x)
+            return pairing(x, y)
+
+        monkeypatch.setattr(ospchar.blocks, "pairing", spy)
+        alg = Algebra.parse(label)
+        checked = 0
+        for lam in hook_partitions(alg.n, alg.m, 6):
+            report = is_tame(lam, alg)
+            if not report.tame or report.atypicality_k == 0:
+                continue
+            b = report.witness_borel
+            shifted = highest_weight_via_reflections(lam, b) + b.rho
+            want = sorted(even_nilradical_by_hand(lam, alg), key=Weight.exponent_key, reverse=True)
+            bad = [w for w in want if not pairing(shifted, w) / pairing(w, w) > 0]
+            tried.clear()
+            ok, witness = admissibility_positivity(lam, alg)
+            assert ok == (not bad), lam.parts
+            if bad:
+                assert witness == make_root(bad[0]), lam.parts
+                want = want[: want.index(bad[0]) + 1]
+            assert tried == want, lam.parts
+            checked += 1
+        assert checked

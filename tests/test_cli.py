@@ -132,11 +132,14 @@ class TestCharacter:
         ]
 
     def test_minus_rejected_for_family_b(self, capsys):
-        code, _, err = run_cli(
-            capsys, "character", "--algebra", "B:1:1", "--partition", "0", "--minus"
-        )
-        assert code == 1
-        assert json.loads(err)["error"]["code"] == "FamilyMismatch"
+        # B:2:2 (1) is not tame: the family is checked before tameness, as in classify
+        for algebra, partition in (("B:1:1", "0"), ("B:2:2", "1")):
+            for command in ("classify", "character"):
+                code, _, err = run_cli(
+                    capsys, command, "--algebra", algebra, "--partition", partition, "--minus"
+                )
+                assert code == 1
+                assert json.loads(err)["error"]["code"] == "FamilyMismatch"
 
 
 @pytest.mark.parametrize("label", ["D:2:1", "D:2:2", "D:3:1", "B:1:2"])
@@ -286,6 +289,15 @@ class TestErrors:
         )
         assert code == 1
         assert json.loads(err)["error"]["code"] == "NotTame"
+
+    def test_zero_before_a_part_is_a_hook_violation(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--algebra", "B:2:2", "--partition", "3,0,2")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["code"] == "HookViolation"
+        # trailing zeros are trimmed
+        code, out, _ = run_cli(capsys, "classify", "--algebra", "B:2:2", "--partition", "3,2,0,0")
+        assert code == 0
+        assert json.loads(out)["partition"] == [3, 2]
 
     def test_bad_algebra_exit_one(self, capsys):
         code, _, err = run_cli(

@@ -64,6 +64,11 @@ class TestHookPartition:
         assert parse_partition("6,6,5,2,1,1") == (6, 6, 5, 2, 1, 1)
         assert parse_partition("0") == ()
         assert parse_partition("") == ()
+        # zeros are kept: HookPartition.of trims trailing ones and rejects the rest
+        assert parse_partition("3,0,2") == (3, 0, 2)
+        assert HookPartition.of(parse_partition("3,2,0"), 2, 2).parts == (3, 2)
+        with pytest.raises(HookViolation):
+            HookPartition.of(parse_partition("3,0,2"), 2, 2)
 
 
 class TestNaturalWeight:
