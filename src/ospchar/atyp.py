@@ -22,7 +22,7 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import InternalError, Weight
 from .hook import HookPartition, HookViolation, natural_weight
@@ -59,8 +59,7 @@ def atypicality_degree(shifted: Weight, alg: Algebra) -> int:
     return matched_values(map(abs, shifted.delta), map(abs, shifted.eps)).total()
 
 
-@dataclass(frozen=True)
-class TamenessReport:
+class TamenessReport(NamedTuple):
     atypicality_k: int
     tame: bool
     witness_borel: BorelData | None

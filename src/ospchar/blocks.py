@@ -10,7 +10,7 @@ coordinates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import InternalError, Weight, half_str
 from .hook import (
@@ -38,8 +38,7 @@ class WrongRegime(Exception):
     """The weight family enumeration applies only in the D-type k=1 regime."""
 
 
-@dataclass(frozen=True)
-class CentralCharFingerprint:
+class CentralCharFingerprint(NamedTuple):
     k: int
     reduced_delta: tuple[int, ...]  # doubled
     reduced_eps: tuple[int, ...]  # doubled
@@ -87,8 +86,7 @@ def preceq(a: Weight, b: Weight, borel: BorelData) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
-@dataclass(frozen=True)
-class BottomStep:
+class BottomStep(NamedTuple):
     before: Weight  # shifted weight entering the step
     chosen_b: int  # doubled
     b_tilde: int  # doubled
@@ -103,8 +101,7 @@ class BottomStep:
         }
 
 
-@dataclass(frozen=True)
-class BottomTrace:
+class BottomTrace(NamedTuple):
     steps: tuple[BottomStep, ...]
     result: HookPartition
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Set
-from dataclasses import dataclass
+from typing import NamedTuple
 from operator import add, sub
 
 from .exactnum import (
@@ -83,18 +83,20 @@ class JDivisibilityFailure(Exception):
     """A weight multiplicity of the divided alternating sum is not divisible by j."""
 
 
-@dataclass(frozen=True)
-class CharacterResult:
-    """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
-    (doubled exponent) to its nonzero multiplicity.  ``character`` expands
-    it on first access."""
-
+class _CharacterFields(NamedTuple):
     orbits: dict[tuple[int, ...], int]
     highest_weight: Weight
     borel_used: BorelData
     T_used: tuple[Root, ...]
     j_used: int
     atypicality_k: int
+
+
+class CharacterResult(_CharacterFields):
+    """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
+    (doubled exponent) to its nonzero multiplicity.  ``character`` expands
+    it on first access (no ``__slots__``: the cached properties need an
+    instance ``__dict__``)."""
 
     @functools.cached_property
     def character(self) -> LaurentPolynomial:
@@ -362,21 +364,24 @@ def kw_character(
     atypical tame modules use the canonical witness Borel.  The minus twin
     is computed on the twisted witness Borel and T that ``is_tame`` reports.
     """
-    return _kw_character(lam, alg, is_tame(lam, alg, minus), minus)
+    report = is_tame(lam, alg, minus)
+    if not report.tame:
+        raise NotTame(f"{lam} is not tame over {alg.osp_name()}")
+    b = report.witness_borel or b_standard(alg)
+    return _kw_character(lam, report, b, highest_weight_via_reflections(lam, b, minus), minus)
 
 
 def _kw_character(
     lam: HookPartition,
-    alg: Algebra,
     report: TamenessReport,
+    b: BorelData,
+    lam_b: Weight,
     minus: bool = False,
 ) -> CharacterResult:
-    """``kw_character`` for a caller that already holds ``is_tame(lam, alg, minus)``."""
-    if not report.tame:
-        raise NotTame(f"{lam} is not tame over {alg.osp_name()}")
-    b = report.witness_borel or b_standard(alg)
+    """``kw_character`` for a caller that already holds the tame report
+    ``is_tame(lam, alg, minus)``, the Borel b it names (the witness, or the
+    standard Borel for a typical weight) and lam's b-highest weight lam_b."""
     T = report.distinguished_T
-    lam_b = highest_weight_via_reflections(lam, b, minus)
     if not set(T) <= b.pos_odd:
         raise InternalError(f"distinguished set is not positive for {b.sequence}")
     return CharacterResult(

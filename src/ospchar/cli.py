@@ -5,8 +5,9 @@ runs); --output text prints a human summary.  Domain errors exit 1 with a
 structured payload; internal faults, and any other exception, exit 2 with
 the same payload.  A usage error (no or an unknown command, an unknown or
 missing option) is argparse's: exit 2 with a usage line on stderr and no
-payload.  argv is parsed once, by the named command's own parser, so an
-unknown option is reported as ``ospchar <command>: error: ...``.
+payload.  A reader that closes stdout early gets exit 141 and no payload.
+argv is parsed once, by the named command's own parser, so an unknown
+option is reported as ``ospchar <command>: error: ...``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -23,6 +25,7 @@ from .rootdata import (
     FamilyMismatch,
     all_sequences,
     b_odd,
+    b_standard,
     borel_from_sequence,
     weyl_orbit,
 )
@@ -167,7 +170,9 @@ def _verify_checks(alg: Algebra, max_size: int):
     reports = {lam: is_tame(lam, alg) for lam in hook_partitions(alg.n, alg.m, max_size)}
 
     trivial = HookPartition.of((), alg.n, alg.m)
-    cr = _kw_character(trivial, alg, reports[trivial])
+    report = reports[trivial]
+    # the trivial weight is 0 on every Borel
+    cr = _kw_character(trivial, report, report.witness_borel or b_standard(alg), zero)
     checks.append(("trivial-kw-is-one", cr.orbits == {zero.exponent_key(): 1}, f"j={cr.j_used}"))
 
     # Euler constants for the shapes with a pinned value
@@ -190,10 +195,15 @@ def _verify_checks(alg: Algebra, max_size: int):
     for lam, report in reports.items():
         if not report.tame:
             continue
-        crx = _kw_character(lam, alg, report)
-        b = report.witness_borel if report.atypicality_k else b_odd(alg)
-        levi = canonical_levi_roots(b, report)
+        # one walk per (weight, Borel): a typical weight's Euler character is
+        # taken on the odd Borel, an atypical one's on its KW witness Borel
+        b = report.witness_borel or b_standard(alg)
         lam_b = highest_weight_via_reflections(lam, b)
+        crx = _kw_character(lam, report, b, lam_b)
+        if not report.atypicality_k:
+            b = b_odd(alg)
+            lam_b = highest_weight_via_reflections(lam, b)
+        levi = canonical_levi_roots(b, report)
         if euler_char_character(levi, lam_b, b) != crx.orbits:
             ok = False
             detail.append(str(lam))
@@ -325,7 +335,14 @@ def main(argv=None) -> int:
         # the top-level parser would only hand argv[1:] on to this one
         args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): no fault and no payload; stdout
+        # goes to os.devnull so the interpreter's exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except DOMAIN_ERRORS as exc:
         _fail(args, exc, 1)
         return 1

@@ -8,8 +8,7 @@ rational or floating arithmetic ever occurs.  Coefficients are Python ints
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class NotDivisible(Exception):
@@ -31,8 +30,7 @@ def half_str(doubled: int) -> str:
     return f"{doubled}/2"
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(NamedTuple):
     """A vector a_1 d_1 + ... + a_n d_n + b_1 e_1 + ... + b_m e_m.
 
     ``delta`` holds the d-coefficients, ``eps`` the e-coefficients, each

@@ -10,7 +10,7 @@ the oracle for that walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import InputError, Weight
 from .rootdata import FAMILY_D, BorelData, FamilyMismatch, reflection_walk
@@ -30,13 +30,17 @@ def transpose(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HookPartition:
+class _HookFields(NamedTuple):
     parts: tuple[int, ...]
     n: int
     m: int
 
-    def __post_init__(self):
+
+class HookPartition(_HookFields):
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...], n: int, m: int):
+        self = super().__new__(cls, parts, n, m)
         if any(p < 0 for p in self.parts):
             raise HookViolation("negative part")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
@@ -47,6 +51,7 @@ class HookPartition:
             raise HookViolation(
                 f"lambda_{self.n + 1} = {self.part(self.n + 1)} exceeds m = {self.m}"
             )
+        return self
 
     @classmethod
     def of(cls, parts, n: int, m: int) -> "HookPartition":

@@ -15,10 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .exactnum import InputError, InternalError, Weight
 
@@ -34,21 +33,30 @@ class NotSimpleIsotropic(Exception):
     """The reflection root is not an isotropic odd simple root of the Borel."""
 
 
-@dataclass(frozen=True)
-class Algebra:
-    """osp(2m+1|2n) when family is B, osp(2m|2n) when family is D."""
-
+# Value types are NamedTuples, hashed and compared as their field tuples.
+# Algebra, EpsDeltaSequence and hook.HookPartition validate in __new__ on a
+# subclass (NamedTuple forbids __new__ in its own body); _replace and _make
+# skip __new__, so the library never calls them on these three.
+class _AlgebraFields(NamedTuple):
     family: str
     m: int
     n: int
 
-    def __post_init__(self):
+
+class Algebra(_AlgebraFields):
+    """osp(2m+1|2n) when family is B, osp(2m|2n) when family is D."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, m: int, n: int):
+        self = super().__new__(cls, family, m, n)
         if self.family not in (FAMILY_B, FAMILY_D):
             raise InputError(f"unknown family {self.family!r}")
         if self.m < 1 or self.n < 1:
             raise InputError("ranks m, n must be positive")
         if self.family == FAMILY_D and self.m < 2:
             raise InputError("family D requires m >= 2")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Algebra":
@@ -78,8 +86,7 @@ def pairing(x: Weight, y: Weight) -> Fraction:
     return Fraction(doubled4, 4)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     weight: Weight
     parity: int  # 0 even, 1 odd
 
@@ -118,14 +125,18 @@ def root_str(root: Root) -> str:
     return out or "0"
 
 
-@dataclass(frozen=True)
-class EpsDeltaSequence:
+class _SequenceFields(NamedTuple):
+    symbols: tuple[str, ...]
+    sign: int
+
+
+class EpsDeltaSequence(_SequenceFields):
     """An ordering of n 'd' and m 'e' symbols with the type-D sign flag."""
 
-    symbols: tuple[str, ...]
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, symbols: tuple[str, ...], sign: int = 1):
+        self = super().__new__(cls, symbols, sign)
         if any(s not in ("d", "e") for s in self.symbols):
             raise ValueError("sequence symbols must be 'd' or 'e'")
         if self.sign not in (1, -1):
@@ -133,6 +144,7 @@ class EpsDeltaSequence:
         if self.sign == -1:
             if not self.symbols or self.symbols[-1] != "d" or "e" not in self.symbols:
                 raise ValueError("sign -1 requires a sequence ending with 'd'")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "EpsDeltaSequence":
@@ -166,8 +178,7 @@ class EpsDeltaSequence:
         return out
 
 
-@dataclass(frozen=True)
-class BorelData:
+class BorelData(NamedTuple):
     algebra: Algebra
     sequence: EpsDeltaSequence
     simple_roots: tuple[Root, ...]
@@ -372,7 +383,6 @@ def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> t
     )
 
 
-@dataclass(frozen=True, eq=False)
 class WeylFactor:
     """One factor of W = W(C_n) x W(B_m or D_m): signed permutations of the
     delta axes exp[:n] (kind "C") or of the eps axes exp[n:] (kind "B" or "D",
@@ -382,9 +392,10 @@ class WeylFactor:
     dominant weights share their parts.
     """
 
-    kind: str
-    roots: tuple[tuple[int, ...], ...]
-    rho: tuple[int, ...]
+    def __init__(self, kind: str, roots: tuple[tuple[int, ...], ...], rho: tuple[int, ...]):
+        self.kind = kind
+        self.roots = roots
+        self.rho = rho
 
     @functools.cached_property
     def shifts(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:

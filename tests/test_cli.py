@@ -1,6 +1,10 @@
 """CLI tests: golden JSON output, determinism, and error codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -458,21 +462,68 @@ class TestVerify:
         assert json.loads(err)["error"]["code"] == "InputError"
 
     def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
-        import sys
-
         from ospchar import atyp
 
+        # held before patching: atyp.is_tame itself is one of the bindings replaced
+        is_tame = atyp.is_tame
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[0])
-            return atyp.is_tame(*args, **kwargs)
+            return is_tame(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("ospchar") and getattr(module, "is_tame", None) is atyp.is_tame:
+            if name.startswith("ospchar") and getattr(module, "is_tame", None) is is_tame:
                 monkeypatch.setattr(module, "is_tame", counting)
         code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
         assert code == 0 and json.loads(out)["ok"] is True
         swept = list(hook_partitions(2, 2, 4))
-        assert len(calls) <= len(swept)
+        assert calls and len(calls) <= len(swept)
         assert len(set(calls)) == len(calls)
+
+    def test_one_reflection_walk_per_weight_and_borel(self, capsys, monkeypatch):
+        from ospchar import hook
+
+        walk = hook.highest_weight_via_reflections
+        walks = []
+
+        def counting(lam, b, *args, **kwargs):
+            walks.append((lam, b.sequence))
+            return walk(lam, b, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ospchar") and getattr(module, "highest_weight_via_reflections", None) is walk:
+                monkeypatch.setattr(module, "highest_weight_via_reflections", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert walks and len(set(walks)) == len(walks)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head``) ends the call with exit
+    141 (128 + SIGPIPE), no payload and no traceback: it is not a fault."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # small enough to wait in the stdout buffer until main flushes it
+            ["classify", "--algebra", "B:3:3", "--partition", "5"],
+            # 1.6 MB: the write itself meets the closed pipe
+            ["character", "--algebra", "D:3:2", "--partition", "3,3,3,2,2,2,1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_141_and_quiet_stderr(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ospchar.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

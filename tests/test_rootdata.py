@@ -1,7 +1,6 @@
 """Tests for Borel data, Weyl machinery, odd reflections, and the D twist."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -394,7 +393,7 @@ def product_checks(alg, borels):
 
 
 def with_odd(b, roots):
-    return replace(b, pos_odd=frozenset(roots))
+    return b._replace(pos_odd=frozenset(roots))
 
 
 class TestDenominatorInvariances:
@@ -443,7 +442,7 @@ class TestDenominatorInvariances:
     def test_dropped_even_root_breaks_sign_stability(self, alg):
         borels = every_borel(alg)
         last = borels[-1]
-        borels[-1] = replace(last, pos_even=frozenset(sorted(last.pos_even, key=str)[1:]))
+        borels[-1] = last._replace(pos_even=frozenset(sorted(last.pos_even, key=str)[1:]))
         self.planted(alg, borels, "even-denominator-sign-stable")
 
 
