@@ -14,8 +14,9 @@ alternant A_nu = sum_w sgn(w) e^{w nu} is A^delta_{nu_delta} A^eps_{nu_eps},
 and so is D_0 = A_{rho_0}.
 
 1. Straighten.  A signed sort of the delta and the eps part carries each
-   seed term into the open dominant chamber (``rootdata.straighten``);
-   terms on a wall are dropped.  The numerator becomes sum_nu c_nu A_nu.
+   seed term into the open dominant chamber (each factor's
+   ``WeylFactor.straighten``); terms on a wall are dropped.  The numerator
+   becomes sum_nu c_nu A_nu.
 2. Racah.  For one factor, comparing the coefficient of e^{mu + rho} in
    q A_rho = numerator gives, for dominant mu in decreasing height,
    m_mu = c_{mu + rho} - sum_{w != 1} sgn(w) m_{dom(mu + rho - w rho)}
@@ -24,7 +25,11 @@ and so is D_0 = A_{rho_0}.
    weight of a factor is visited once.  The eps recursion runs once, its
    numerator keyed by nu_eps and labelled by nu_delta; the delta recursion
    runs once over the distinct nu_delta, each labelled by itself.  m_mu
-   sums, over the labels, the delta multiplicity times the eps one.
+   sums, over the labels, the delta multiplicity times the eps one.  The
+   chamber maps the recursion needs are memoized per factor and shared by
+   every character of the process: the dominant weights below the tops are
+   walked down ``WeylFactor.children`` (mu to the dominant mu - alpha), and
+   each lifted weight mu + rho - w rho is one ``WeylFactor.dominant`` lookup.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
    {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
    its dimension is sum_mu (m_mu / j) |W mu|, and ``orbits_json`` writes the
@@ -73,7 +78,6 @@ from .rootdata import (
     coords_in_basis,
     even_rho,
     height,
-    straighten,
     weyl_factors,
     weyl_orbit,
 )
@@ -268,13 +272,16 @@ def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> d
 def _alternant_coefficients(alg: Algebra, seed: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """c_nu with sum_w sgn(w) w(seed) = sum_nu c_nu A_nu, nu strictly dominant;
     the seed is given as its terms."""
+    n = alg.n
+    delta, eps = weyl_factors(alg)
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in seed.items():
-        hit = straighten(alg, exp)
-        if hit is None:
+        d = delta.straighten(exp[:n])
+        e = eps.straighten(exp[n:]) if d else None
+        if e is None:
             continue
-        sign, nu = hit
-        new = out.get(nu, 0) + sign * coef
+        nu = d[1] + e[1]
+        new = out.get(nu, 0) + d[0] * e[0] * coef
         if new:
             out[nu] = new
         else:
@@ -338,9 +345,7 @@ def _racah(
         for shift_height, sign, shift in factor.shifts:
             if shift_height > room:
                 break  # every dominant weight above the ceiling has multiplicity 0
-            # every key of mult is dominant, so a direct hit needs no sort
-            lifted = tuple(map(add, mu, shift))
-            higher = mult.get(lifted) or mult.get(factor.dominant(lifted))
+            higher = mult.get(factor.dominant(tuple(map(add, mu, shift))))
             if higher:
                 for label, m in higher.items():
                     new = total.get(label, 0) - sign * m

@@ -171,7 +171,7 @@ def _verify_checks(alg: Algebra, max_size: int):
 
     trivial = HookPartition.of((), alg.n, alg.m)
     report = reports[trivial]
-    # the trivial weight is 0 on every Borel
+    # the trivial weight is 0 on every Borel; its character is reused below
     cr = _kw_character(trivial, report, report.witness_borel or b_standard(alg), zero)
     checks.append(("trivial-kw-is-one", cr.orbits == {zero.exponent_key(): 1}, f"j={cr.j_used}"))
 
@@ -199,7 +199,7 @@ def _verify_checks(alg: Algebra, max_size: int):
         # taken on the odd Borel, an atypical one's on its KW witness Borel
         b = report.witness_borel or b_standard(alg)
         lam_b = highest_weight_via_reflections(lam, b)
-        crx = _kw_character(lam, report, b, lam_b)
+        crx = cr if lam == trivial else _kw_character(lam, report, b, lam_b)
         if not report.atypicality_k:
             b = b_odd(alg)
             lam_b = highest_weight_via_reflections(lam, b)

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .exactnum import InputError, InternalError, Weight
@@ -387,9 +387,12 @@ class WeylFactor:
     """One factor of W = W(C_n) x W(B_m or D_m): signed permutations of the
     delta axes exp[:n] (kind "C") or of the eps axes exp[n:] (kind "B" or "D",
     whose sign flips come in pairs).  ``rho`` is half the sum of ``roots``.
-    One factor is built per (kind, rank), so factors compare by identity;
-    ``straighten``, ``orbit`` and ``shifts`` are cached, since seed terms and
-    dominant weights share their parts.
+    One factor is built per (kind, rank), so factors compare by identity.
+    Its chamber maps are memoized per factor for the whole process, in
+    unbounded tables of tuples, since the seed terms, dominant weights and
+    Racah lifts of every character of an algebra share their parts:
+    ``dominant``, ``children`` (the cover graph that ``weights_below``
+    walks), ``straighten``, ``orbit`` and ``shifts``.
     """
 
     def __init__(self, kind: str, roots: tuple[tuple[int, ...], ...], rho: tuple[int, ...]):
@@ -410,19 +413,36 @@ class WeylFactor:
                 shifts.append((height(shift, self.rho), self.straighten(image)[0], shift))
         return tuple(sorted(shifts))
 
+    @functools.lru_cache(maxsize=None)
     def dominant(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """The image of values in the factor's closed dominant chamber."""
+        return self._image(values)
+
+    def _image(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """``dominant`` without its table: ``straighten`` keeps a table of its
+        own, so its misses would only fill this one with entries never read."""
         image = sorted(map(abs, values), reverse=True)
         if self.kind == FAMILY_D and image[-1] and sum(v < 0 for v in values) % 2:
             image[-1] = -image[-1]
         return tuple(image)
+
+    def _in_chamber(self, values: tuple[int, ...]) -> bool:
+        """Whether values lies in the closed dominant chamber, read off directly."""
+        last = abs(values[-1]) if self.kind == FAMILY_D else values[-1]
+        return last >= 0 and all(a >= b for a, b in zip(values, values[1:-1] + (last,)))
+
+    @functools.lru_cache(maxsize=None)
+    def children(self, mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The dominant weights mu - alpha, alpha a positive root of the factor."""
+        lowers = (tuple(map(sub, mu, alpha)) for alpha in self.roots)
+        return tuple(lower for lower in lowers if self._in_chamber(lower))
 
     @functools.lru_cache(maxsize=None)
     def straighten(self, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         """(sgn w, w values) for the w carrying values into the open chamber,
         or None on a wall: a repeated |entry|, or a zero in types B and C.
         sgn w is the sort's sign times -1 per flip (type-D flips pair up)."""
-        image = self.dominant(values)
+        image = self._image(values)
         sizes = [abs(v) for v in image]
         if any(a == b for a, b in zip(sizes, sizes[1:])):
             return None
@@ -450,10 +470,8 @@ class WeylFactor:
         seen = set(tops)
         stack = list(seen)
         while stack:
-            mu = stack.pop()
-            for alpha in self.roots:
-                lower = tuple(a - b for a, b in zip(mu, alpha))
-                if lower not in seen and self.dominant(lower) == lower:
+            for lower in self.children(stack.pop()):
+                if lower not in seen:
                     seen.add(lower)
                     stack.append(lower)
         return seen
@@ -491,24 +509,6 @@ def even_rho(alg: Algebra) -> tuple[int, ...]:
     """rho_0 as a doubled exponent; the same for every Borel considered."""
     delta, eps = weyl_factors(alg)
     return delta.rho + eps.rho
-
-
-def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of exp in the closed dominant chamber."""
-    delta, eps = weyl_factors(alg)
-    return delta.dominant(exp[: alg.n]) + eps.dominant(exp[alg.n :])
-
-
-def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """(sgn w, w exp) for the w carrying exp into the open dominant chamber,
-    so that the alternant of exp is sgn(w) times that of w exp; None when a
-    reflection fixes exp, since its alternant vanishes."""
-    delta, eps = weyl_factors(alg)
-    d = delta.straighten(exp[: alg.n])
-    e = eps.straighten(exp[alg.n :]) if d else None
-    if e is None:
-        return None
-    return d[0] * e[0], d[1] + e[1]
 
 
 def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -9,13 +9,15 @@ this file.
   ``divide_by_factors``), the route the character pipeline replaced.
 - The Weyl group element by element (``weyl_group``) and the naive signed
   sum over it (``weyl_alternating_sum``).
+- The chamber maps of a whole weight, one Weyl factor's map per part
+  (``dominant``, ``straighten``), which production applies part by part.
 - An exponent map applied to a polynomial (``map_exponents``) and the
   diagram twist of a polynomial (``sigma_twist_poly``).
 - The closed Frobenius form of a Borel highest weight (``frobenius_weight``),
   against the odd-reflection walk of ``hook.highest_weight_via_reflections``.
 - The naive character pipeline: the fully expanded seed product
-  (``cleared_seed``), whole Weyl sum, long division by the factors of D_0,
-  then division by j (``naive_cleared_sum``).
+  (``cleared_seed``), whole Weyl sum (``naive_numerator``), long division by
+  the factors of D_0, then division by j (``naive_cleared_sum``).
 - The formula over an arbitrary Borel and distinguished set
   (``kw_character_with_borel``), for Borel-independence checks.
 - Weyl's dimension formula on the alternant form (``weyl_dimension``).
@@ -38,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from ospchar.atyp import atypicality_degree_brute
@@ -55,6 +58,7 @@ from ospchar.rootdata import (
     b_standard,
     borel_from_sequence,
     pairing,
+    weyl_factors,
 )
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,7 @@ def poly_product(*polys: LaurentPolynomial) -> LaurentPolynomial:
         step: dict[tuple[int, ...], int] = {}
         for e1, c1 in out.items():
             for e2, c2 in p.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 step[exp] = step.get(exp, 0) + c1 * c2
         out = step
     return LaurentPolynomial(rank, out)
@@ -217,15 +221,11 @@ def weyl_group(alg: Algebra) -> tuple[tuple[int, WeylAction], ...]:
     n = alg.n
 
     def element(dp, ds, ep, es) -> WeylAction:
-        def act(exp: tuple[int, ...]) -> tuple[int, ...]:
-            out = [0] * len(exp)
-            for i, v in enumerate(exp[:n]):
-                out[dp[i]] = ds[i] * v
-            for j, v in enumerate(exp[n:]):
-                out[n + ep[j]] = es[j] * v
-            return tuple(out)
-
-        return act
+        # place t of the image holds signs[i] * exp[i] for the i with perm[i] = t
+        perm, signs = dp + tuple(n + k for k in ep), ds + es
+        sources = sorted(range(len(perm)), key=perm.__getitem__)
+        take, place_signs = itemgetter(*sources), tuple(signs[i] for i in sources)
+        return lambda exp: tuple(map(mul, place_signs, take(exp)))
 
     out = []
     for dp, ds in _signed_permutations(n, False):
@@ -233,6 +233,24 @@ def weyl_group(alg: Algebra) -> tuple[tuple[int, WeylAction], ...]:
             sign = _perm_sign(dp) * _perm_sign(ep) * math.prod(ds) * math.prod(es)
             out.append((sign, element(dp, ds, ep, es)))
     return tuple(out)
+
+
+def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of exp in the closed dominant chamber."""
+    delta, eps = weyl_factors(alg)
+    return delta.dominant(exp[: alg.n]) + eps.dominant(exp[alg.n :])
+
+
+def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(sgn w, w exp) for the w carrying exp into the open dominant chamber,
+    so that the alternant of exp is sgn(w) times that of w exp; None when a
+    reflection fixes exp, since its alternant vanishes."""
+    delta, eps = weyl_factors(alg)
+    d = delta.straighten(exp[: alg.n])
+    e = eps.straighten(exp[alg.n :]) if d else None
+    if e is None:
+        return None
+    return d[0] * e[0], d[1] + e[1]
 
 
 def weyl_alternating_sum(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
@@ -383,12 +401,16 @@ def kw_character_with_borel(
     return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, set(T), j))
 
 
+def naive_numerator(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
+    """The whole Weyl sum of the seed: D_0 j times the character."""
+    return weyl_alternating_sum(b.algebra, cleared_seed(b, lam_b, excluded))
+
+
 def naive_cleared_sum(b: BorelData, lam_b: Weight, excluded, j: int = 1) -> LaurentPolynomial:
     """The whole Weyl sum of the seed, long division by the factors of D_0,
     then division by j."""
     alg = b.algebra
-    seed = cleared_seed(b, lam_b, excluded)
-    quotient = divide_by_factors(weyl_alternating_sum(alg, seed), even_factors(b))
+    quotient = divide_by_factors(naive_numerator(b, lam_b, excluded), even_factors(b))
     out = {}
     for exp, coef in quotient.terms.items():
         q, r = divmod(coef, j)

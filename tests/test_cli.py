@@ -17,9 +17,9 @@ from ospchar.hook import (
     hook_partitions,
     parse_partition,
 )
-from ospchar.rootdata import Algebra, b_standard, dominant
+from ospchar.rootdata import Algebra, b_standard
 from json_oracle import poly_from_json, poly_to_json
-from oracles import evaluate_at_one, naive_cleared_sum, sigma_twist_poly
+from oracles import dominant, evaluate_at_one, naive_cleared_sum, sigma_twist_poly
 
 
 def run_cli(capsys, *argv):
@@ -497,6 +497,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
         assert code == 0 and json.loads(out)["ok"] is True
         assert walks and len(set(walks)) == len(walks)
+
+    def test_one_kw_character_per_tame_weight(self, capsys, monkeypatch):
+        # trivial-kw-is-one and the Euler = KW loop share the trivial character
+        from ospchar import cli
+
+        kw = cli._kw_character
+        calls = []
+
+        def counting(lam, *args, **kwargs):
+            calls.append(lam)
+            return kw(lam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_kw_character", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "B:2:2")
+        assert code == 0 and json.loads(out)["ok"] is True
+        alg = Algebra("B", 2, 2)
+        tame = [lam for lam in hook_partitions(alg.n, alg.m, 4) if is_tame(lam, alg).tame]
+        assert len(calls) == len(tame)
+        assert sorted(calls) == sorted(tame)
 
 
 class TestClosedStdout:

@@ -17,7 +17,6 @@ from ospchar.rootdata import (
     b_standard,
     borel_from_sequence,
     coords_in_basis,
-    dominant,
     even_rho,
     height,
     make_root,
@@ -25,7 +24,6 @@ from ospchar.rootdata import (
     pairing,
     root_str,
     sigma_twist,
-    straighten,
     weyl_factor,
     weyl_factors,
     weyl_orbit,
@@ -33,11 +31,13 @@ from ospchar.rootdata import (
 from ospchar.cli import _denominator_checks
 from oracles import (
     denominators,
+    dominant,
     map_exponents,
     monomial,
     poly_sum,
     scaled,
     sigma_twist_poly,
+    straighten,
     weyl_alternating_sum,
     weyl_group,
 )
@@ -342,6 +342,30 @@ class TestWeylFactors:
                 assert hit is None, values
             else:
                 assert hit == (images[top][0], top), values
+
+    def test_children_are_the_dominant_lowerings_by_a_root(self, kind, rank):
+        factor = weyl_factor(kind, rank)
+        tops = [mu for mu in itertools.product(range(-4, 5), repeat=rank) if factor.dominant(mu) == mu]
+        assert tops
+        for mu in tops:
+            lowers = [tuple(a - b for a, b in zip(mu, alpha)) for alpha in factor.roots]
+            assert factor.children(mu) == tuple(x for x in lowers if factor.dominant(x) == x), mu
+
+    def test_memoized_values_are_immutable(self, kind, rank):
+        # the tables are shared by every caller in the process
+        factor = weyl_factor(kind, rank)
+        assert _frozen(factor.shifts)
+        for values in itertools.product(range(-3, 4), repeat=rank):
+            for name in ("dominant", "straighten", "orbit"):
+                assert _frozen(getattr(factor, name)(values)), (name, values)
+            assert _frozen(factor.children(factor.dominant(values))), values
+
+
+def _frozen(value) -> bool:
+    """Whether value is an int, None, or a tuple of such, all the way down."""
+    if isinstance(value, tuple):
+        return all(map(_frozen, value))
+    return value is None or isinstance(value, int)
 
 
 def test_d32_shift_counts():
