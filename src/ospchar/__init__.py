@@ -1,19 +1,20 @@
 """Exact classification and character evaluation for tame modules over the
 ortho-symplectic Lie superalgebras osp(2m+1|2n) and osp(2m|2n)."""
 
-from .exactnum import LaurentPolynomial, NotDivisible, Weight
+from .exactnum import NotDivisible, Weight
 from .rootdata import (
     Algebra,
     BorelData,
     EpsDeltaSequence,
     FamilyMismatch,
     NotSimpleIsotropic,
+    NotSimpleRoot,
     Root,
     b_odd,
     b_standard,
     borel_from_sequence,
     odd_reflection,
-    pairing,
+    pairing4,
     sigma_twist,
 )
 from .hook import (

@@ -38,7 +38,7 @@ from .rootdata import (
     b_standard,
     borel_from_sequence,
     make_root,
-    pairing,
+    pairing4,
     sigma_twist,
 )
 
@@ -200,14 +200,14 @@ def atypicality_degree_brute(shifted: Weight, alg: Algebra, borel: BorelData | N
     orth = [
         r.weight
         for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key())
-        if r.is_isotropic and pairing(shifted, r.weight) == 0
+        if r.is_isotropic and pairing4(shifted, r.weight) == 0
     ]
 
     def grow(idx: int, chosen: list[Weight]) -> int:
         best = len(chosen)
         for t in range(idx, len(orth)):
             cand = orth[t]
-            if all(pairing(cand, c) == 0 for c in chosen):
+            if all(pairing4(cand, c) == 0 for c in chosen):
                 chosen.append(cand)
                 best = max(best, grow(t + 1, chosen))
                 chosen.pop()

@@ -4,7 +4,7 @@ algorithm, and the finite family of tame weights sharing a type-D k=1 block.
 A central character is fingerprinted by removing the matched atypical pairs
 (a multiset intersection) from the shifted weight and keeping the surviving
 absolute values; dominance is decided exactly through simple-root
-coordinates.
+coordinates, kept times 4 as ints.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .rootdata import (
     BorelData,
     Root,
     b_standard,
-    coords_in_basis,
-    pairing,
+    in_simple_span,
+    pairing4,
+    simple_coords4,
 )
 
 
@@ -76,14 +77,10 @@ def preceq(a: Weight, b: Weight, borel: BorelData) -> bool:
     """Is b - a a nonnegative integer combination of the positive roots?
 
     Every positive root is a nonnegative integer combination of the simple
-    roots, so the positive-root cone equals the simple-root cone and
-    membership reduces to one exact linear solve.
+    roots, so the positive-root cone equals the simple-root cone: b - a
+    must have nonnegative integer coordinates in the simple roots.
     """
-    gap = b - a
-    coords = coords_in_basis([r.weight for r in borel.simple_roots], gap)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    return all(c >= 0 and c % 4 == 0 for c in simple_coords4(borel, b - a))
 
 
 class BottomStep(NamedTuple):
@@ -217,9 +214,10 @@ def admissibility_positivity(lam: HookPartition, alg: Algebra) -> tuple[bool, Ro
         raise NotTame("positivity check applies to tame modules with k >= 1")
     b = report.witness_borel
     shifted = highest_weight_via_reflections(lam, b) + b.rho
-    levi = [r.weight for r in canonical_levi_roots(b, report)]
-    nilradical = [r for r in b.pos_even if coords_in_basis(levi, r.weight) is None]
+    levi = canonical_levi_roots(b, report)
+    nilradical = [r for r in b.pos_even if not in_simple_span(b, levi, r.weight)]
     for r in sorted(nilradical, key=lambda r: r.weight.exponent_key(), reverse=True):
-        if not pairing(shifted, r.weight) / pairing(r.weight, r.weight) > 0:
+        # (shifted, r) / (r, r) > 0, read off the sign of a product of integers
+        if not pairing4(shifted, r.weight) * pairing4(r.weight, r.weight) > 0:
             return False, r
     return True, None

@@ -36,9 +36,10 @@ and so is D_0 = A_{rho_0}.
    CLI's JSON straight from it: the eps exponents of all the eps-orbits that
    occur are sorted and rendered once, and each dominant delta part gets one
    template, its coefficients set into the slots of that sorted order, which
-   every point of its delta-orbit fills in.  The polynomial itself, every mu
-   written out on its delta-orbit times its eps-orbit (``expand_orbits``), is
-   built only on demand.
+   every point of its delta-orbit fills in.  ``orbits_text`` writes the
+   CLI's text rendering from the same form, every mu written out on its
+   delta-orbit times its eps-orbit, in the same order.  The library holds no
+   polynomial type: a character is its orbit form throughout.
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -60,12 +61,7 @@ from collections.abc import Set
 from typing import NamedTuple
 from operator import add, sub
 
-from .exactnum import (
-    InternalError,
-    LaurentPolynomial,
-    NotDivisible,
-    Weight,
-)
+from .exactnum import InternalError, NotDivisible, Weight
 from .hook import HookPartition, highest_weight_via_reflections, natural_weight
 from .atyp import NotTame, TamenessReport, is_tame
 from .rootdata import (
@@ -75,9 +71,9 @@ from .rootdata import (
     Root,
     WeylFactor,
     b_standard,
-    coords_in_basis,
     even_rho,
     height,
+    in_simple_span,
     weyl_factors,
     weyl_orbit,
 )
@@ -98,13 +94,8 @@ class _CharacterFields(NamedTuple):
 
 class CharacterResult(_CharacterFields):
     """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
-    (doubled exponent) to its nonzero multiplicity.  ``character`` expands
-    it on first access (no ``__slots__``: the cached properties need an
-    instance ``__dict__``)."""
-
-    @functools.cached_property
-    def character(self) -> LaurentPolynomial:
-        return expand_orbits(self.borel_used.algebra, self.orbits)
+    (doubled exponent) to its nonzero multiplicity (no ``__slots__``: the
+    cached ``dimension`` needs an instance ``__dict__``)."""
 
     @functools.cached_property
     def dimension(self) -> int:
@@ -126,19 +117,10 @@ class CharacterResult(_CharacterFields):
         }
 
 
-def expand_orbits(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> LaurentPolynomial:
-    """The polynomial sum_mu c_mu sum_{x in W mu} e^x of an orbit form
-    {dominant mu: nonzero c_mu}."""
-    terms: dict[tuple[int, ...], int] = {}
-    for mu, coef in orbits.items():
-        for exp in weyl_orbit(alg, mu):
-            terms[exp] = coef
-    return LaurentPolynomial._adopt(alg.rank, terms)
-
-
 def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
-    """Compact JSON text of the terms of ``expand_orbits(alg, orbits)``, each
-    {"coef": str(c), "exp": [...]} with sorted keys, in descending lex order.
+    """Compact JSON text of the terms c_mu e^x, x in W mu, of an orbit form
+    {dominant mu: nonzero c_mu}, each {"coef": str(c), "exp": [...]} with
+    sorted keys, in descending lex order.
 
     Descending lex order sorts by the delta part first, and the coefficient of
     e^{(w d, e)} equals that of e^{(d, e)} for w in the delta factor.  So the
@@ -175,6 +157,32 @@ def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
     texts[0] = "[" + texts[0]
     texts[-1] += "]"
     return ",".join(texts)
+
+
+def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
+    """The terms c_mu e^x, x in W mu, of an orbit form in descending lex
+    order, in the variables x_i = e^{e_i}, y_j = e^{d_j}.  Exponents print
+    halved, so x1^(1/2) and x1^(-1/2) can occur."""
+
+    def power(name: str, doubled: int) -> str:
+        if doubled == 2:
+            return name
+        if doubled % 2 == 0:
+            return f"{name}^{doubled // 2}"
+        return f"{name}^({doubled}/2)"
+
+    names = [f"y{i + 1}" for i in range(alg.n)] + [f"x{i + 1}" for i in range(alg.m)]
+    terms = sorted(((exp, c) for mu, c in orbits.items() for exp in weyl_orbit(alg, mu)), reverse=True)
+    chunks = []
+    for exp, coef in terms:
+        body = "*".join(power(name, doubled) for name, doubled in zip(names, exp) if doubled)
+        if not body:
+            chunks.append(str(coef))
+        elif coef in (1, -1):
+            chunks.append(body if coef == 1 else f"-{body}")
+        else:
+            chunks.append(f"{coef}*{body}")
+    return " + ".join(chunks).replace("+ -", "- ") if chunks else "0"
 
 
 def _cleared_sum(
@@ -434,16 +442,15 @@ def euler_char_character(
 
 @functools.lru_cache(maxsize=None)
 def _levi_odd_roots(b: BorelData, levi_simple_roots: tuple[Root, ...]) -> frozenset[Root]:
-    """The positive odd roots in the span of the Levi's simple roots, found
-    by one exact solve per root; built once per (Borel, Levi) and shared."""
-    levi_weights = [r.weight for r in levi_simple_roots]
-    if not levi_weights:
-        return frozenset()
-    return frozenset(r for r in b.pos_odd if coords_in_basis(levi_weights, r.weight) is not None)
+    """The positive odd roots in the span of the Levi's simple roots, which
+    must be simple roots of b: those whose coordinates in b's simple roots
+    vanish off the Levi's.  Built once per (Borel, Levi) and shared."""
+    return frozenset(r for r in b.pos_odd if in_simple_span(b, levi_simple_roots, r.weight))
 
 
-def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
-    """Flip signs on weight spaces of odd parity relative to the top weight.
+def supercharacter(cr: CharacterResult) -> dict[tuple[int, ...], int]:
+    """The supercharacter in orbit form: signs flipped on the weight spaces
+    of odd parity relative to the top weight.
 
     Parity is graded by the total d-degree: odd roots shift it by one, even
     roots by zero or two.  W keeps the d-degree modulo 2 on an integral
@@ -457,36 +464,4 @@ def supercharacter(cr: CharacterResult) -> LaurentPolynomial:
         return sum(exp[: alg.n]) // 2 % 2
 
     top = parity(cr.highest_weight.exponent_key())
-    return expand_orbits(alg, {mu: c if parity(mu) == top else -c for mu, c in cr.orbits.items()})
-
-
-def monomial_text(p: LaurentPolynomial, n: int, m: int) -> str:
-    """Render in the variables x_i = e^{e_i}, y_j = e^{d_j}.
-
-    Exponents print doubled-halved, so x1^(1/2) can occur in denominators.
-    """
-
-    def power(name: str, doubled: int) -> str:
-        if doubled == 0:
-            return ""
-        if doubled == 2:
-            return name
-        if doubled % 2 == 0:
-            return f"{name}^{doubled // 2}"
-        return f"{name}^({doubled}/2)"
-
-    chunks = []
-    for exp, coef in p.sorted_terms():
-        factors = [power(f"y{j + 1}", exp[j]) for j in range(n)]
-        factors += [power(f"x{i + 1}", exp[n + i]) for i in range(m)]
-        factors = [f for f in factors if f]
-        body = "*".join(factors)
-        if not body:
-            chunks.append(str(coef))
-        elif coef == 1:
-            chunks.append(body)
-        elif coef == -1:
-            chunks.append(f"-{body}")
-        else:
-            chunks.append(f"{coef}*{body}")
-    return " + ".join(chunks).replace("+ -", "- ") if chunks else "0"
+    return {mu: c if parity(mu) == top else -c for mu, c in cr.orbits.items()}

@@ -43,8 +43,8 @@ from .characters import (
     canonical_levi_roots,
     euler_char_character,
     kw_character,
-    monomial_text,
     orbits_json,
+    orbits_text,
 )
 
 # bad input exits 1; anything else, a stray ValueError included, is an
@@ -135,7 +135,7 @@ def _cmd_character(args) -> int:
         f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
         f"T = {{{', '.join(str(r) for r in cr.T_used)}}}",
         f"dim = {cr.dimension}",
-        f"ch = {monomial_text(cr.character, alg.n, alg.m)}",
+        f"ch = {orbits_text(alg, cr.orbits)}",
     ]
     _emit(payload, False, lines)
     return 0

@@ -1,9 +1,9 @@
-"""Exact weight vectors and sparse Laurent polynomials.
+"""Exact weight vectors, their ``p/2`` rendering, and the library's errors.
 
 Everything here is pure integer arithmetic: a half-integer is stored doubled,
-as an int, both in weight coordinates and in Laurent exponent vectors, so no
-rational or floating arithmetic ever occurs.  Coefficients are Python ints
-(arbitrary precision).  All values are immutable and safe to share.
+as an int, both in weight coordinates and in the exponent tuples of the
+characters, so no rational or floating arithmetic ever occurs.  All values
+are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -114,52 +114,3 @@ class Weight(NamedTuple):
         left = ",".join(map(half_str, self.delta))
         right = ",".join(map(half_str, self.eps))
         return f"({left}|{right})"
-
-
-class LaurentPolynomial:
-    """Finitely supported Z-valued function on the rank-r half-integer lattice.
-
-    ``terms`` maps doubled exponent tuples to nonzero int coefficients.  The
-    canonical form (no zero coefficients) makes ``==`` mathematical equality.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.rank = rank
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exp, coef in terms.items():
-                if coef:
-                    if len(exp) != rank:
-                        raise ValueError("exponent rank mismatch")
-                    clean[exp] = coef
-        self.terms = clean
-
-    @classmethod
-    def _adopt(cls, rank: int, terms: dict[tuple[int, ...], int]) -> "LaurentPolynomial":
-        """Wrap a dict already in canonical form (nonzero coefficients, exponents
-        of length rank) without copying or checking it; the caller hands it over."""
-        p = cls.__new__(cls)
-        p.rank = rank
-        p.terms = terms
-        return p
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; equality is structural
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in descending leading-term (lex, delta axes first) order."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "LaurentPolynomial(0)"
-        parts = [f"{c}*e{list(e)}" for e, c in self.sorted_terms()[:6]]
-        more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
-        return "LaurentPolynomial(" + " + ".join(parts) + more + ")"
-

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,12 +77,12 @@ class Algebra(_AlgebraFields):
         return f"osp({ell}|{2 * self.n})"
 
 
-def pairing(x: Weight, y: Weight) -> Fraction:
-    """The standard form: sum of e-products minus sum of d-products."""
+def pairing4(x: Weight, y: Weight) -> int:
+    """4(x, y) for the standard form, the sum of e-products minus the sum of
+    d-products: an integer on doubled coordinates."""
     if x.n != y.n or x.m != y.m:
         raise ValueError("weight rank mismatch in pairing")
-    doubled4 = sum(a * b for a, b in zip(x.eps, y.eps)) - sum(a * b for a, b in zip(x.delta, y.delta))
-    return Fraction(doubled4, 4)
+    return sum(a * b for a, b in zip(x.eps, y.eps)) - sum(a * b for a, b in zip(x.delta, y.delta))
 
 
 class Root(NamedTuple):
@@ -92,7 +91,7 @@ class Root(NamedTuple):
 
     @property
     def is_isotropic(self) -> bool:
-        return pairing(self.weight, self.weight) == 0
+        return pairing4(self.weight, self.weight) == 0
 
     def __str__(self) -> str:
         return root_str(self)
@@ -544,7 +543,7 @@ def odd_reflection(b: BorelData, alpha: Root, gamma: Weight) -> tuple[BorelData,
         # a signed sequence ending in e denotes the same Borel unsigned
         sign = 1
     b2 = borel_from_sequence(b.algebra, EpsDeltaSequence(tuple(symbols), sign))
-    return b2, gamma - alpha.weight if pairing(gamma, alpha.weight) != 0 else gamma
+    return b2, gamma - alpha.weight if pairing4(gamma, alpha.weight) != 0 else gamma
 
 
 def _bubble_moves(start: tuple[str, ...], target: tuple[str, ...]) -> Iterator[int]:
@@ -612,47 +611,43 @@ def sigma_twist(alg: Algebra, obj):
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra over the weight space
+# Coordinates in a Borel's simple roots
 
 
-def coords_in_basis(basis: list[Weight], target: Weight) -> list[Fraction] | None:
-    """Coordinates of target in the given independent weights, or None."""
-    rank = target.n + target.m
-    rows = [[Fraction(w.exponent_key()[i], 2) for w in basis] for i in range(rank)]
-    rhs = [Fraction(v, 2) for v in target.exponent_key()]
-    ncols = len(basis)
-    # Gauss-Jordan elimination over Fractions
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        if row >= rank:
-            break
-        pivot_row = next((r for r in range(row, rank) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
-        rhs[row], rhs[pivot_row] = rhs[pivot_row], rhs[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [x * inv for x in rows[row]]
-        rhs[row] = rhs[row] * inv
-        for r in range(rank):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-                rhs[r] = rhs[r] - factor * rhs[row]
-        pivots.append((row, col))
-        row += 1
+class NotSimpleRoot(Exception):
+    """A root named as a simple root of a Borel is not one of them."""
 
-    coords = [Fraction(0)] * ncols
-    for row, c in pivots:
-        coords[c] = rhs[row]
-    # exact verification by direct evaluation; also guards dependent input
-    total = [Fraction(0)] * rank
-    for c, w in zip(coords, basis):
-        for i, v in enumerate(w.exponent_key()):
-            total[i] += c * Fraction(v, 2)
-    for got, want in zip(total, (Fraction(v, 2) for v in target.exponent_key())):
-        if got != want:
-            return None
-    return coords
 
+def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
+    """4 times the coordinates of x in b's simple roots, which form a basis.
+
+    With w_1, ..., w_N the weights of b's sequence (e_m negated on a signed
+    one) and x_i the coefficient of w_i in x, the simple roots are the
+    w_i - w_{i+1} and a terminal root.  In family B that is w_N, so the i-th
+    coordinate is the partial sum x_1 + ... + x_i.  In family D it is 2 w_N
+    or w_{N-1} + w_N, and at this fork the last coordinate is half the full
+    sum; for w_{N-1} + w_N the one before it is (x_1 + ... + x_{N-1} - x_N) / 2.
+    """
+    m, negated = b.algebra.m, b.sequence.sign == -1
+    values = [
+        x.delta[i - 1] if kind == "d" else -x.eps[i - 1] if negated and i == m else x.eps[i - 1]
+        for kind, i in b.sequence.numbered()
+    ]
+    sums = list(itertools.accumulate(values))  # of doubled entries: 2 * sums[i] is 4 c_i
+    coords = [2 * s for s in sums]
+    if b.algebra.family == FAMILY_D:
+        coords[-1] = sums[-1]
+        if b.sequence.symbols[-1] == "e":
+            coords[-2] = sums[-2] - values[-1]
+    return tuple(coords)
+
+
+def in_simple_span(b: BorelData, simple_roots: tuple[Root, ...], x: Weight) -> bool:
+    """Whether x lies in the span of some of b's simple roots: its
+    coordinates vanish at every other index.  Raises ``NotSimpleRoot`` for a
+    root that is not simple in b."""
+    try:
+        indices = {b.simple_roots.index(r) for r in simple_roots}
+    except ValueError:
+        raise NotSimpleRoot(f"a root of {[str(r) for r in simple_roots]} is not simple in {b.sequence}") from None
+    return not any(c for i, c in enumerate(simple_coords4(b, x)) if i not in indices)

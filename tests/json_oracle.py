@@ -6,7 +6,7 @@ byte for byte: every term of the expanded polynomial as a dict, passed
 through ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
 """
 
-from ospchar.exactnum import LaurentPolynomial
+from oracles import LaurentPolynomial
 
 
 def poly_to_json(p: LaurentPolynomial) -> list[dict]:

@@ -2,9 +2,16 @@
 against.  None of them runs in production, and no library module imports
 this file.
 
+- A sparse Laurent polynomial type (``LaurentPolynomial``), the expansion
+  of an orbit form into one (``expand_orbits``, ``character``) and its text
+  rendering (``monomial_text``): the library keeps every character in orbit
+  form and renders it from there.
 - Laurent polynomial arithmetic (``monomial``, ``poly_sum``, ``scaled``,
   ``poly_product``, ``evaluate_at_one``) and the expanded Weyl denominators
   (``denominators``), which the library keeps only as root data.
+- Coordinates in a basis of weights by Gauss-Jordan elimination over
+  ``Fraction`` (``coords_in_basis``), against the library's integer
+  simple-root coordinates.
 - Exact long division of Laurent polynomials (``exact_divide``,
   ``divide_by_factors``), the route the character pipeline replaced.
 - The Weyl group element by element (``weyl_group``) and the naive signed
@@ -44,8 +51,8 @@ from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from ospchar.atyp import atypicality_degree_brute
-from ospchar.characters import _cleared_sum, expand_orbits
-from ospchar.exactnum import InternalError, LaurentPolynomial, NotDivisible, Weight
+from ospchar.characters import CharacterResult, _cleared_sum
+from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
 from ospchar.rootdata import (
     FAMILY_D,
@@ -57,9 +64,155 @@ from ospchar.rootdata import (
     all_sequences,
     b_standard,
     borel_from_sequence,
-    pairing,
+    pairing4,
     weyl_factors,
+    weyl_orbit,
 )
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials and the expansion of an orbit form
+
+
+class LaurentPolynomial:
+    """Finitely supported Z-valued function on the rank-r half-integer lattice.
+
+    ``terms`` maps doubled exponent tuples to nonzero int coefficients.  The
+    canonical form (no zero coefficients) makes ``==`` mathematical equality.
+    """
+
+    __slots__ = ("rank", "terms")
+
+    def __init__(self, rank: int, terms: dict[tuple[int, ...], int] | None = None):
+        self.rank = rank
+        clean: dict[tuple[int, ...], int] = {}
+        if terms:
+            for exp, coef in terms.items():
+                if coef:
+                    if len(exp) != rank:
+                        raise ValueError("exponent rank mismatch")
+                    clean[exp] = coef
+        self.terms = clean
+
+    @classmethod
+    def _adopt(cls, rank: int, terms: dict[tuple[int, ...], int]) -> "LaurentPolynomial":
+        """Wrap a dict already in canonical form (nonzero coefficients, exponents
+        of length rank) without copying or checking it; the caller hands it over."""
+        p = cls.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        return p
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
+        return self.rank == other.rank and self.terms == other.terms
+
+    __hash__ = None  # mutable dict inside; equality is structural
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Terms in descending leading-term (lex, delta axes first) order."""
+        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "LaurentPolynomial(0)"
+        parts = [f"{c}*e{list(e)}" for e, c in self.sorted_terms()[:6]]
+        more = "" if len(self.terms) <= 6 else f" ... ({len(self.terms)} terms)"
+        return "LaurentPolynomial(" + " + ".join(parts) + more + ")"
+
+
+def expand_orbits(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> LaurentPolynomial:
+    """The polynomial sum_mu c_mu sum_{x in W mu} e^x of an orbit form
+    {dominant mu: nonzero c_mu}."""
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, coef in orbits.items():
+        for exp in weyl_orbit(alg, mu):
+            terms[exp] = coef
+    return LaurentPolynomial._adopt(alg.rank, terms)
+
+
+def character(cr: CharacterResult) -> LaurentPolynomial:
+    """The character of a result, its orbit form expanded."""
+    return expand_orbits(cr.borel_used.algebra, cr.orbits)
+
+
+def monomial_text(p: LaurentPolynomial, n: int, m: int) -> str:
+    """Render in the variables x_i = e^{e_i}, y_j = e^{d_j}.
+
+    Exponents print doubled-halved, so x1^(1/2) can occur in denominators.
+    """
+
+    def power(name: str, doubled: int) -> str:
+        if doubled == 0:
+            return ""
+        if doubled == 2:
+            return name
+        if doubled % 2 == 0:
+            return f"{name}^{doubled // 2}"
+        return f"{name}^({doubled}/2)"
+
+    chunks = []
+    for exp, coef in p.sorted_terms():
+        factors = [power(f"y{j + 1}", exp[j]) for j in range(n)]
+        factors += [power(f"x{i + 1}", exp[n + i]) for i in range(m)]
+        factors = [f for f in factors if f]
+        body = "*".join(factors)
+        if not body:
+            chunks.append(str(coef))
+        elif coef == 1:
+            chunks.append(body)
+        elif coef == -1:
+            chunks.append(f"-{body}")
+        else:
+            chunks.append(f"{coef}*{body}")
+    return " + ".join(chunks).replace("+ -", "- ") if chunks else "0"
+
+
+# ---------------------------------------------------------------------------
+# Coordinates in a basis of weights
+
+
+def coords_in_basis(basis: list[Weight], target: Weight) -> list[Fraction] | None:
+    """Coordinates of target in the given independent weights, or None."""
+    rank = target.n + target.m
+    rows = [[Fraction(w.exponent_key()[i], 2) for w in basis] for i in range(rank)]
+    rhs = [Fraction(v, 2) for v in target.exponent_key()]
+    ncols = len(basis)
+    # Gauss-Jordan elimination over Fractions
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(ncols):
+        if row >= rank:
+            break
+        pivot_row = next((r for r in range(row, rank) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[row], rows[pivot_row] = rows[pivot_row], rows[row]
+        rhs[row], rhs[pivot_row] = rhs[pivot_row], rhs[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [x * inv for x in rows[row]]
+        rhs[row] = rhs[row] * inv
+        for r in range(rank):
+            if r != row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+                rhs[r] = rhs[r] - factor * rhs[row]
+        pivots.append((row, col))
+        row += 1
+
+    coords = [Fraction(0)] * ncols
+    for row, c in pivots:
+        coords[c] = rhs[row]
+    # exact verification by direct evaluation; also guards dependent input
+    total = [Fraction(0)] * rank
+    for c, w in zip(coords, basis):
+        for i, v in enumerate(w.exponent_key()):
+            total[i] += c * Fraction(v, 2)
+    for got, want in zip(total, (Fraction(v, 2) for v in target.exponent_key())):
+        if got != want:
+            return None
+    return coords
+
 
 # ---------------------------------------------------------------------------
 # Laurent polynomial arithmetic
@@ -433,7 +586,7 @@ def weyl_dimension(alg: Algebra, alternants: dict[tuple[int, ...], int], j: int)
         x = Weight.from_doubled(nu[: alg.n], nu[alg.n :])
         term = Fraction(coef)
         for r in b.pos_even:
-            term *= pairing(x, r.weight) / pairing(b.rho_even, r.weight)
+            term *= Fraction(pairing4(x, r.weight), pairing4(b.rho_even, r.weight))
         total += term
     return total / j
 
@@ -480,7 +633,7 @@ def pairing_edges(shifted: Weight, alg: Algebra, minus_only: bool) -> dict[int, 
         di = Weight.basis_delta(n, m, i)
         for j in range(1, m + 1):
             ej = Weight.basis_eps(n, m, j)
-            if pairing(shifted, di - ej) == 0 or (not minus_only and pairing(shifted, di + ej) == 0):
+            if pairing4(shifted, di - ej) == 0 or (not minus_only and pairing4(shifted, di + ej) == 0):
                 edges.setdefault(i - 1, set()).add(j - 1)
     return edges
 
@@ -512,10 +665,10 @@ def tame_by_definition(lam: HookPartition, alg: Algebra) -> bool:
         orth = [
             r.weight
             for r in b.simple_roots
-            if r.parity == 1 and r.is_isotropic and pairing(shifted, r.weight) == 0
+            if r.parity == 1 and r.is_isotropic and pairing4(shifted, r.weight) == 0
         ]
         for subset in itertools.combinations(orth, k):
-            if all(pairing(x, y) == 0 for x, y in itertools.combinations(subset, 2)):
+            if all(pairing4(x, y) == 0 for x, y in itertools.combinations(subset, 2)):
                 return True
     return False
 

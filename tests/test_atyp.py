@@ -18,7 +18,7 @@ from ospchar.atyp import (
 )
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
-from ospchar.rootdata import Algebra, b_standard, pairing
+from ospchar.rootdata import Algebra, b_standard, pairing4
 from ospchar.hook import highest_weight_via_reflections
 from oracles import e_by_transpose, max_matching_brute, pairing_edges, tame_by_definition
 
@@ -62,7 +62,7 @@ class TestAtypicalityDegree:
 def pairing_case_ii_hits(shifted, alg):
     n, m = alg.n, alg.m
     em = Weight.basis_eps(n, m, m)
-    return [i for i in range(1, n + 1) if pairing(shifted, Weight.basis_delta(n, m, i) + em) == 0]
+    return [i for i in range(1, n + 1) if pairing4(shifted, Weight.basis_delta(n, m, i) + em) == 0]
 
 
 class TestIntegerEdges:
@@ -229,11 +229,11 @@ class TestDistinguishedT:
                 for r in rep.distinguished_T:
                     assert r in b.simple_roots
                     assert r.is_isotropic
-                    assert pairing(shifted, r.weight) == 0
+                    assert pairing4(shifted, r.weight) == 0
                 for r1 in rep.distinguished_T:
                     for r2 in rep.distinguished_T:
                         if r1 != r2:
-                            assert pairing(r1.weight, r2.weight) == 0
+                            assert pairing4(r1.weight, r2.weight) == 0
 
 
 class TestJLambda:

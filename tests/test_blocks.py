@@ -16,7 +16,7 @@ from ospchar.blocks import (
 )
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, highest_weight_via_reflections, hook_partitions, natural_weight
-from ospchar.rootdata import Algebra, b_standard, make_root, pairing
+from ospchar.rootdata import Algebra, b_standard, make_root, pairing4
 from oracles import even_nilradical_by_hand, max_matching_brute, pairing_edges
 
 B33 = Algebra("B", 3, 3)
@@ -263,7 +263,7 @@ class TestAdmissibilityPositivity:
         "label", ["B:1:1", "B:2:2", "B:3:3", "B:2:3", "B:3:2", "D:2:1", "D:2:2", "D:3:2", "D:2:3", "D:3:3"]
     )
     def test_against_the_hand_built_nilradical(self, monkeypatch, label):
-        """The roots the check tries, read off its pairing(w, w) calls, are
+        """The roots the check tries, read off its pairing4(w, w) calls, are
         the hand-built nilradical in descending exponent order, up to and
         including the first violation, which is the witness."""
         import ospchar.blocks
@@ -273,9 +273,9 @@ class TestAdmissibilityPositivity:
         def spy(x, y):
             if x is y:
                 tried.append(x)
-            return pairing(x, y)
+            return pairing4(x, y)
 
-        monkeypatch.setattr(ospchar.blocks, "pairing", spy)
+        monkeypatch.setattr(ospchar.blocks, "pairing4", spy)
         alg = Algebra.parse(label)
         checked = 0
         for lam in hook_partitions(alg.n, alg.m, 6):
@@ -285,7 +285,8 @@ class TestAdmissibilityPositivity:
             b = report.witness_borel
             shifted = highest_weight_via_reflections(lam, b) + b.rho
             want = sorted(even_nilradical_by_hand(lam, alg), key=Weight.exponent_key, reverse=True)
-            bad = [w for w in want if not pairing(shifted, w) / pairing(w, w) > 0]
+            # (shifted, w) / (w, w) > 0 as the sign of a product of integers
+            bad = [w for w in want if not pairing4(shifted, w) * pairing4(w, w) > 0]
             tried.clear()
             ok, witness = admissibility_positivity(lam, alg)
             assert ok == (not bad), lam.parts

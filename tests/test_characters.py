@@ -14,15 +14,16 @@ from ospchar.characters import (
     _racah,
     _seed_terms,
     _delta_index,
+    _levi_odd_roots,
     _divided_orbits,
     _eps_straightened,
     canonical_levi_roots,
     euler_char_character,
-    expand_orbits,
     kw_character,
+    orbits_text,
     supercharacter,
 )
-from ospchar.exactnum import LaurentPolynomial, NotDivisible, Weight
+from ospchar.exactnum import NotDivisible, Weight
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -35,22 +36,26 @@ from ospchar.rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
-    coords_in_basis,
     even_rho,
     height,
-    pairing,
+    pairing4,
     weyl_factors,
 )
 from oracles import (
+    LaurentPolynomial,
+    character,
     cleared_seed,
+    coords_in_basis,
     denominators,
     divide_by_factors,
     dominant,
     evaluate_at_one,
     even_factors,
+    expand_orbits,
     kw_character_with_borel,
     map_exponents,
     monomial,
+    monomial_text,
     naive_cleared_sum,
     naive_numerator,
     poly_product,
@@ -110,9 +115,9 @@ class TestTrivialModuleIdentity:
         for alg in (B11, B22, D21, D22, D32):
             lam = HookPartition.of((), alg.n, alg.m)
             cr = kw_character(lam, alg)
-            assert cr.character == one(alg), alg.label()
+            assert character(cr) == one(alg), alg.label()
             assert cr.dimension == 1
-            assert evaluate_at_one(cr.character) == 1
+            assert evaluate_at_one(character(cr)) == 1
 
     def test_j_and_T_match_square_shapes(self):
         import math
@@ -137,20 +142,21 @@ class TestKWCharacter:
                 if not rep.tame:
                     continue
                 cr = kw_character(lam, alg)
-                assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
-                assert all(c > 0 for c in cr.character.terms.values())
+                ch = character(cr)
+                assert ch.terms[cr.highest_weight.exponent_key()] == 1
+                assert all(c > 0 for c in ch.terms.values())
 
     def test_w_invariance(self):
         for alg in (B11, D21):
             for lam in hook_partitions(alg.n, alg.m, 4):
                 if not is_tame(lam, alg).tame:
                     continue
-                assert is_w_invariant(alg, kw_character(lam, alg).character)
+                assert is_w_invariant(alg, character(kw_character(lam, alg)))
 
     def test_no_weight_exceeds_highest(self):
         b = b_standard(B11)
         cr = kw_character(HookPartition.of((2,), 1, 1), B11)
-        for exp in cr.character.terms:
+        for exp in character(cr).terms:
             w = Weight.from_doubled(exp[:1], exp[1:])
             assert preceq(w, cr.highest_weight, b)
 
@@ -160,7 +166,7 @@ class TestKWCharacter:
                 rep = is_tame(lam, alg)
                 if rep.atypicality_k != 0:
                     continue
-                ref = kw_character(lam, alg).character
+                ref = character(kw_character(lam, alg))
                 for seq in all_sequences(alg):
                     b = borel_from_sequence(alg, seq)
                     minus = seq.sign == -1
@@ -179,7 +185,7 @@ class TestKWCharacter:
         d0, _ = denominators(b)
         lam_b = highest_weight_via_reflections(lam, b)
         raw = weyl_alternating_sum(B22, cleared_seed(b, lam_b, set(cr.T_used)))
-        assert scaled(poly_product(cr.character, d0), cr.j_used) == raw
+        assert scaled(poly_product(character(cr), d0), cr.j_used) == raw
 
     def test_sigma_twist_identity_family_d(self):
         for alg in (D21, D22):
@@ -188,22 +194,23 @@ class TestKWCharacter:
                     continue
                 plus = kw_character(lam, alg)
                 minus = kw_character(lam, alg, minus=True)
-                assert minus.character == sigma_twist_poly(alg, plus.character)
+                assert character(minus) == sigma_twist_poly(alg, character(plus))
                 assert minus.highest_weight == natural_weight(lam)[1]
-                assert minus.character.terms[minus.highest_weight.exponent_key()] == 1
+                assert character(minus).terms[minus.highest_weight.exponent_key()] == 1
 
     def test_osp_7_6_gamma_full_evaluation(self):
         # |W| = 2304 and a 37 456-term seed
         alg = Algebra("B", 3, 3)
         lam = HookPartition.of((5,), 3, 3)
         cr = kw_character(lam, alg)
-        assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
-        assert all(c > 0 for c in cr.character.terms.values())
+        ch = character(cr)
+        assert ch.terms[cr.highest_weight.exponent_key()] == 1
+        assert all(c > 0 for c in ch.terms.values())
         assert cr.j_used == 8
         assert cr.dimension == 3276  # frozen from this evaluation, cross-run stable
         rng = random.Random(11)
         for _, act in rng.sample(weyl_group(alg), 12):
-            assert map_exponents(cr.character, act) == cr.character
+            assert map_exponents(ch, act) == ch
 
 
 ORACLE_ALGEBRAS = [Algebra.parse(a) for a in ("B:1:1", "B:1:2", "B:2:1", "B:2:2", "D:2:1", "D:2:2")]
@@ -285,6 +292,25 @@ def test_kw_orbits_match_the_full_seed(label, parts):
 RANK_3_SWEEP = [Algebra(f, m, n) for m in (1, 2, 3) for n in (1, 2, 3) for f in ("B", "D") if f == "B" or m >= 2]
 
 
+@pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)
+def test_levi_odd_roots_match_the_span_solve(alg):
+    # "in the span of the canonical Levi's simple roots", read off as zero
+    # coordinates outside their indices, against the Fraction solve; every
+    # canonical Levi root is simple in the witness Borel, or this raises
+    checked = 0
+    for minus in (False, True) if alg.family == "D" else (False,):
+        for lam in hook_partitions(alg.n, alg.m, 6):
+            rep = is_tame(lam, alg, minus)
+            if not rep.tame or not rep.atypicality_k:
+                continue
+            b = rep.witness_borel
+            levi = [r.weight for r in canonical_levi_roots(b, rep)]
+            want = frozenset(r for r in b.pos_odd if in_span(levi, r.weight))
+            assert _levi_odd_roots(b, canonical_levi_roots(b, rep)) == want, (lam.parts, minus)
+            checked += 1
+    assert checked
+
+
 def checked_dimension(lam, alg):
     """``CharacterResult.dimension``, through Racah, the orbit sizes and the
     j division, after checking it against Weyl's formula on the alternants."""
@@ -311,7 +337,7 @@ def kac_typical_dimension(lam, alg):
     shifted = natural_weight(lam)[0] + b.rho
     dim = Fraction(2 ** len(b.pos_odd))
     for r in b.pos_even:
-        dim *= pairing(shifted, r.weight) / pairing(b.rho_even, r.weight)
+        dim *= Fraction(pairing4(shifted, r.weight), pairing4(b.rho_even, r.weight))
     return dim
 
 
@@ -324,7 +350,7 @@ class TestDominantPipelineOracle:
             b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
             lam_b = highest_weight_via_reflections(lam, b)
             want = naive_cleared_sum(b, lam_b, set(rep.distinguished_T), rep.j_lambda)
-            assert kw_character(lam, alg).character == want, lam.parts
+            assert character(kw_character(lam, alg)) == want, lam.parts
 
     def test_kw_character_with_borel_over_every_borel(self, alg):
         # D_0 != 0, so numerator / D_0 = got exactly when numerator = D_0 got:
@@ -368,7 +394,7 @@ class TestDominantPipelineOracle:
         for lam in typical:
             shifted = highest_weight_via_reflections(lam, b) + b.rho
             numerator = weyl_alternating_sum(alg, monomial(shifted, 1))
-            ch = kw_character(lam, alg).character
+            ch = character(kw_character(lam, alg))
             assert ch == divide_by_factors(poly_product(d1, numerator), even_factors(b)), lam.parts
             if alg.family == "D":
                 assert ch == poly_product(d1, divide_by_factors(numerator, even_factors(b))), lam.parts
@@ -521,12 +547,12 @@ class TestStructuralCrossChecks:
     def test_defining_module_of_osp_4_2(self):
         # C^{4|2}: highest weight d_1, six weights, all multiplicity one
         cr = kw_character(HookPartition.of((1,), 1, 2), D21)
-        assert cr.character.terms == {
+        assert character(cr).terms == {
             (2, 0, 0): 1, (-2, 0, 0): 1,
             (0, 2, 0): 1, (0, -2, 0): 1,
             (0, 0, 2): 1, (0, 0, -2): 1,
         }
-        assert evaluate_at_one(supercharacter(cr)) == -2  # sdim(C^{4|2}) up to sign
+        assert evaluate_at_one(expand_orbits(D21, supercharacter(cr))) == -2  # sdim(C^{4|2}) up to sign
 
     def test_adjoint_block_bottoms_at_trivial(self):
         # the adjoint highest weight shares the trivial central character
@@ -553,13 +579,14 @@ class TestSignedBorelCase:
         assert lam_b + b.rho == natural_weight(lam)[0] + b_standard(D22).rho
         cr = kw_character(lam, D22)
         assert cr.dimension == 1120
-        assert cr.character.terms[cr.highest_weight.exponent_key()] == 1
-        assert all(c > 0 for c in cr.character.terms.values())
-        assert is_w_invariant(D22, cr.character)
+        ch = character(cr)
+        assert ch.terms[cr.highest_weight.exponent_key()] == 1
+        assert all(c > 0 for c in ch.terms.values())
+        assert is_w_invariant(D22, ch)
         euler = euler_char_character(canonical_levi_roots(b, rep), lam_b, b)
         assert euler == cr.orbits
         crm = kw_character(lam, D22, minus=True)
-        assert crm.character == sigma_twist_poly(D22, cr.character)
+        assert character(crm) == sigma_twist_poly(D22, ch)
         assert str(crm.borel_used.sequence) == "eded"
         assert [str(r) for r in crm.T_used] == ["d1-e2"]
 
@@ -601,8 +628,8 @@ class TestEulerCharacter:
 class TestSupercharacterAndDimension:
     def test_trivial_module_unchanged(self):
         cr = kw_character(HookPartition.of((), 1, 1), B11)
-        assert supercharacter(cr) == cr.character
-        assert evaluate_at_one(supercharacter(cr)) == 1
+        assert supercharacter(cr) == cr.orbits
+        assert evaluate_at_one(expand_orbits(B11, supercharacter(cr))) == 1
 
     def test_single_term_unchanged(self):
         from ospchar.characters import CharacterResult
@@ -610,16 +637,16 @@ class TestSupercharacterAndDimension:
         # one dominant weight: its W-orbit has a single d-parity
         hw = Weight.from_ints([3], [1])
         cr = CharacterResult({hw.exponent_key(): 1}, hw, b_standard(B11), (), 1, 0)
-        assert len(cr.character.terms) == cr.dimension == 4
-        assert supercharacter(cr) == cr.character
+        assert len(character(cr).terms) == cr.dimension == 4
+        assert supercharacter(cr) == cr.orbits
 
     def test_parity_grading_flips_odd_weight_spaces(self):
         cr = kw_character(HookPartition.of((2,), 1, 1), B11)
-        sc = supercharacter(cr)
+        sc, ch = expand_orbits(B11, supercharacter(cr)), character(cr)
         hw_d = cr.highest_weight.exponent_key()[0] // 2
         for exp, coef in sc.terms.items():
             parity = ((exp[0] // 2) - hw_d) % 2
-            assert coef == cr.character.terms[exp] * (1 if parity == 0 else -1)
+            assert coef == ch.terms[exp] * (1 if parity == 0 else -1)
 
     def test_dimension_borel_independent_for_typical(self):
         lam = HookPartition.of((2,), 1, 1)
@@ -630,13 +657,11 @@ class TestSupercharacterAndDimension:
             b = borel_from_sequence(B11, seq)
             dims.add(evaluate_at_one(kw_character_with_borel(lam, B11, b, (), 1)))
         assert dims == {cr.dimension}
-        assert evaluate_at_one(cr.character) == cr.dimension >= 1
+        assert evaluate_at_one(character(cr)) == cr.dimension >= 1
 
 
 class TestMonomialText:
     def test_variables_and_half_exponents(self):
-        from ospchar.characters import monomial_text
-
         p = poly_sum(
             monomial(Weight.from_ints([2], [0]), 1),
             monomial(Weight.from_doubled([1], [-1]), -2),
@@ -644,11 +669,27 @@ class TestMonomialText:
         )
         assert monomial_text(p, 1, 1) == "y1^2 - 2*y1^(1/2)*x1^(-1/2) + 3"
 
+    def test_orbit_form_by_hand(self):
+        # B:1:1: the orbit of (1 | 1/2) is (+-1 | +-1/2), of (0 | 0) itself
+        orbits = {(2, 1): -2, (0, 0): 3}
+        assert orbits_text(B11, orbits) == (
+            "-2*y1*x1^(1/2) - 2*y1*x1^(-1/2) + 3 - 2*y1^-1*x1^(1/2) - 2*y1^-1*x1^(-1/2)"
+        )
+        assert orbits_text(B11, {}) == "0"
+
     def test_trivial_character(self):
         cr = kw_character(HookPartition.of((), 1, 1), B11)
-        from ospchar.characters import monomial_text
+        assert orbits_text(B11, cr.orbits) == monomial_text(character(cr), 1, 1) == "1"
 
-        assert monomial_text(cr.character, 1, 1) == "1"
+    @pytest.mark.parametrize("alg", [B11, Algebra("B", 1, 2), Algebra("B", 2, 1), D21, D22], ids=Algebra.label)
+    def test_orbit_form_against_the_expanded_polynomial(self, alg):
+        # family B puts half-integral eps exponents into every weight
+        for lam, _ in tame_weights(alg, 5):
+            for minus in (False, True) if alg.family == "D" else (False,):
+                cr = kw_character(lam, alg, minus=minus)
+                for orbits in (cr.orbits, supercharacter(cr)):
+                    want = monomial_text(expand_orbits(alg, orbits), alg.n, alg.m)
+                    assert orbits_text(alg, orbits) == want, (lam.parts, minus)
 
 
 SUPERSYMMETRY_SWEEP = [
@@ -664,8 +705,8 @@ def test_supercharacters_are_supersymmetric():
     for alg, size in SUPERSYMMETRY_SWEEP:
         for lam, _ in tame_weights(alg, size):
             cr = kw_character(lam, alg)
-            assert supersymmetry_violations(supercharacter(cr), alg.n, alg.m) == [], (alg.label(), lam.parts)
-            plain_failures += bool(supersymmetry_violations(cr.character, alg.n, alg.m))
+            assert supersymmetry_violations(expand_orbits(alg, supercharacter(cr)), alg.n, alg.m) == [], (alg.label(), lam.parts)
+            plain_failures += bool(supersymmetry_violations(character(cr), alg.n, alg.m))
             checked += 1
     assert checked >= 50
     assert plain_failures >= 3 * checked // 4
@@ -676,22 +717,23 @@ def test_supersymmetry_catches_a_perturbed_orbit():
     lam = HookPartition.of((2, 1), 2, 2)
     cr = kw_character(lam, D22)
     mu = max(cr.orbits)
-    sc = poly_sum(supercharacter(cr), expand_orbits(D22, {mu: 1}))
+    sc = poly_sum(expand_orbits(D22, supercharacter(cr)), expand_orbits(D22, {mu: 1}))
     assert is_w_invariant(D22, sc)
     assert supersymmetry_violations(sc, D22.n, D22.m)
 
 
 def test_euler_excluded_set_is_built_once(monkeypatch):
     import ospchar.characters as characters
+    import ospchar.rootdata as rootdata
 
     solves = []
-    original = characters.coords_in_basis
+    original = rootdata.simple_coords4
 
-    def counting(basis, target):
+    def counting(b, target):
         solves.append(target)
-        return original(basis, target)
+        return original(b, target)
 
-    monkeypatch.setattr(characters, "coords_in_basis", counting)
+    monkeypatch.setattr(rootdata, "simple_coords4", counting)
     characters._levi_odd_roots.cache_clear()
     b = b_odd(D32)
     levi = b.simple_roots[:-1]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ospchar.atyp import is_tame
-from ospchar.characters import expand_orbits, kw_character, monomial_text, orbits_json
+from ospchar.characters import kw_character, orbits_json
 from ospchar.cli import build_parser, main
 from ospchar.hook import (
     HookPartition,
@@ -19,7 +19,15 @@ from ospchar.hook import (
 )
 from ospchar.rootdata import Algebra, b_standard
 from json_oracle import poly_from_json, poly_to_json
-from oracles import dominant, evaluate_at_one, naive_cleared_sum, sigma_twist_poly
+from oracles import (
+    character,
+    dominant,
+    evaluate_at_one,
+    expand_orbits,
+    monomial_text,
+    naive_cleared_sum,
+    sigma_twist_poly,
+)
 
 
 def run_cli(capsys, *argv):
@@ -162,7 +170,7 @@ def test_character_output_matches_expanded_oracle(capsys, label):
             cr = kw_character(lam, alg, minus=minus)
             want = sigma_twist_poly(alg, plain) if minus else plain
             assert all(dominant(alg, mu) == mu for mu in cr.orbits), lam.parts
-            assert cr.character == want, lam.parts
+            assert character(cr) == want, lam.parts
             assert cr.dimension == evaluate_at_one(want), lam.parts
 
             flags = ["--minus"] if minus else []
@@ -206,6 +214,8 @@ def test_orbits_json_matches_the_expanded_oracle_on_large_characters(label, part
 
 
 def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
+    # the JSON writer takes each factor's orbits apart; in characters only
+    # the text renderer walks whole W-orbits
     from ospchar import characters
 
     argv = ("character", "--algebra", "D:3:1", "--partition", "3,2,1", "--minus")
@@ -214,9 +224,11 @@ def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the JSON path expanded the orbit form")
 
-    monkeypatch.setattr(characters, "expand_orbits", refuse)
+    monkeypatch.setattr(characters, "weyl_orbit", refuse)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
+    code, _, err = run_cli(capsys, *argv, "--output", "text")
+    assert code == 2 and "expanded the orbit form" in err
 
 
 @pytest.mark.parametrize(
@@ -246,18 +258,22 @@ def test_json_output_builds_no_text_lines(capsys, monkeypatch, argv):
     assert code == 0 and out == want_text and calls
 
 
-def test_the_library_defines_no_polynomial_product():
-    # the seed is expanded binomial by binomial and verify compares orbit
-    # forms; the generic Laurent arithmetic lives in tests/oracles.py only
-    import sys
+def test_the_library_defines_no_polynomial_type():
+    # a character is its orbit form throughout; the polynomial type, its
+    # arithmetic, the orbit expansion and the Fraction solve live in
+    # tests/oracles.py only
+    import importlib
+    import pkgutil
 
-    from ospchar.exactnum import LaurentPolynomial
+    import ospchar
+    from ospchar.characters import CharacterResult
 
-    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
-        assert not hasattr(LaurentPolynomial, op), op
-    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "ospchar"]
-    for name in ("monomial", "evaluate_at_one", "denominators"):
+    modules = [ospchar] + [importlib.import_module(f"ospchar.{info.name}") for info in pkgutil.iter_modules(ospchar.__path__)]
+    assert len(modules) >= 8
+    names = ("LaurentPolynomial", "expand_orbits", "coords_in_basis", "monomial", "evaluate_at_one", "denominators")
+    for name in names:
         assert not any(hasattr(mod, name) for mod in modules), name
+    assert not hasattr(CharacterResult, "character")
 
 
 class TestBlockFamily:

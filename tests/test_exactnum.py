@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospchar.exactnum import LaurentPolynomial, NotDivisible, Weight, half_str
+from ospchar.exactnum import NotDivisible, Weight, half_str
 from json_oracle import poly_from_json, poly_to_json
 from oracles import (
+    LaurentPolynomial,
     evaluate_at_one,
     exact_divide,
     map_exponents,

@@ -1,7 +1,7 @@
 """Tests for Borel data, Weyl machinery, odd reflections, and the D twist."""
 
 import itertools
-from fractions import Fraction
+import random
 
 import pytest
 
@@ -11,25 +11,29 @@ from ospchar.rootdata import (
     EpsDeltaSequence,
     FamilyMismatch,
     NotSimpleIsotropic,
+    NotSimpleRoot,
     Root,
     all_sequences,
     b_odd,
     b_standard,
     borel_from_sequence,
-    coords_in_basis,
     even_rho,
     height,
+    in_simple_span,
     make_root,
     odd_reflection,
-    pairing,
+    pairing4,
     root_str,
     sigma_twist,
+    simple_coords4,
     weyl_factor,
     weyl_factors,
     weyl_orbit,
 )
 from ospchar.cli import _denominator_checks
+from ospchar.hook import hook_partitions, natural_weight
 from oracles import (
+    coords_in_basis,
     denominators,
     dominant,
     map_exponents,
@@ -62,15 +66,70 @@ class TestAlgebra:
 
 
 class TestPairing:
+    # pairing4 is 4 times the form, an int on doubled coordinates
     def test_isotropic_self_pairing(self):
-        assert pairing(w([1], [-1]), w([1], [-1])) == 0
+        assert pairing4(w([1], [-1]), w([1], [-1])) == 0
 
     def test_eps_unit(self):
-        assert pairing(w([0], [1]), w([0], [1])) == 1
+        assert pairing4(w([0], [1]), w([0], [1])) == 4
 
     def test_delta_sign_convention(self):
         x = Weight.from_doubled([11], [0])  # (11/2) d_1
-        assert pairing(x, w([1], [0])) == Fraction(-11, 2)
+        assert pairing4(x, w([1], [0])) == -22
+        assert type(pairing4(x, x)) is int
+
+
+# every algebra with m, n <= 3: B:1:1 to D:3:3
+RANK_3_ALGEBRAS = [Algebra(f, m, n) for f in ("B", "D") for m in (1, 2, 3) for n in (1, 2, 3) if f == "B" or m >= 2]
+
+
+def coordinate_probes(alg, rng):
+    """Every positive root; the differences lambda - mu and lambda + rho - mu
+    of natural hook weights, the second half-integral in family B; and a few
+    random doubled weights with odd entries, half-integral in both families."""
+    naturals = [natural_weight(lam)[0] for lam in hook_partitions(alg.n, alg.m, 2)]
+    rho = b_standard(alg).rho
+    probes = [r.weight for r in b_standard(alg).positive_roots()]
+    probes += [x - y for x in naturals for y in naturals]
+    probes += [x + rho - y for x in naturals for y in naturals]
+    probes += [
+        Weight.from_doubled([rng.randrange(-7, 8, 2) for _ in range(alg.n)], [rng.randint(-5, 5) for _ in range(alg.m)])
+        for _ in range(6)
+    ]
+    return probes
+
+
+@pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
+def test_simple_coords4_match_the_gauss_jordan_solve(alg):
+    # every Borel, signed D ones included: the partial sums, halved at the
+    # type-D fork, against the exact solve over Fraction, scaled by 4
+    rng = random.Random(alg.label())
+    probes = coordinate_probes(alg, rng)
+    assert any(v % 2 for x in probes for v in x.exponent_key())
+    quarters = 0
+    for b in every_borel(alg):
+        simple = [r.weight for r in b.simple_roots]
+        for x in probes:
+            got = simple_coords4(b, x)
+            assert list(got) == [4 * c for c in coords_in_basis(simple, x)], (str(b.sequence), x)
+            quarters += any(c % 2 for c in got)
+    assert (alg.family == "D") == bool(quarters)
+
+
+def test_in_simple_span_refuses_a_root_that_is_not_simple():
+    b = b_standard(D22)
+    levi = b.simple_roots[-2:]
+    assert in_simple_span(b, levi, levi[0].weight + levi[1].weight)
+    assert not in_simple_span(b, levi, b.simple_roots[0].weight)
+    assert in_simple_span(b, (), Weight.zero(D22.n, D22.m))
+    not_simple = make_root(levi[0].weight + levi[1].weight)
+    with pytest.raises(NotSimpleRoot):
+        in_simple_span(b, (not_simple,), not_simple.weight)
+    # the Euler character's excluded set and the positivity check use it
+    from ospchar.characters import euler_char_character
+
+    with pytest.raises(NotSimpleRoot):
+        euler_char_character((not_simple,), Weight.zero(D22.n, D22.m), b)
 
 
 class TestBorelFromSequence:
@@ -123,7 +182,7 @@ class TestBorelFromSequence:
                 for r in b.simple_roots:
                     assert r in allpos
                 for r in allpos:
-                    iso = pairing(r.weight, r.weight) == 0
+                    iso = pairing4(r.weight, r.weight) == 0
                     if iso:
                         assert r.parity == 1
 
@@ -531,7 +590,7 @@ class TestOddReflection:
                         assert b2.rho == b.rho + alpha.weight
                         assert make_root(-alpha.weight) in b2.simple_roots
                         # the shifted weight is kept, or gains alpha when orthogonal
-                        gain = alpha.weight if pairing(gamma, alpha.weight) == 0 else Weight.zero(alg.n, alg.m)
+                        gain = alpha.weight if pairing4(gamma, alpha.weight) == 0 else Weight.zero(alg.n, alg.m)
                         assert g2 + b2.rho == gamma + b.rho + gain
                     if alpha == b.simple_roots[-1]:
                         assert alg.family == "D" and b2.sequence.sign == -1

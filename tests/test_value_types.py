@@ -90,8 +90,10 @@ def test_repr_is_the_field_text():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site hooks, so only what ospchar.cli itself imports is seen
-    code = "import sys, ospchar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: no site hooks, so only what ospchar.cli itself imports is seen;
+    # nor fractions, which would also load decimal
+    modules = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+    code = f"import sys, ospchar.cli; print(sorted({modules} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
