@@ -94,10 +94,8 @@ def e_of_lambda(lam: HookPartition) -> int:
 
 
 def _j_value(alg: Algebra, k: int, e_val: int | None) -> int:
-    """j from k and the report's e, which is None unless the family is D
+    """j from k >= 1 and the report's e, which is None unless the family is D
     and lambda_{n+1} < m."""
-    if k == 0:
-        return 1
     if alg.family == FAMILY_B:
         return math.factorial(k) * 2**k
     if e_val is not None:

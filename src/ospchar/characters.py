@@ -3,10 +3,13 @@
 The formula ch = (1/j) D_0^{-1} sum_w sgn(w) w(e^{s} / prod_{T}(1 + e^{-beta}))
 is evaluated with denominators cleared: the odd denominator identity
 e^{rho_1} prod_{pos odd}(1 + e^{-beta}) = D_1 turns the T-quotient into the
-complementary product, the seed.  Only the seed's alternants matter, and
-``_seed_terms`` builds terms with the same alternants: it straightens their
-eps part before each W_eps-invariant factor (the odd roots through a delta_i
-that T does not touch), so only the blocks T touches are expanded in full.
+complementary product, the seed e^{lambda_b + rho_0} prod_{pos odd minus
+T}(1 + e^{-beta}).  Only the seed's alternants matter.  ``_seed_plan``
+splits the odd roots, once per (Borel, T), into the steps of the delta
+blocks T touches and the free W_eps-invariant blocks (the odd roots through
+a delta_i that T does not touch); ``_seed`` expands the steps in full and
+eps-straightens the terms (``_straightened``) before each free block, which
+keeps the alternants.
 The numerator is W-antisymmetric and the character W-invariant, so only the
 dominant chamber is computed, in three steps, each one factor of
 W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
@@ -14,9 +17,9 @@ alternant A_nu = sum_w sgn(w) e^{w nu} is A^delta_{nu_delta} A^eps_{nu_eps},
 and so is D_0 = A_{rho_0}.
 
 1. Straighten.  A signed sort of the delta and the eps part carries each
-   seed term into the open dominant chamber (each factor's
-   ``WeylFactor.straighten``); terms on a wall are dropped.  The numerator
-   becomes sum_nu c_nu A_nu.
+   seed term into the open dominant chamber (``_straightened``, through
+   each factor's ``WeylFactor.straighten``); terms on a wall are dropped.
+   The numerator becomes sum_nu c_nu A_nu.
 2. Racah.  For one factor, comparing the coefficient of e^{mu + rho} in
    q A_rho = numerator gives, for dominant mu in decreasing height,
    m_mu = c_{mu + rho} - sum_{w != 1} sgn(w) m_{dom(mu + rho - w rho)}
@@ -57,7 +60,6 @@ live in the tests (``tests/oracles.py``), not here.
 from __future__ import annotations
 
 import functools
-from collections.abc import Set
 from typing import NamedTuple
 from operator import add, sub
 
@@ -185,46 +187,52 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
     return " + ".join(chunks).replace("+ -", "- ") if chunks else "0"
 
 
-def _cleared_sum(
-    b: BorelData,
-    shifted: Weight,
-    excluded_odd: Set[Root],
-    j: int = 1,
-) -> dict[tuple[int, ...], int]:
-    """Orbit form of (1/j) D_0^{-1} sum_w sgn(w) w(seed), where the seed is
-    e^{shifted + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
-    return _divided_orbits(b.algebra, _seed_terms(b, shifted, excluded_odd), j)
+@functools.lru_cache(maxsize=None)
+def _seed_plan(
+    b: BorelData, excluded: frozenset[Root]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The seed's block structure, built once per (Borel, excluded set): the
+    start offset rho_0 - sum_i sigma_i, the steps -beta of the touched roots
+    outside the excluded set, and the free blocks, each the halves beta/2 of
+    the odd roots through one untouched delta_i (they multiply to e^{-sigma_i}
+    times the W_eps-invariant prod(e^{beta/2} + e^{-beta/2})).  Odd roots go
+    in exponent order, blocks in order of first appearance."""
+    if not excluded <= b.pos_odd:
+        raise InternalError(f"excluded roots are not positive for {b.sequence}")
 
+    def delta_index(exp: tuple[int, ...]) -> int:
+        # an odd root has one nonzero delta coordinate, and the delta part comes first
+        return next(i for i, v in enumerate(exp) if v)
 
-def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: Set[Root]) -> dict[tuple[int, ...], int]:
-    """Terms with the W-alternants of the seed of ``_cleared_sum``.
-
-    The odd roots through a delta_i that no excluded root touches multiply to
-    e^{-sigma_i} Q_i, sigma_i half their sum and Q_i the product of their
-    e^{beta/2} + e^{-beta/2}.  Q_i is W_eps-invariant, so alternation over W_eps
-    commutes with it: the touched blocks are expanded first, from
-    e^{shifted + rho_1 - sum_i sigma_i}, and the terms eps-straightened before each Q_i.
-    """
-    touched = {_delta_index(r) for r in excluded_odd}
+    touched = {delta_index(r.weight.exponent_key()) for r in excluded}
+    offset = even_rho(b.algebra)
     steps, blocks = [], {}
-    start = (shifted + b.rho_odd).exponent_key()
     for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        i = _delta_index(r)
+        exp = r.weight.exponent_key()
+        i = delta_index(exp)
         if i not in touched:
-            half = tuple(v // 2 for v in r.weight.exponent_key())
+            half = tuple(v // 2 for v in exp)
             blocks.setdefault(i, []).append(half)
-            start = tuple(map(sub, start, half))
-        elif r not in excluded_odd:
-            steps.append((-r.weight).exponent_key())
-    terms = {start: 1}
+            offset = tuple(map(sub, offset, half))
+        elif r not in excluded:
+            steps.append(tuple(-v for v in exp))
+    return offset, tuple(steps), tuple(map(tuple, blocks.values()))
+
+
+def _seed(b: BorelData, lam_b: Weight, excluded: frozenset[Root]) -> dict[tuple[int, ...], int]:
+    """Terms with the W-alternants of the seed e^{lam_b + rho_0} prod_{pos odd
+    minus excluded}(1 + e^{-beta}): the steps expanded from e^{lam_b + offset},
+    then each free block, the terms eps-straightened before it."""
+    offset, steps, blocks = _seed_plan(b, excluded)
+    terms = {tuple(map(add, lam_b.exponent_key(), offset)): 1}
     for step in steps:
         out = dict(terms)
         for exp, coef in terms.items():
             lower = tuple(map(add, exp, step))
             out[lower] = out.get(lower, 0) + coef
         terms = out
-    for halves in blocks.values():
-        terms = _eps_straightened(b.algebra, terms)
+    for halves in blocks:
+        terms = _straightened(b.algebra, terms, False)
         for half in halves:
             out = {}
             for exp, coef in terms.items():
@@ -238,21 +246,20 @@ def _seed_terms(b: BorelData, shifted: Weight, excluded_odd: Set[Root]) -> dict[
     return terms
 
 
-def _delta_index(r: Root) -> int:
-    """The i of the delta_i that the odd root r passes through."""
-    return next(i for i, v in enumerate(r.weight.delta) if v)
-
-
-def _eps_straightened(alg: Algebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Each term's eps part straightened by ``WeylFactor.straighten``: walls dropped, zeros merged away."""
-    n, eps = alg.n, weyl_factors(alg)[1]
+def _straightened(alg: Algebra, terms: dict[tuple[int, ...], int], whole: bool) -> dict[tuple[int, ...], int]:
+    """Each term's eps part, and its delta part as well when whole, straightened
+    by ``WeylFactor.straighten``: walls dropped, zeros merged away.  When whole,
+    the result is the c_nu of sum_w sgn(w) w(terms) = sum_nu c_nu A_nu."""
+    n = alg.n
+    delta, eps = weyl_factors(alg)
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in terms.items():
-        hit = eps.straighten(exp[n:])
-        if hit is None:
+        d = delta.straighten(exp[:n]) if whole else (1, exp[:n])
+        e = eps.straighten(exp[n:]) if d else None
+        if e is None:
             continue
-        key = exp[:n] + hit[1]
-        new = out.get(key, 0) + hit[0] * coef
+        key = d[1] + e[1]
+        new = out.get(key, 0) + d[0] * e[0] * coef
         if new:
             out[key] = new
         else:
@@ -269,32 +276,12 @@ def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> d
     multiplicity is not divisible by j.
     """
     orbits = {}
-    for mu, mult in _dominant_multiplicities(alg, _alternant_coefficients(alg, seed)).items():
+    for mu, mult in _dominant_multiplicities(alg, _straightened(alg, seed, True)).items():
         quotient, rest = divmod(mult, j)
         if rest:
             raise JDivisibilityFailure(f"coefficient {mult} at {mu} not divisible by {j}")
         orbits[mu] = quotient
     return orbits
-
-
-def _alternant_coefficients(alg: Algebra, seed: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """c_nu with sum_w sgn(w) w(seed) = sum_nu c_nu A_nu, nu strictly dominant;
-    the seed is given as its terms."""
-    n = alg.n
-    delta, eps = weyl_factors(alg)
-    out: dict[tuple[int, ...], int] = {}
-    for exp, coef in seed.items():
-        d = delta.straighten(exp[:n])
-        e = eps.straighten(exp[n:]) if d else None
-        if e is None:
-            continue
-        nu = d[1] + e[1]
-        new = out.get(nu, 0) + d[0] * e[0] * coef
-        if new:
-            out[nu] = new
-        else:
-            del out[nu]
-    return out
 
 
 def _in_weight_lattice(n: int, exp: tuple[int, ...]) -> bool:
@@ -395,10 +382,8 @@ def _kw_character(
     ``is_tame(lam, alg, minus)``, the Borel b it names (the witness, or the
     standard Borel for a typical weight) and lam's b-highest weight lam_b."""
     T = report.distinguished_T
-    if not set(T) <= b.pos_odd:
-        raise InternalError(f"distinguished set is not positive for {b.sequence}")
     return CharacterResult(
-        orbits=_cleared_sum(b, lam_b + b.rho, set(T), report.j_lambda),
+        orbits=_divided_orbits(b.algebra, _seed(b, lam_b, frozenset(T)), report.j_lambda),
         highest_weight=natural_weight(lam)[minus],
         borel_used=b,
         T_used=T,
@@ -437,7 +422,7 @@ def euler_char_character(
     nilradical roots, avoiding any division by Levi factors.
     """
     excluded = _levi_odd_roots(b, tuple(levi_simple_roots))
-    return _cleared_sum(b, lam_b + b.rho, excluded)
+    return _divided_orbits(b.algebra, _seed(b, lam_b, excluded), 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -53,11 +53,11 @@ from .characters import (
 DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, InputError)
 
 
-def _emit(payload: dict, as_json: bool, text_lines: list[str] | None = None) -> None:
+def _emit(payload: dict, as_json: bool, text_lines: list[str] | tuple[()] = ()) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines or [json.dumps(payload, sort_keys=True, indent=2)]:
+        for line in text_lines:
             print(line)
 
 

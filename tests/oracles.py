@@ -51,7 +51,7 @@ from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from ospchar.atyp import atypicality_degree_brute
-from ospchar.characters import CharacterResult, _cleared_sum
+from ospchar.characters import CharacterResult, _divided_orbits, _seed
 from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
 from ospchar.rootdata import (
@@ -551,7 +551,7 @@ def kw_character_with_borel(
     """The formula for an arbitrary Borel and distinguished set, through the
     production pipeline; no tameness screening.  For Borel-independence checks."""
     lam_b = highest_weight_via_reflections(lam, b, minus=minus)
-    return expand_orbits(b.algebra, _cleared_sum(b, lam_b + b.rho, set(T), j))
+    return expand_orbits(b.algebra, _divided_orbits(b.algebra, _seed(b, lam_b, frozenset(T)), j))
 
 
 def naive_numerator(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:

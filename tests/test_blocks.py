@@ -105,16 +105,19 @@ class TestFingerprints:
 
     def test_d_typical_twins_distinguished(self):
         # typical weights with nonzero kappa_m: plus and minus twins are
-        # different central characters
-        alg = Algebra("D", 2, 2)
-        for lam in hook_partitions(2, 2, 6):
-            plus, minus = natural_weight(lam)
-            if plus == minus:
-                continue
+        # different central characters.  D:2:1 has three such twins with
+        # |lambda| <= 6, D:2:2 six with |lambda| <= 10 (none below 10)
+        for label, size, twins in (("D:2:1", 6, 3), ("D:2:2", 10, 6)):
+            alg = Algebra.parse(label)
             rho = b_standard(alg).rho
-            if fingerprint(plus + rho, alg).k != 0:
-                continue
-            assert not same_central_character(plus + rho, minus + rho, alg)
+            checked = 0
+            for lam in hook_partitions(alg.n, alg.m, size):
+                plus, minus = natural_weight(lam)
+                if plus == minus or fingerprint(plus + rho, alg).k != 0:
+                    continue
+                assert not same_central_character(plus + rho, minus + rho, alg), (label, lam.parts)
+                checked += 1
+            assert checked == twins, label
 
 
 class TestBottomOfBlock:

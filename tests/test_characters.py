@@ -1,5 +1,6 @@
 """Tests for the character formula, Euler characters, and supercharacters."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,21 +10,20 @@ from ospchar.atyp import NotTame, is_tame
 from ospchar.blocks import preceq
 from ospchar.characters import (
     JDivisibilityFailure,
-    _alternant_coefficients,
     _dominant_multiplicities,
     _racah,
-    _seed_terms,
-    _delta_index,
+    _seed,
+    _seed_plan,
     _levi_odd_roots,
     _divided_orbits,
-    _eps_straightened,
+    _straightened,
     canonical_levi_roots,
     euler_char_character,
     kw_character,
     orbits_text,
     supercharacter,
 )
-from ospchar.exactnum import NotDivisible, Weight
+from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -32,6 +32,7 @@ from ospchar.hook import (
 )
 from ospchar.rootdata import (
     Algebra,
+    Root,
     all_sequences,
     b_odd,
     b_standard,
@@ -223,40 +224,53 @@ def tame_weights(alg, max_size=6):
             yield lam, rep
 
 
+def seed_cases(alg, max_size):
+    """(lam, b, lam_b, excluded) for every tame |lam| <= max_size and every
+    Borel b: the distinguished set restricted to b, and the Euler excluded
+    set (the odd roots in the span of the canonical Levi's simple roots)."""
+    for lam, rep in tame_weights(alg, max_size):
+        for seq in all_sequences(alg):
+            b = borel_from_sequence(alg, seq)
+            lam_b = highest_weight_via_reflections(lam, b, minus=seq.sign == -1)
+            levi = [r.weight for r in canonical_levi_roots(b, rep)]
+            euler = frozenset(r for r in b.pos_odd if levi and in_span(levi, r.weight))
+            yield lam, b, lam_b, frozenset(r for r in rep.distinguished_T if r in b.pos_odd)
+            yield lam, b, lam_b, euler
+
+
 @pytest.mark.parametrize("alg", [B22, D22, D32], ids=Algebra.label)
 def test_seed_terms_match_the_generic_product(alg):
     # every Borel, with the distinguished set and with the Euler excluded set:
     # the seed is eps-straightened between its free delta blocks, so it has
     # the alternants of the full product, not its terms
     checked = straightened = 0
-    for lam, rep in tame_weights(alg, 3):
-        for seq in all_sequences(alg):
-            b = borel_from_sequence(alg, seq)
-            lam_b = highest_weight_via_reflections(lam, b, minus=seq.sign == -1)
-            levi = [r.weight for r in canonical_levi_roots(b, rep)]
-            euler = {r for r in b.pos_odd if levi and in_span(levi, r.weight)}
-            for excluded in ({r for r in rep.distinguished_T if r in b.pos_odd}, euler):
-                want = cleared_seed(b, lam_b, excluded).terms
-                seed = _seed_terms(b, lam_b + b.rho, excluded)
-                got = _alternant_coefficients(alg, seed)
-                assert got == _alternant_coefficients(alg, want), (lam.parts, str(seq))
-                checked += 1
-                straightened += seed != want
+    for lam, b, lam_b, excluded in seed_cases(alg, 3):
+        want = cleared_seed(b, lam_b, excluded).terms
+        seed = _seed(b, lam_b, excluded)
+        got = _straightened(alg, seed, True)
+        assert got == _straightened(alg, want, True), (lam.parts, str(b.sequence))
+        checked += 1
+        straightened += seed != want
     assert checked >= 2 * len(list(all_sequences(alg)))
     assert straightened
+
+
+def delta_index(r):
+    """The i of the delta_i that the odd root r passes through."""
+    return next(i for i, v in enumerate(r.weight.delta) if v)
 
 
 def straightened_before_touched_blocks(b, lam_b, excluded):
     """A wrong seed: the free delta blocks expanded in full, then the terms
     eps-straightened, and only then the blocks that hold an excluded root."""
     alg = b.algebra
-    touched = {_delta_index(r) for r in excluded}
+    touched = {delta_index(r) for r in excluded}
     seed = monomial(lam_b + b.rho + b.rho_odd, 1)
     for late in (False, True):
         if late:
-            seed = LaurentPolynomial(alg.rank, _eps_straightened(alg, seed.terms))
+            seed = LaurentPolynomial(alg.rank, _straightened(alg, seed.terms, False))
         for r in b.pos_odd - set(excluded):
-            if (_delta_index(r) in touched) == late:
+            if (delta_index(r) in touched) == late:
                 seed = poly_product(seed, poly_sum(one(alg), monomial(-r.weight, 1)))
     return seed.terms
 
@@ -270,8 +284,8 @@ def test_straightening_before_a_touched_block_changes_the_alternants(alg):
         if rep.atypicality_k:
             b, T = rep.witness_borel, set(rep.distinguished_T)
             lam_b = highest_weight_via_reflections(lam, b)
-            want = _alternant_coefficients(alg, cleared_seed(b, lam_b, T).terms)
-            changed += _alternant_coefficients(alg, straightened_before_touched_blocks(b, lam_b, T)) != want
+            want = _straightened(alg, cleared_seed(b, lam_b, T).terms, True)
+            changed += _straightened(alg, straightened_before_touched_blocks(b, lam_b, T), True) != want
     assert changed
 
 
@@ -284,12 +298,75 @@ def test_kw_orbits_match_the_full_seed(label, parts):
     b, T = cr.borel_used, set(cr.T_used)
     lam_b = highest_weight_via_reflections(lam, b)
     full = cleared_seed(b, lam_b, T)
-    assert len(_seed_terms(b, lam_b + b.rho, T)) < len(full.terms)
+    assert len(_seed(b, lam_b, frozenset(T))) < len(full.terms)
     assert cr.orbits == _divided_orbits(alg, full.terms, cr.j_used)
 
 
 # the algebras of verify --max-rank 3
 RANK_3_SWEEP = [Algebra(f, m, n) for m in (1, 2, 3) for n in (1, 2, 3) for f in ("B", "D") if f == "B" or m >= 2]
+
+
+def doubled(half):
+    return tuple(2 * v for v in half)
+
+
+@pytest.mark.parametrize("alg", RANK_3_SWEEP[: RANK_3_SWEEP.index(D32) + 1], ids=Algebra.label)
+def test_seed_plan_partitions_the_odd_roots(alg):
+    # the steps, the free blocks and the excluded roots hold each positive
+    # odd root exactly once; a free block holds exactly the roots through one
+    # delta_i that no excluded root touches, and the offset is rho_0 minus
+    # half the sum of the free roots
+    checked = set()
+    for _, b, _, excluded in seed_cases(alg, 4):
+        if (b, excluded) in checked:
+            continue
+        checked.add((b, excluded))
+        offset, steps, blocks = _seed_plan(b, excluded)
+        odd = sorted(r.weight.exponent_key() for r in b.pos_odd)
+        held = [tuple(-v for v in step) for step in steps]
+        held += [doubled(half) for block in blocks for half in block]
+        held += [r.weight.exponent_key() for r in excluded]
+        assert sorted(held) == odd, str(b.sequence)
+        touched = {delta_index(r) for r in excluded}
+        through = {}
+        for r in b.pos_odd:
+            through.setdefault(delta_index(r), set()).add(r.weight.exponent_key())
+        free = sorted(sorted(keys) for i, keys in through.items() if i not in touched)
+        assert sorted(sorted(map(doubled, block)) for block in blocks) == free, str(b.sequence)
+        halves = [half for block in blocks for half in block]
+        sigma = [sum(half[t] for half in halves) for t in range(alg.rank)]
+        assert offset == tuple(map(operator.sub, even_rho(alg), sigma)), str(b.sequence)
+    assert len(checked) > len(list(all_sequences(alg)))
+
+
+def test_seed_plan_refuses_an_excluded_root_that_is_not_positive():
+    b = b_standard(B22)
+    root = next(iter(b.pos_odd))
+    with pytest.raises(InternalError):
+        _seed_plan(b, frozenset({Root(-root.weight, 1)}))
+    # the cache key is the frozen set: a plain set is refused, not converted
+    with pytest.raises(TypeError):
+        _seed(b, Weight.zero(B22.n, B22.m), {root})
+
+
+def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys):
+    import ospchar.characters as characters
+    from ospchar import cli
+
+    keys = []
+    original = characters._seed
+
+    def recording(b, lam_b, excluded):
+        keys.append((b, excluded))
+        return original(b, lam_b, excluded)
+
+    monkeypatch.setattr(characters, "_seed", recording)
+    characters._seed_plan.cache_clear()
+    assert cli.main(["verify", "--max-rank", "3"]) == 0
+    capsys.readouterr()
+    info = characters._seed_plan.cache_info()
+    assert info.misses == len(set(keys))
+    assert info.hits == len(keys) - len(set(keys)) > 0
 
 
 @pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)
@@ -316,7 +393,7 @@ def checked_dimension(lam, alg):
     j division, after checking it against Weyl's formula on the alternants."""
     cr = kw_character(lam, alg)
     b, T = cr.borel_used, set(cr.T_used)
-    alternants = _alternant_coefficients(alg, _seed_terms(b, highest_weight_via_reflections(lam, b) + b.rho, T))
+    alternants = _straightened(alg, _seed(b, highest_weight_via_reflections(lam, b), frozenset(T)), True)
     assert weyl_dimension(alg, alternants, cr.j_used) == cr.dimension, (alg.label(), lam.parts)
     return cr.dimension
 
@@ -467,7 +544,7 @@ class TestFactoredRacah:
         for lam, rep in tame_weights(alg):
             b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
             lam_b = highest_weight_via_reflections(lam, b)
-            alternants = _alternant_coefficients(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)).terms)
+            alternants = _straightened(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)).terms, True)
             assert alternants, lam.parts
             got = _dominant_multiplicities(alg, alternants)
             assert got == whole_w_multiplicities(alg, alternants), lam.parts
@@ -515,7 +592,7 @@ class TestEmptyNumerator:
             nu = tuple(a + 2 for a in even_rho(alg))
             flipped = (-nu[0],) + nu[1:]
             seed = LaurentPolynomial(alg.rank, {nu: 1, flipped: 1})
-            assert _alternant_coefficients(alg, seed.terms) == {}
+            assert _straightened(alg, seed.terms, True) == {}
             assert chamber_quotient(alg, seed) == LaurentPolynomial(alg.rank)
 
 

@@ -297,11 +297,14 @@ class TestBlockFamily:
 
 class TestErrors:
     def test_hook_violation_exit_one(self, capsys):
-        code, _, err = run_cli(
-            capsys, "character", "--algebra", "B:1:1", "--partition", "3,3"
-        )
-        assert code == 1
-        assert json.loads(err)["error"]["code"] == "HookViolation"
+        for partition, message in (("3,3", "exceeds m = 1"), ("1,-1", "negative part")):
+            code, _, err = run_cli(
+                capsys, "character", "--algebra", "B:1:1", "--partition", partition
+            )
+            assert code == 1
+            error = json.loads(err)["error"]
+            assert error["code"] == "HookViolation"
+            assert message in error["message"], partition
 
     def test_not_tame_exit_one(self, capsys):
         code, _, err = run_cli(

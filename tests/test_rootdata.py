@@ -30,6 +30,7 @@ from ospchar.rootdata import (
     weyl_factors,
     weyl_orbit,
 )
+from ospchar.characters import _seed_plan
 from ospchar.cli import _denominator_checks
 from ospchar.hook import hook_partitions, natural_weight
 from oracles import (
@@ -418,6 +419,14 @@ class TestWeylFactors:
             for name in ("dominant", "straighten", "orbit"):
                 assert _frozen(getattr(factor, name)(values)), (name, values)
             assert _frozen(factor.children(factor.dominant(values))), values
+        # so are the seed plans of an algebra with this factor, built here
+        # with no, one and every odd root excluded
+        alg = Algebra("B", 1, rank) if kind == "C" else Algebra(kind, rank, 1)
+        for seq in all_sequences(alg):
+            b = borel_from_sequence(alg, seq)
+            first = min(b.pos_odd, key=lambda r: r.weight.exponent_key())
+            for excluded in (frozenset(), frozenset({first}), b.pos_odd):
+                assert _frozen(_seed_plan(b, excluded)), (str(seq), len(excluded))
 
 
 def _frozen(value) -> bool:
