@@ -286,10 +286,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, partition=True):
+    def common(p):
         p.add_argument("--algebra", required=True, help="B:m:n or D:m:n")
-        if partition:
-            p.add_argument("--partition", required=True, help="comma-separated parts, 0 for trivial")
+        p.add_argument("--partition", required=True, help="comma-separated parts, 0 for trivial")
         p.add_argument("--output", choices=("json", "text"), default="json")
 
     p = sub.add_parser("classify", help="tameness report for a highest weight")
@@ -303,7 +302,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("character", help="evaluate the character formula")
     common(p)
-    p.add_argument("--minus", action="store_true")
+    p.add_argument("--minus", action="store_true", help="use the minus twin (family D)")
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("block-family", help="the finite tame family of a D-type k=1 block")

@@ -8,6 +8,11 @@ All Borel subalgebras considered share the even positive system of the
 standard one; they are encoded by sequences of n 'd' and m 'e' symbols, with
 an optional trailing '-' (family D only, sequence ending in 'd') negating the
 right-most e throughout.
+
+A Borel is read off its sequence by one rule (Cheng-Wang, AMS GSM 144, 1.3):
+with w_1, ..., w_N the weights of its symbols, its positive odd roots are the
+w_i +- w_j (i < j, one d and one e), plus the d_i in family B, and its simple
+roots are the w_i - w_{i+1} and one terminal root.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .exactnum import InputError, InternalError, Weight
 
 FAMILY_B = "B"
 FAMILY_D = "D"
+TYPE_C = "C"
 
 
 class FamilyMismatch(Exception):
@@ -184,21 +190,17 @@ class BorelData(NamedTuple):
     pos_even: frozenset[Root]
     pos_odd: frozenset[Root]
     rho: Weight
-    rho_even: Weight
-    rho_odd: Weight
 
     def positive_roots(self) -> frozenset[Root]:
         return self.pos_even | self.pos_odd
 
 
-def _symbol_weight(alg: Algebra, symbol: tuple[str, int], sign: int) -> Weight:
-    kind, idx = symbol
-    if kind == "d":
-        return Weight.basis_delta(alg.n, alg.m, idx)
-    w = Weight.basis_eps(alg.n, alg.m, idx)
-    if sign == -1 and idx == alg.m:
-        return -w
-    return w
+def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> list[Weight]:
+    """w_1, ..., w_N: the weight d_i or e_j of each symbol, left to right,
+    with e_m negated on a signed sequence."""
+    n, m = alg.n, alg.m
+    basis = {"d": Weight.basis_delta, "e": Weight.basis_eps}
+    return [basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered()]
 
 
 def _even_positive_roots(alg: Algebra) -> frozenset[Root]:
@@ -208,41 +210,15 @@ def _even_positive_roots(alg: Algebra) -> frozenset[Root]:
     return frozenset(Root(w, 0) for w in weights)
 
 
-def _odd_positive_roots(alg: Algebra, seq: EpsDeltaSequence) -> frozenset[Root]:
-    n, m = alg.n, alg.m
-    # positions of the numbered symbols, ignoring the sign flag
-    pos_d = {}
-    pos_e = {}
-    for idx, (kind, num) in enumerate(seq.numbered()):
-        (pos_d if kind == "d" else pos_e)[num] = idx
-    roots: list[Weight] = []
-    for p in range(1, n + 1):
-        dp = Weight.basis_delta(n, m, p)
-        if alg.family == FAMILY_B:
-            roots.append(dp)
-        for q in range(1, m + 1):
-            eq = Weight.basis_eps(n, m, q)
-            roots.append(dp + eq)
-            roots.append(dp - eq if pos_d[p] < pos_e[q] else eq - dp)
-    out = frozenset(Root(w, 1) for w in roots)
-    if seq.sign == -1:
-        out = frozenset(Root(_sigma_weight(r.weight), 1) for r in out)
-    return out
-
-
-def _sigma_weight(w: Weight) -> Weight:
-    eps = list(w.eps)
-    eps[-1] = -eps[-1]
-    return Weight(w.delta, tuple(eps))
-
-
 @functools.lru_cache(maxsize=None)
 def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     """Construct the full Borel data for an eps-delta sequence.
 
-    Simple roots are the consecutive differences of the numbered sequence
-    plus the family-specific terminal root; positive roots follow the
-    sequence order (with the sign twist applied for signed D sequences).
+    With w_1, ..., w_N from ``_sequence_weights``, the positive odd roots
+    are w_i - w_j and w_i + w_j for i < j whose symbols differ, plus the w_i
+    of the d symbols in family B.  The simple roots are the w_i - w_{i+1},
+    then w_N in family B, and in family D 2w_N after a final d, else
+    w_{N-1} + w_N.  rho is half the even positive roots' sum minus the odd's.
     Built once per (algebra, sequence); the frozen result is shared.
     """
     if seq.n != alg.n or seq.m != alg.m:
@@ -250,53 +226,34 @@ def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     if seq.sign == -1 and alg.family != FAMILY_D:
         raise FamilyMismatch("signed sequences exist only in family D")
 
-    n, m = alg.n, alg.m
-    numbered = seq.numbered()
-    weights = [_symbol_weight(alg, s, seq.sign) for s in numbered]
-    simple: list[Weight] = [weights[i] - weights[i + 1] for i in range(len(weights) - 1)]
-
-    last_kind = numbered[-1][0]
+    w = _sequence_weights(alg, seq)
+    kinds = seq.symbols
+    pairs = [(wi, wj) for (wi, ki), (wj, kj) in itertools.combinations(zip(w, kinds), 2) if ki != kj]
+    odd = [root for wi, wj in pairs for root in (wi - wj, wi + wj)]
     if alg.family == FAMILY_B:
-        if last_kind == "e":
-            simple.append(Weight.basis_eps(n, m, m))
-        else:
-            simple.append(Weight.basis_delta(n, m, n))
+        odd += [wi for wi, kind in zip(w, kinds) if kind == "d"]
+        terminal = w[-1]
     else:
-        if last_kind == "e":
-            if numbered[-2][0] == "e":
-                simple.append(Weight.basis_eps(n, m, m - 1) + Weight.basis_eps(n, m, m))
-            else:
-                simple.append(Weight.basis_delta(n, m, n) + Weight.basis_eps(n, m, m))
-        else:
-            simple.append(Weight.basis_delta(n, m, n).scale(2))
+        terminal = w[-1].scale(2) if kinds[-1] == "d" else w[-2] + w[-1]
 
     pos_even = _even_positive_roots(alg)
-    pos_odd = _odd_positive_roots(alg, seq)
-    simple_roots = tuple(make_root(w) for w in simple)
+    pos_odd = frozenset(Root(x, 1) for x in odd)
+    simple_roots = tuple(make_root(x) for x in [a - b for a, b in zip(w, w[1:])] + [terminal])
     all_pos = pos_even | pos_odd
     for r in simple_roots:
         if r not in all_pos:
             raise InternalError(f"simple root {r} not positive for {seq}")
 
-    rho_even = _half_sum(pos_even, n, m)
-    rho_odd = _half_sum(pos_odd, n, m)
+    zero = Weight.zero(alg.n, alg.m)
+    total = sum((r.weight for r in pos_even), zero) - sum((r.weight for r in pos_odd), zero)
     return BorelData(
         algebra=alg,
         sequence=seq,
         simple_roots=simple_roots,
         pos_even=pos_even,
         pos_odd=pos_odd,
-        rho=rho_even - rho_odd,
-        rho_even=rho_even,
-        rho_odd=rho_odd,
+        rho=total.half(),
     )
-
-
-def _half_sum(roots: frozenset[Root], n: int, m: int) -> Weight:
-    total = Weight.zero(n, m)
-    for r in roots:
-        total = total + r.weight
-    return total.half()
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,12 +285,6 @@ def all_sequences(alg: Algebra) -> Iterator[EpsDeltaSequence]:
         yield EpsDeltaSequence(tuple(pattern))
         if alg.family == FAMILY_D and pattern[-1] == "d":
             yield EpsDeltaSequence(tuple(pattern), sign=-1)
-
-
-# ---------------------------------------------------------------------------
-# Weyl group
-
-TYPE_C = "C"
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +541,14 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
 # Diagram twist (family D)
 
 
+def _sigma_weight(w: Weight) -> Weight:
+    eps = list(w.eps)
+    eps[-1] = -eps[-1]
+    return Weight(w.delta, tuple(eps))
+
+
 def sigma_twist(alg: Algebra, obj):
-    """Negate the e_m coordinate of a weight, root, Borel or sequence."""
+    """Negate the e_m coordinate of a weight, root or Borel."""
     if alg.family != FAMILY_D:
         raise FamilyMismatch("the diagram twist exists only in family D")
     if isinstance(obj, Weight):
@@ -603,10 +560,6 @@ def sigma_twist(alg: Algebra, obj):
         if seq.symbols[-1] == "e":
             return obj
         return borel_from_sequence(alg, EpsDeltaSequence(seq.symbols, -seq.sign))
-    if isinstance(obj, EpsDeltaSequence):
-        if obj.symbols[-1] == "e":
-            return obj
-        return EpsDeltaSequence(obj.symbols, -obj.sign)
     raise TypeError(f"cannot twist object of type {type(obj).__name__}")
 
 
@@ -621,18 +574,15 @@ class NotSimpleRoot(Exception):
 def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
     """4 times the coordinates of x in b's simple roots, which form a basis.
 
-    With w_1, ..., w_N the weights of b's sequence (e_m negated on a signed
-    one) and x_i the coefficient of w_i in x, the simple roots are the
+    With w_1, ..., w_N the weights of b's sequence (``_sequence_weights``)
+    and x_i the coefficient of w_i in x, the simple roots are the
     w_i - w_{i+1} and a terminal root.  In family B that is w_N, so the i-th
     coordinate is the partial sum x_1 + ... + x_i.  In family D it is 2 w_N
     or w_{N-1} + w_N, and at this fork the last coordinate is half the full
     sum; for w_{N-1} + w_N the one before it is (x_1 + ... + x_{N-1} - x_N) / 2.
     """
-    m, negated = b.algebra.m, b.sequence.sign == -1
-    values = [
-        x.delta[i - 1] if kind == "d" else -x.eps[i - 1] if negated and i == m else x.eps[i - 1]
-        for kind, i in b.sequence.numbered()
-    ]
+    exp = x.exponent_key()
+    values = [height(exp, w.exponent_key()) // 2 for w in _sequence_weights(b.algebra, b.sequence)]
     sums = list(itertools.accumulate(values))  # of doubled entries: 2 * sums[i] is 4 c_i
     coords = [2 * s for s in sums]
     if b.algebra.family == FAMILY_D:

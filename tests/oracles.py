@@ -7,8 +7,9 @@ this file.
   rendering (``monomial_text``): the library keeps every character in orbit
   form and renders it from there.
 - Laurent polynomial arithmetic (``monomial``, ``poly_sum``, ``scaled``,
-  ``poly_product``, ``evaluate_at_one``) and the expanded Weyl denominators
-  (``denominators``), which the library keeps only as root data.
+  ``poly_product``, ``evaluate_at_one``), the expanded Weyl denominators
+  (``denominators``) and the even half sum rho_0 of a Borel (``rho_even``),
+  which the library keeps only as root data.
 - Coordinates in a basis of weights by Gauss-Jordan elimination over
   ``Fraction`` (``coords_in_basis``), against the library's integer
   simple-root coordinates.
@@ -261,6 +262,14 @@ def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Expanded product forms of the even and odd Weyl denominators."""
     odd = [poly_sum(monomial(r.weight.half()), monomial(-r.weight.half())) for r in b.pos_odd]
     return poly_product(*even_factors(b)), poly_product(*odd)
+
+
+def rho_even(b: BorelData) -> Weight:
+    """rho_0: half the sum of b's positive even roots."""
+    total = Weight.zero(b.algebra.n, b.algebra.m)
+    for r in b.pos_even:
+        total = total + r.weight
+    return total.half()
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +543,11 @@ def even_factors(b: BorelData) -> list[LaurentPolynomial]:
 
 
 def cleared_seed(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
-    """e^{lam_b + rho + rho_1} prod_{pos odd minus excluded}(1 + e^{-beta})."""
+    """e^{lam_b + rho_0} prod_{pos odd minus excluded}(1 + e^{-beta}), where
+    rho_0 = rho + rho_1."""
     zero = Weight.zero(b.algebra.n, b.algebra.m)
     binomials = [poly_sum(monomial(zero), monomial(-r.weight)) for r in b.pos_odd if r not in excluded]
-    return poly_product(monomial(lam_b + b.rho + b.rho_odd), *binomials)
+    return poly_product(monomial(lam_b + rho_even(b)), *binomials)
 
 
 def kw_character_with_borel(
@@ -581,12 +591,13 @@ def weyl_dimension(alg: Algebra, alternants: dict[tuple[int, ...], int], j: int)
     the orbit-wise division by j.
     """
     b = b_standard(alg)
+    rho_0 = rho_even(b)
     total = Fraction(0)
     for nu, coef in alternants.items():
         x = Weight.from_doubled(nu[: alg.n], nu[alg.n :])
         term = Fraction(coef)
         for r in b.pos_even:
-            term *= Fraction(pairing4(x, r.weight), pairing4(b.rho_even, r.weight))
+            term *= Fraction(pairing4(x, r.weight), pairing4(rho_0, r.weight))
         total += term
     return total / j
 

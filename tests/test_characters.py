@@ -61,6 +61,7 @@ from oracles import (
     naive_numerator,
     poly_product,
     poly_sum,
+    rho_even,
     scaled,
     sigma_twist_poly,
     straighten,
@@ -265,7 +266,7 @@ def straightened_before_touched_blocks(b, lam_b, excluded):
     eps-straightened, and only then the blocks that hold an excluded root."""
     alg = b.algebra
     touched = {delta_index(r) for r in excluded}
-    seed = monomial(lam_b + b.rho + b.rho_odd, 1)
+    seed = monomial(lam_b + rho_even(b), 1)
     for late in (False, True):
         if late:
             seed = LaurentPolynomial(alg.rank, _straightened(alg, seed.terms, False))
@@ -412,9 +413,10 @@ def kac_typical_dimension(lam, alg):
     """2^{|D1+|} prod_{a in D0+} (lambda + rho, a) / (rho_0, a) (Kac 1977)."""
     b = b_standard(alg)
     shifted = natural_weight(lam)[0] + b.rho
+    rho_0 = rho_even(b)
     dim = Fraction(2 ** len(b.pos_odd))
     for r in b.pos_even:
-        dim *= Fraction(pairing4(shifted, r.weight), pairing4(b.rho_even, r.weight))
+        dim *= Fraction(pairing4(shifted, r.weight), pairing4(rho_0, r.weight))
     return dim
 
 
@@ -480,7 +482,7 @@ class TestDominantPipelineOracle:
         # integer combinations of monomials in rho_0 + (weight lattice of g_0),
         # with cancellations and terms on walls
         rng = random.Random(alg.label())
-        rho = b_standard(alg).rho_even.exponent_key()
+        rho = rho_even(b_standard(alg)).exponent_key()
         eps_parity = rho[alg.n] % 2
         for _ in range(20):
             terms = {}

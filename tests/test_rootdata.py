@@ -1,6 +1,7 @@
 """Tests for Borel data, Weyl machinery, odd reflections, and the D twist."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     map_exponents,
     monomial,
     poly_sum,
+    rho_even,
     scaled,
     sigma_twist_poly,
     straighten,
@@ -133,6 +135,45 @@ def test_in_simple_span_refuses_a_root_that_is_not_simple():
         euler_char_character((not_simple,), Weight.zero(D22.n, D22.m), b)
 
 
+def roots_by_definition(alg):
+    """Every root of the algebra: +-d_i+-d_j, +-2d_i, +-e_i+-e_j and
+    +-d_i+-e_j, with +-d_i and +-e_j in family B."""
+    d = [Weight.basis_delta(alg.n, alg.m, i) for i in range(1, alg.n + 1)]
+    e = [Weight.basis_eps(alg.n, alg.m, j) for j in range(1, alg.m + 1)]
+    even = [x.scale(2) for x in d]
+    even += [a + b.scale(s) for axes in (d, e) for a, b in itertools.combinations(axes, 2) for s in (1, -1)]
+    odd = [a + b.scale(s) for a in d for b in e for s in (1, -1)]
+    if alg.family == "B":
+        even += e
+        odd += d
+    roots = {Root(x, 0) for x in even} | {Root(x, 1) for x in odd}
+    return roots | {Root(-r.weight, r.parity) for r in roots}
+
+
+def positive_roots_by_definition(alg, seq):
+    """The roots on which h > 0, where h takes the value N - p on the symbol
+    at 0-based position p; a signed sequence's are those of its unsigned
+    twin with the e_m coordinate negated."""
+    value = {symbol: len(seq.symbols) - p for p, symbol in enumerate(seq.numbered())}
+    h = [value["d", i] for i in range(1, alg.n + 1)] + [value["e", j] for j in range(1, alg.m + 1)]
+    positive = {r for r in roots_by_definition(alg) if sum(map(operator.mul, r.weight.exponent_key(), h)) > 0}
+    if seq.sign == 1:
+        return positive
+    return {Root(Weight(r.weight.delta, r.weight.eps[:-1] + (-r.weight.eps[-1],)), r.parity) for r in positive}
+
+
+@pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
+def test_root_data_matches_the_definition(alg):
+    # every sequence, signed ones included: the positive roots, and the
+    # simple roots as the positive roots that are not a sum of two of them
+    for seq in all_sequences(alg):
+        b = borel_from_sequence(alg, seq)
+        positive = positive_roots_by_definition(alg, seq)
+        sums = {x.weight + y.weight for x, y in itertools.combinations_with_replacement(positive, 2)}
+        assert b.positive_roots() == positive, str(seq)
+        assert set(b.simple_roots) == {r for r in positive if r.weight not in sums}, str(seq)
+
+
 class TestBorelFromSequence:
     def test_standard_rho_family_b(self):
         # rho = sum (n-m-i+1/2) d_i + sum (m-j+1/2) e_j
@@ -169,11 +210,10 @@ class TestBorelFromSequence:
         for alg in (B11, B22, D21, D22):
             for seq in all_sequences(alg):
                 b = borel_from_sequence(alg, seq)
-                assert b.rho == b.rho_even - b.rho_odd
-                total_even = Weight.zero(alg.n, alg.m)
-                for r in b.pos_even:
-                    total_even = total_even + r.weight
-                assert total_even.half() == b.rho_even
+                total_odd = Weight.zero(alg.n, alg.m)
+                for r in b.pos_odd:
+                    total_odd = total_odd + r.weight
+                assert b.rho == rho_even(b) - total_odd.half()
 
     def test_simple_roots_are_positive_and_isotropy_is_odd_mixed(self):
         for alg in (B22, D22):
@@ -280,7 +320,7 @@ class TestWeylGroup:
         for alg in (B11, D21, B22, D22):
             b = b_standard(alg)
             d0, _ = denominators(b)
-            assert weyl_alternating_sum(alg, monomial(b.rho_even, 1)) == d0
+            assert weyl_alternating_sum(alg, monomial(rho_even(b), 1)) == d0
 
     def test_straighten_dominant_and_orbit_match_brute_force(self):
         # every doubled exponent in a box, against the images under all of W
@@ -640,6 +680,10 @@ class TestSigmaTwist:
         for seq in all_sequences(D22):
             b = borel_from_sequence(D22, seq)
             assert sigma_twist(D22, sigma_twist(D22, b)).sequence == b.sequence
+
+    def test_rejects_a_sequence(self):
+        with pytest.raises(TypeError):
+            sigma_twist(D21, EpsDeltaSequence.parse("ded"))
 
     def test_fixes_eps_ending_borels(self):
         b = borel_from_sequence(D21, EpsDeltaSequence.parse("dee"))

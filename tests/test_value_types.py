@@ -84,8 +84,7 @@ def test_repr_is_the_field_text():
         "pos_odd=frozenset({Root(weight=Weight(delta=(2,), eps=(0,)), parity=1), "
         "Root(weight=Weight(delta=(2,), eps=(-2,)), parity=1), "
         "Root(weight=Weight(delta=(2,), eps=(2,)), parity=1)}), "
-        "rho=Weight(delta=(-1,), eps=(1,)), rho_even=Weight(delta=(2,), eps=(1,)), "
-        "rho_odd=Weight(delta=(3,), eps=(0,)))"
+        "rho=Weight(delta=(-1,), eps=(1,)))"
     )
 
 
