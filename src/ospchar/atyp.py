@@ -6,9 +6,9 @@ orthogonality forces distinct d-indices and distinct e-indices, so the
 degree is a maximum bipartite matching.  On doubled entries a_i, b_j the
 edges join |a_i| = |b_j| (a_i = -b_j for the minus roots d_i - e_j alone):
 the graph is a disjoint union of complete bipartite graphs, one per value,
-and its maximum matching is the multiset intersection of the two sides
-(``matched_values``).  ``atypicality_degree_brute``, a subset brute force,
-is its oracle.
+and its maximum matching is the multiset intersection of the two sides,
+which ``match_equal`` strikes pair by pair from the small int tuples.
+``atypicality_degree_brute``, a subset brute force, is its oracle.
 
 Tameness is decided on the standard-Borel shifted weight.  Orthogonality to
 d_i -+ e_j is compared on doubled entries as derived from the pairing, whose
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from collections.abc import Iterable
+from operator import neg
 from typing import NamedTuple
 
 from .exactnum import InternalError, Weight
@@ -47,16 +47,23 @@ class NotTame(Exception):
     """The requested quantity exists only for tame modules."""
 
 
-def matched_values(ds: Iterable[int], es: Iterable[int]) -> Counter:
-    """The values of a maximum matching of equal entries between ds and es,
-    with multiplicity: each value class is complete bipartite and gives the
-    smaller of its two counts."""
-    return Counter(ds) & Counter(es)
+def match_equal(ds: Iterable[int], es: Iterable[int]) -> tuple[int, list[int], list[int]]:
+    """The size of a maximum matching of equal entries between ds and es, and
+    the entries of each side it leaves: each value class is complete
+    bipartite, so matching every d to any equal e still free is maximum."""
+    k, left, free = 0, [], list(es)
+    for d in ds:
+        if d in free:
+            free.remove(d)
+            k += 1
+        else:
+            left.append(d)
+    return k, left, free
 
 
 def atypicality_degree(shifted: Weight, alg: Algebra) -> int:
     """Maximum matching of |d-entries| against |e-entries| of the shifted weight."""
-    return matched_values(map(abs, shifted.delta), map(abs, shifted.eps)).total()
+    return match_equal(map(abs, shifted.delta), map(abs, shifted.eps))[0]
 
 
 class TamenessReport(NamedTuple):
@@ -170,7 +177,7 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
     case_ii_index: int | None = None
     if alg.family == FAMILY_B or lam.part(alg.n + 1) < alg.m:
         # only the minus roots d_i - e_j, orthogonal when a_i = -b_j
-        tame = matched_values((-a for a in shifted.delta), shifted.eps).total() == k
+        tame = match_equal(map(neg, shifted.delta), shifted.eps)[0] == k
     else:
         case_ii_index = _d_case_ii_index(shifted, alg)
         tame = case_ii_index is not None and k == 1

@@ -9,7 +9,6 @@ coordinates, kept times 4 as ints.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .exactnum import InternalError, Weight, half_str
@@ -20,7 +19,7 @@ from .hook import (
     natural_weight,
     transpose,
 )
-from .atyp import NotTame, _d_case_ii_index, is_tame, matched_values
+from .atyp import NotTame, _d_case_ii_index, is_tame, match_equal
 from .characters import canonical_levi_roots
 from .rootdata import (
     FAMILY_B,
@@ -50,15 +49,12 @@ def fingerprint(shifted: Weight, alg: Algebra) -> CentralCharFingerprint:
     """Remove the matched atypical pairs, keep sorted absolute values.
 
     The pairs are the intersection of the |d-entries| and |e-entries| as
-    multisets (``atyp.matched_values``): k is its size, and every maximum
-    matching removes these values, so the reduced multisets are the two
-    differences (the tests check this against a brute-force matching).
+    multisets (``atyp.match_equal``): k is its size, and every maximum
+    matching removes these values, so the reduced multisets are the entries
+    left on each side (the tests check this against a brute-force matching).
     """
-    abs_d, abs_e = [abs(a) for a in shifted.delta], [abs(b) for b in shifted.eps]
-    matched = matched_values(abs_d, abs_e)
-    k = matched.total()
-    red_d = tuple(sorted((Counter(abs_d) - matched).elements()))
-    red_e = tuple(sorted((Counter(abs_e) - matched).elements()))
+    k, left_d, left_e = match_equal(map(abs, shifted.delta), map(abs, shifted.eps))
+    red_d, red_e = tuple(sorted(left_d)), tuple(sorted(left_e))
 
     eps_sign = 0
     if alg.family == FAMILY_D and k == 0 and all(shifted.eps):

@@ -8,6 +8,7 @@ are immutable and safe to share.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, NamedTuple
 
 
@@ -65,7 +66,7 @@ class Weight(NamedTuple):
 
     @classmethod
     def from_ints(cls, delta: Iterable[int], eps: Iterable[int]) -> "Weight":
-        return cls(tuple(2 * d for d in delta), tuple(2 * e for e in eps))
+        return cls(tuple([2 * d for d in delta]), tuple([2 * e for e in eps]))
 
     @property
     def n(self) -> int:
@@ -76,22 +77,16 @@ class Weight(NamedTuple):
         return len(self.eps)
 
     def _check(self, other: "Weight") -> None:
-        if self.n != other.n or self.m != other.m:
+        if len(self.delta) != len(other.delta) or len(self.eps) != len(other.eps):
             raise ValueError("weight rank mismatch")
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-        )
+        return Weight(tuple(map(add, self.delta, other.delta)), tuple(map(add, self.eps, other.eps)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(
-            tuple(a - b for a, b in zip(self.delta, other.delta)),
-            tuple(a - b for a, b in zip(self.eps, other.eps)),
-        )
+        return Weight(tuple(map(sub, self.delta, other.delta)), tuple(map(sub, self.eps, other.eps)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.delta), tuple(-a for a in self.eps))

@@ -67,22 +67,23 @@ class HookPartition(_HookFields):
     def size(self) -> int:
         return sum(self.parts)
 
-    def tail_transpose(self) -> tuple[int, ...]:
-        """kappa: the transpose of (lambda_{n+1}, lambda_{n+2}, ...), padded to m."""
-        tail = self.parts[self.n :]
-        kappa = transpose(tail)
-        return kappa + (0,) * (self.m - len(kappa))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
 def natural_weight(lam: HookPartition) -> tuple[Weight, Weight]:
-    """The standard-Borel highest weights (plain, minus-twisted)."""
-    delta = [lam.part(i) for i in range(1, lam.n + 1)]
-    kappa = lam.tail_transpose()
-    minus_kappa = kappa[:-1] + (-kappa[-1],)
-    return Weight.from_ints(delta, kappa), Weight.from_ints(delta, minus_kappa)
+    """The standard-Borel highest weights (plain, minus-twisted): the head
+    padded to n, then kappa, the tail's column counts padded to m (the tail
+    parts are at most m), with the last entry negated in the minus twin."""
+    head = [2 * p for p in lam.parts[: lam.n]]
+    delta = tuple(head + [0] * (lam.n - len(head)))
+    kappa = [0] * lam.m
+    for p in lam.parts[lam.n :]:
+        for col in range(p):
+            kappa[col] += 2
+    plus = Weight(delta, tuple(kappa))
+    kappa[-1] = -kappa[-1]
+    return plus, Weight(delta, tuple(kappa))
 
 
 def highest_weight_via_reflections(lam: HookPartition, b: BorelData, minus: bool = False) -> Weight:

@@ -195,12 +195,13 @@ class BorelData(NamedTuple):
         return self.pos_even | self.pos_odd
 
 
-def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> list[Weight]:
+@functools.lru_cache(maxsize=None)
+def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> tuple[Weight, ...]:
     """w_1, ..., w_N: the weight d_i or e_j of each symbol, left to right,
-    with e_m negated on a signed sequence."""
+    with e_m negated on a signed sequence.  Read once per (algebra, sequence)."""
     n, m = alg.n, alg.m
     basis = {"d": Weight.basis_delta, "e": Weight.basis_eps}
-    return [basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered()]
+    return tuple(basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered())
 
 
 def _even_positive_roots(alg: Algebra) -> frozenset[Root]:
@@ -298,7 +299,7 @@ def all_sequences(alg: Algebra) -> Iterator[EpsDeltaSequence]:
 
 def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
     """Euclidean product with rho: positive on every positive root."""
-    return sum(a * b for a, b in zip(exp, rho))
+    return sum(map(mul, exp, rho))
 
 
 def _sort_sign(values: tuple[int, ...]) -> int:

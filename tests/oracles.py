@@ -30,6 +30,9 @@ this file.
   (``kw_character_with_borel``), for Borel-independence checks.
 - Weyl's dimension formula on the alternant form (``weyl_dimension``).
 - Supersymmetry of supercharacters (``supersymmetry_violations``).
+- The multiset matching of equal entries by ``Counter`` intersection
+  (``matched_values``) and the natural weight built index by index
+  (``natural_weight_by_index``), against the library's plain-tuple forms.
 - Atypicality and tameness from their definitions: orthogonality edges read
   off the pairing (``pairing_edges``), a maximum matching by trying every
   edge subset (``max_matching_brute``), and Kac-Wakimoto's tameness
@@ -46,6 +49,7 @@ import functools
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -629,6 +633,28 @@ def supersymmetry_violations(sc: LaurentPolynomial, n: int, m: int) -> list[tupl
                 if any(reduced.values()):
                     bad.append((i, j, s))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Multiset matching and the natural weight, built the first way
+
+
+def matched_values(ds: Iterable[int], es: Iterable[int]) -> Counter:
+    """The values of a maximum matching of equal entries between ds and es,
+    with multiplicity: each value class is complete bipartite and gives the
+    smaller of its two counts."""
+    return Counter(ds) & Counter(es)
+
+
+def natural_weight_by_index(lam: HookPartition) -> tuple[Weight, Weight]:
+    """The standard-Borel highest weights (plain, minus-twisted): lambda_i
+    for each i <= n, then kappa, the transpose of (lambda_{n+1}, ...) padded
+    to m, with its last entry negated in the minus twin."""
+    delta = [lam.part(i) for i in range(1, lam.n + 1)]
+    kappa = transpose(lam.parts[lam.n :])
+    kappa = kappa + (0,) * (lam.m - len(kappa))
+    minus_kappa = kappa[:-1] + (-kappa[-1],)
+    return Weight.from_ints(delta, kappa), Weight.from_ints(delta, minus_kappa)
 
 
 # ---------------------------------------------------------------------------

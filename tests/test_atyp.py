@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,14 @@ from ospchar.atyp import (
     atypicality_degree_brute,
     e_of_lambda,
     is_tame,
-    matched_values,
+    match_equal,
 )
+from ospchar.blocks import fingerprint
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
 from ospchar.rootdata import Algebra, b_standard, pairing4
 from ospchar.hook import highest_weight_via_reflections
-from oracles import e_by_transpose, max_matching_brute, pairing_edges, tame_by_definition
+from oracles import e_by_transpose, matched_values, max_matching_brute, pairing_edges, tame_by_definition
 
 B33 = Algebra("B", 3, 3)
 D32 = Algebra("D", 3, 2)
@@ -57,6 +59,29 @@ class TestAtypicalityDegree:
             for lam in hook_partitions(n, m, 6):
                 s = shifted_st(lam, alg)
                 assert atypicality_degree(s, alg) == atypicality_degree_brute(s, alg)
+
+
+class TestMatchEqual:
+    def test_small_multisets(self):
+        assert match_equal([3, 1, 1, 5], [1, 3, 3, 7]) == (2, [1, 5], [3, 7])
+        assert match_equal([], [2]) == (0, [], [2])
+        assert match_equal((0, 0), (0,)) == (1, [0], [])
+
+    @pytest.mark.parametrize("label", ["B:2:2", "B:3:3", "B:4:4", "D:2:2", "D:3:2", "D:4:4"])
+    def test_against_the_counter_reference(self, label):
+        alg = Algebra.parse(label)
+        for lam in hook_partitions(alg.n, alg.m, 8):
+            s = shifted_st(lam, alg)
+            abs_d, abs_e = [abs(a) for a in s.delta], [abs(b) for b in s.eps]
+            minus_d = [-a for a in s.delta]
+            for ds, es in ((abs_d, abs_e), (minus_d, s.eps)):
+                assert match_equal(ds, es)[0] == matched_values(ds, es).total(), (label, lam.parts)
+            assert atypicality_degree(s, alg) == atypicality_degree_brute(s, alg), (label, lam.parts)
+            matched = matched_values(abs_d, abs_e)
+            fp = fingerprint(s, alg)
+            assert fp.k == matched.total()
+            assert fp.reduced_delta == tuple(sorted((Counter(abs_d) - matched).elements()))
+            assert fp.reduced_eps == tuple(sorted((Counter(abs_e) - matched).elements()))
 
 
 def pairing_case_ii_hits(shifted, alg):

@@ -21,7 +21,7 @@ from ospchar.rootdata import (
     b_standard,
     borel_from_sequence,
 )
-from oracles import FrobeniusData, frobenius_data, frobenius_weight
+from oracles import FrobeniusData, frobenius_data, frobenius_weight, natural_weight_by_index
 
 
 def columns_oracle(parts):
@@ -99,6 +99,12 @@ class TestNaturalWeight:
                 kappa_m = plus.eps[-1]
                 assert (plus == minus) == (kappa_m == 0)
                 assert (plus == minus) == (lam.part(n + 1) < m)
+
+    def test_equals_the_construction_index_by_index(self):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for lam in hook_partitions(n, m, 12):
+                    assert natural_weight(lam) == natural_weight_by_index(lam), (n, m, lam.parts)
 
     def test_parts_weakly_decreasing_on_both_sides(self):
         for lam in hook_partitions(2, 3, 7):
