@@ -9,6 +9,7 @@ import sys
 
 from ospchar import Algebra, is_tame, kw_character
 from ospchar.hook import hook_partitions
+from ospchar.rootdata import root_str
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
         if rep.tame:
             tame_count += 1
             cr = kw_character(lam, alg)
-            ts = ",".join(str(r) for r in cr.T_used)
+            ts = ",".join(map(root_str, cr.T_used))
             print(f"{str(lam):<22}{rep.atypicality_k:>3}{'yes':>6}{rep.j_lambda:>4}"
                   f"{cr.dimension:>10}  {{{ts}}}")
         else:

@@ -9,7 +9,6 @@ from .rootdata import (
     FamilyMismatch,
     NotSimpleIsotropic,
     NotSimpleRoot,
-    Root,
     b_odd,
     b_standard,
     borel_from_sequence,
@@ -36,7 +35,6 @@ from .blocks import (
     CentralCharFingerprint,
     InternalError,
     WrongRegime,
-    admissibility_positivity,
     bottom_of_block,
     fingerprint,
     lambda_x_family,

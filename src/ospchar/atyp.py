@@ -33,12 +33,11 @@ from .rootdata import (
     BorelData,
     EpsDeltaSequence,
     FamilyMismatch,
-    Root,
     b_odd,
     b_standard,
     borel_from_sequence,
-    make_root,
     pairing4,
+    root_str,
     sigma_twist,
 )
 
@@ -70,7 +69,7 @@ class TamenessReport(NamedTuple):
     atypicality_k: int
     tame: bool
     witness_borel: BorelData | None
-    distinguished_T: tuple[Root, ...] | None
+    distinguished_T: tuple[Weight, ...] | None
     e_lambda: int | None
     j_lambda: int | None
 
@@ -78,7 +77,7 @@ class TamenessReport(NamedTuple):
         return {
             "k": self.atypicality_k,
             "tame": self.tame,
-            "T": None if self.distinguished_T is None else [str(r) for r in self.distinguished_T],
+            "T": None if self.distinguished_T is None else [root_str(r) for r in self.distinguished_T],
             "e": self.e_lambda,
             "j": self.j_lambda,
         }
@@ -134,21 +133,17 @@ def _case_34_borel(alg: Algebra, i: int) -> BorelData:
 
 
 @functools.lru_cache(maxsize=None)
-def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[Root, ...]:
+def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[Weight, ...]:
     """The distinguished set T of a tame weight: it depends only on
     (algebra, k, case-ii index), so each is built once and shared."""
     n, m = alg.n, alg.m
     if case_ii_index is not None:
-        return (
-            make_root(
-                Weight.basis_delta(n, m, case_ii_index) + Weight.basis_eps(n, m, m)
-            ),
-        )
+        return (Weight.basis_delta(n, m, case_ii_index) + Weight.basis_eps(n, m, m),)
     roots = []
     for i in range(1, k + 1):
         d = Weight.basis_delta(n, m, n - k + i)
         e = Weight.basis_eps(n, m, m - k + i)
-        roots.append(make_root(e - d) if alg.family == FAMILY_B else make_root(d - e))
+        roots.append(e - d if alg.family == FAMILY_B else d - e)
     return tuple(roots)
 
 
@@ -203,9 +198,9 @@ def atypicality_degree_brute(shifted: Weight, alg: Algebra, borel: BorelData | N
     roots orthogonal to the shifted weight."""
     b = borel if borel is not None else b_standard(alg)
     orth = [
-        r.weight
-        for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key())
-        if r.is_isotropic and pairing4(shifted, r.weight) == 0
+        r
+        for r in sorted(b.pos_odd, key=Weight.exponent_key)
+        if pairing4(r, r) == 0 and pairing4(shifted, r) == 0
     ]
 
     def grow(idx: int, chosen: list[Weight]) -> int:

@@ -12,26 +12,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactnum import InternalError, Weight, half_str
-from .hook import (
-    HookPartition,
-    HookViolation,
-    highest_weight_via_reflections,
-    natural_weight,
-    transpose,
-)
-from .atyp import NotTame, _d_case_ii_index, is_tame, match_equal
-from .characters import canonical_levi_roots
-from .rootdata import (
-    FAMILY_B,
-    FAMILY_D,
-    Algebra,
-    BorelData,
-    Root,
-    b_standard,
-    in_simple_span,
-    pairing4,
-    simple_coords4,
-)
+from .hook import HookPartition, HookViolation, natural_weight, transpose
+from .atyp import _d_case_ii_index, is_tame, match_equal
+from .rootdata import FAMILY_B, FAMILY_D, Algebra, BorelData, b_standard, simple_coords4
 
 
 class WrongRegime(Exception):
@@ -199,21 +182,3 @@ def lambda_x_family(lam: HookPartition, alg: Algebra) -> list[tuple[int, HookPar
         out.append((x // 2, member))
     return out
 
-
-def admissibility_positivity(lam: HookPartition, alg: Algebra) -> tuple[bool, Root | None]:
-    """Check strict positivity of the shifted weight against the even
-    nilradical roots of the canonical parabolic: the positive even roots
-    outside the span of ``canonical_levi_roots``, tried in descending
-    exponent order; returns the first violation as a witness."""
-    report = is_tame(lam, alg)
-    if not report.tame or report.atypicality_k == 0:
-        raise NotTame("positivity check applies to tame modules with k >= 1")
-    b = report.witness_borel
-    shifted = highest_weight_via_reflections(lam, b) + b.rho
-    levi = canonical_levi_roots(b, report)
-    nilradical = [r for r in b.pos_even if not in_simple_span(b, levi, r.weight)]
-    for r in sorted(nilradical, key=lambda r: r.weight.exponent_key(), reverse=True):
-        # (shifted, r) / (r, r) > 0, read off the sign of a product of integers
-        if not pairing4(shifted, r.weight) * pairing4(r.weight, r.weight) > 0:
-            return False, r
-    return True, None

@@ -70,12 +70,12 @@ from .rootdata import (
     FAMILY_D,
     Algebra,
     BorelData,
-    Root,
     WeylFactor,
     b_standard,
     even_rho,
     height,
     in_simple_span,
+    root_str,
     weyl_factors,
     weyl_orbit,
 )
@@ -89,7 +89,7 @@ class _CharacterFields(NamedTuple):
     orbits: dict[tuple[int, ...], int]
     highest_weight: Weight
     borel_used: BorelData
-    T_used: tuple[Root, ...]
+    T_used: tuple[Weight, ...]
     j_used: int
     atypicality_k: int
 
@@ -113,7 +113,7 @@ class CharacterResult(_CharacterFields):
         return {
             "hw": self.highest_weight.display(),
             "borel": str(self.borel_used.sequence),
-            "T": [str(r) for r in self.T_used],
+            "T": [root_str(r) for r in self.T_used],
             "j": self.j_used,
             "dim": str(self.dimension),
         }
@@ -189,7 +189,7 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _seed_plan(
-    b: BorelData, excluded: frozenset[Root]
+    b: BorelData, excluded: frozenset[Weight]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
     """The seed's block structure, built once per (Borel, excluded set): the
     start offset rho_0 - sum_i sigma_i, the steps -beta of the touched roots
@@ -204,11 +204,11 @@ def _seed_plan(
         # an odd root has one nonzero delta coordinate, and the delta part comes first
         return next(i for i, v in enumerate(exp) if v)
 
-    touched = {delta_index(r.weight.exponent_key()) for r in excluded}
+    touched = {delta_index(r.exponent_key()) for r in excluded}
     offset = even_rho(b.algebra)
     steps, blocks = [], {}
-    for r in sorted(b.pos_odd, key=lambda r: r.weight.exponent_key()):
-        exp = r.weight.exponent_key()
+    for r in sorted(b.pos_odd, key=Weight.exponent_key):
+        exp = r.exponent_key()
         i = delta_index(exp)
         if i not in touched:
             half = tuple(v // 2 for v in exp)
@@ -219,7 +219,7 @@ def _seed_plan(
     return offset, tuple(steps), tuple(map(tuple, blocks.values()))
 
 
-def _seed(b: BorelData, lam_b: Weight, excluded: frozenset[Root]) -> dict[tuple[int, ...], int]:
+def _seed(b: BorelData, lam_b: Weight, excluded: frozenset[Weight]) -> dict[tuple[int, ...], int]:
     """Terms with the W-alternants of the seed e^{lam_b + rho_0} prod_{pos odd
     minus excluded}(1 + e^{-beta}): the steps expanded from e^{lam_b + offset},
     then each free block, the terms eps-straightened before it."""
@@ -392,7 +392,7 @@ def _kw_character(
     )
 
 
-def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Root, ...]:
+def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Weight, ...]:
     """Simple roots of the canonical Levi attached to a tameness report.
 
     B: the right-most 2k nodes of the odd-Borel diagram; D with
@@ -410,7 +410,7 @@ def canonical_levi_roots(b: BorelData, report: TamenessReport) -> tuple[Root, ..
 
 
 def euler_char_character(
-    levi_simple_roots: tuple[Root, ...],
+    levi_simple_roots: tuple[Weight, ...],
     lam_b: Weight,
     b: BorelData,
 ) -> dict[tuple[int, ...], int]:
@@ -426,11 +426,11 @@ def euler_char_character(
 
 
 @functools.lru_cache(maxsize=None)
-def _levi_odd_roots(b: BorelData, levi_simple_roots: tuple[Root, ...]) -> frozenset[Root]:
+def _levi_odd_roots(b: BorelData, levi_simple_roots: tuple[Weight, ...]) -> frozenset[Weight]:
     """The positive odd roots in the span of the Levi's simple roots, which
     must be simple roots of b: those whose coordinates in b's simple roots
     vanish off the Levi's.  Built once per (Borel, Levi) and shared."""
-    return frozenset(r for r in b.pos_odd if in_simple_span(b, levi_simple_roots, r.weight))
+    return frozenset(r for r in b.pos_odd if in_simple_span(b, levi_simple_roots, r))
 
 
 def supercharacter(cr: CharacterResult) -> dict[tuple[int, ...], int]:

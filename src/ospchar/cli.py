@@ -27,6 +27,7 @@ from .rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
+    root_str,
     weyl_orbit,
 )
 from .hook import (
@@ -82,7 +83,7 @@ def _cmd_classify(args) -> int:
         f"tame: {report.tame}",
     ]
     if report.tame:
-        lines.append(f"T = {{{', '.join(str(r) for r in report.distinguished_T)}}}")
+        lines.append(f"T = {{{', '.join(map(root_str, report.distinguished_T))}}}")
         lines.append(f"j = {report.j_lambda}")
         if report.witness_borel is not None:
             lines.append(f"witness Borel: {report.witness_borel.sequence}")
@@ -133,7 +134,7 @@ def _cmd_character(args) -> int:
     lines = [
         f"{alg.osp_name()}  L({cr.highest_weight.display()})",
         f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
-        f"T = {{{', '.join(str(r) for r in cr.T_used)}}}",
+        f"T = {{{', '.join(map(root_str, cr.T_used))}}}",
         f"dim = {cr.dimension}",
         f"ch = {orbits_text(alg, cr.orbits)}",
     ]
@@ -219,7 +220,7 @@ def _line(exp: tuple[int, ...]) -> tuple[int, ...]:
 
 def _lines(roots) -> Counter:
     """The lines of some roots, as a multiset."""
-    return Counter(_line(r.weight.exponent_key()) for r in roots)
+    return Counter(_line(r.exponent_key()) for r in roots)
 
 
 def _denominator_checks(alg: Algebra, borels) -> list[tuple[str, bool, str]]:

@@ -13,6 +13,9 @@ A Borel is read off its sequence by one rule (Cheng-Wang, AMS GSM 144, 1.3):
 with w_1, ..., w_N the weights of its symbols, its positive odd roots are the
 w_i +- w_j (i < j, one d and one e), plus the d_i in family B, and its simple
 roots are the w_i - w_{i+1} and one terminal root.
+
+A root is its weight, an ``exactnum.Weight``: it is odd exactly when its total
+d-degree is odd, and isotropic roots are odd.  ``root_str`` renders it.
 """
 
 from __future__ import annotations
@@ -91,31 +94,10 @@ def pairing4(x: Weight, y: Weight) -> int:
     return sum(a * b for a, b in zip(x.eps, y.eps)) - sum(a * b for a, b in zip(x.delta, y.delta))
 
 
-class Root(NamedTuple):
-    weight: Weight
-    parity: int  # 0 even, 1 odd
-
-    @property
-    def is_isotropic(self) -> bool:
-        return pairing4(self.weight, self.weight) == 0
-
-    def __str__(self) -> str:
-        return root_str(self)
-
-
-def make_root(w: Weight) -> Root:
-    """Build a root, deriving parity from the total d-degree."""
-    total_d = sum(w.delta)
-    if total_d % 2 != 0:
-        raise ValueError("root has non-integral delta part")
-    return Root(w, (total_d // 2) % 2)
-
-
 @functools.lru_cache(maxsize=None)
-def root_str(root: Root) -> str:
+def root_str(w: Weight) -> str:
     """Compact form like 'd3-e1', 'd2+e4', 'e1-d1', '2d1'; rendered once
     per root, since tameness reports share their roots across calls."""
-    w = root.weight
     named = [(a, f"d{i}") for i, a in enumerate(w.delta, start=1)]
     named += [(b, f"e{j}") for j, b in enumerate(w.eps, start=1)]
     if any(doubled % 2 for doubled, _ in named):
@@ -186,13 +168,10 @@ class EpsDeltaSequence(_SequenceFields):
 class BorelData(NamedTuple):
     algebra: Algebra
     sequence: EpsDeltaSequence
-    simple_roots: tuple[Root, ...]
-    pos_even: frozenset[Root]
-    pos_odd: frozenset[Root]
+    simple_roots: tuple[Weight, ...]
+    pos_even: frozenset[Weight]
+    pos_odd: frozenset[Weight]
     rho: Weight
-
-    def positive_roots(self) -> frozenset[Root]:
-        return self.pos_even | self.pos_odd
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,11 +183,11 @@ def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> tuple[Weight, ...]
     return tuple(basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered())
 
 
-def _even_positive_roots(alg: Algebra) -> frozenset[Root]:
+def _even_positive_roots(alg: Algebra) -> frozenset[Weight]:
     zero_delta, zero_eps = (0,) * alg.n, (0,) * alg.m
     weights = [Weight.from_doubled(r, zero_eps) for r in _factor_roots(TYPE_C, alg.n)]
     weights += [Weight.from_doubled(zero_delta, r) for r in _factor_roots(alg.family, alg.m)]
-    return frozenset(Root(w, 0) for w in weights)
+    return frozenset(weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,15 +217,14 @@ def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
         terminal = w[-1].scale(2) if kinds[-1] == "d" else w[-2] + w[-1]
 
     pos_even = _even_positive_roots(alg)
-    pos_odd = frozenset(Root(x, 1) for x in odd)
-    simple_roots = tuple(make_root(x) for x in [a - b for a, b in zip(w, w[1:])] + [terminal])
-    all_pos = pos_even | pos_odd
+    pos_odd = frozenset(odd)
+    simple_roots = tuple(a - b for a, b in zip(w, w[1:])) + (terminal,)
     for r in simple_roots:
-        if r not in all_pos:
-            raise InternalError(f"simple root {r} not positive for {seq}")
+        if r not in pos_even and r not in pos_odd:
+            raise InternalError(f"simple root {root_str(r)} not positive for {seq}")
 
     zero = Weight.zero(alg.n, alg.m)
-    total = sum((r.weight for r in pos_even), zero) - sum((r.weight for r in pos_odd), zero)
+    total = sum(pos_even, zero) - sum(pos_odd, zero)
     return BorelData(
         algebra=alg,
         sequence=seq,
@@ -473,7 +451,7 @@ def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:
 # Odd reflections
 
 
-def odd_reflection(b: BorelData, alpha: Root, gamma: Weight) -> tuple[BorelData, Weight]:
+def odd_reflection(b: BorelData, alpha: Weight, gamma: Weight) -> tuple[BorelData, Weight]:
     """Reflect the Borel at an isotropic odd simple root alpha.
 
     The reflection at the simple root d - e between positions p and p + 1
@@ -482,8 +460,8 @@ def odd_reflection(b: BorelData, alpha: Root, gamma: Weight) -> tuple[BorelData,
     rho' = rho + alpha, so the highest weight of the same module is gamma
     when (gamma, alpha) = 0 and gamma - alpha otherwise.
     """
-    if alpha not in b.simple_roots or not alpha.is_isotropic or alpha.parity != 1:
-        raise NotSimpleIsotropic(f"{alpha} is not an isotropic odd simple root")
+    if alpha not in b.simple_roots or pairing4(alpha, alpha) != 0:
+        raise NotSimpleIsotropic(f"{alpha.display()} is not an isotropic odd simple root")
     p = b.simple_roots.index(alpha)
     symbols = list(b.sequence.symbols)
     sign = b.sequence.sign
@@ -495,7 +473,7 @@ def odd_reflection(b: BorelData, alpha: Root, gamma: Weight) -> tuple[BorelData,
         # a signed sequence ending in e denotes the same Borel unsigned
         sign = 1
     b2 = borel_from_sequence(b.algebra, EpsDeltaSequence(tuple(symbols), sign))
-    return b2, gamma - alpha.weight if pairing4(gamma, alpha.weight) != 0 else gamma
+    return b2, gamma - alpha if pairing4(gamma, alpha) != 0 else gamma
 
 
 def _bubble_moves(start: tuple[str, ...], target: tuple[str, ...]) -> Iterator[int]:
@@ -542,20 +520,12 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
 # Diagram twist (family D)
 
 
-def _sigma_weight(w: Weight) -> Weight:
-    eps = list(w.eps)
-    eps[-1] = -eps[-1]
-    return Weight(w.delta, tuple(eps))
-
-
 def sigma_twist(alg: Algebra, obj):
     """Negate the e_m coordinate of a weight, root or Borel."""
     if alg.family != FAMILY_D:
         raise FamilyMismatch("the diagram twist exists only in family D")
     if isinstance(obj, Weight):
-        return _sigma_weight(obj)
-    if isinstance(obj, Root):
-        return Root(_sigma_weight(obj.weight), obj.parity)
+        return Weight(obj.delta, obj.eps[:-1] + (-obj.eps[-1],))
     if isinstance(obj, BorelData):
         seq = obj.sequence
         if seq.symbols[-1] == "e":
@@ -593,12 +563,12 @@ def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def in_simple_span(b: BorelData, simple_roots: tuple[Root, ...], x: Weight) -> bool:
+def in_simple_span(b: BorelData, simple_roots: tuple[Weight, ...], x: Weight) -> bool:
     """Whether x lies in the span of some of b's simple roots: its
     coordinates vanish at every other index.  Raises ``NotSimpleRoot`` for a
     root that is not simple in b."""
     try:
         indices = {b.simple_roots.index(r) for r in simple_roots}
     except ValueError:
-        raise NotSimpleRoot(f"a root of {[str(r) for r in simple_roots]} is not simple in {b.sequence}") from None
+        raise NotSimpleRoot(f"a root of {[r.display() for r in simple_roots]} is not simple in {b.sequence}") from None
     return not any(c for i, c in enumerate(simple_coords4(b, x)) if i not in indices)

@@ -41,6 +41,11 @@ this file.
   (``e_by_transpose``), and the even nilradical of the canonical parabolic
   listed root by root from the cut points of the witness Borel
   (``even_nilradical_by_hand``).
+- A root's parity from its d-degree (``root_parity``), which the library
+  never stores.
+- A diagnostic, not a check: strict positivity of a tame weight against the
+  even nilradical of its canonical parabolic (``admissibility_positivity``),
+  which fails on some tame weights (B:3:3, (5)).
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from fractions import Fraction
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
-from ospchar.atyp import atypicality_degree_brute
-from ospchar.characters import CharacterResult, _divided_orbits, _seed
+from ospchar.atyp import NotTame, atypicality_degree_brute, is_tame
+from ospchar.characters import CharacterResult, _divided_orbits, _seed, canonical_levi_roots
 from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
 from ospchar.rootdata import (
@@ -65,10 +70,10 @@ from ospchar.rootdata import (
     BorelData,
     EpsDeltaSequence,
     FamilyMismatch,
-    Root,
     all_sequences,
     b_standard,
     borel_from_sequence,
+    in_simple_span,
     pairing4,
     weyl_factors,
     weyl_orbit,
@@ -264,7 +269,7 @@ def evaluate_at_one(p: LaurentPolynomial) -> int:
 
 def denominators(b: BorelData) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Expanded product forms of the even and odd Weyl denominators."""
-    odd = [poly_sum(monomial(r.weight.half()), monomial(-r.weight.half())) for r in b.pos_odd]
+    odd = [poly_sum(monomial(r.half()), monomial(-r.half())) for r in b.pos_odd]
     return poly_product(*even_factors(b)), poly_product(*odd)
 
 
@@ -272,7 +277,7 @@ def rho_even(b: BorelData) -> Weight:
     """rho_0: half the sum of b's positive even roots."""
     total = Weight.zero(b.algebra.n, b.algebra.m)
     for r in b.pos_even:
-        total = total + r.weight
+        total = total + r
     return total.half()
 
 
@@ -543,14 +548,14 @@ def frobenius_weight(lam: HookPartition, b: BorelData, minus: bool | None = None
 
 def even_factors(b: BorelData) -> list[LaurentPolynomial]:
     """The factors e^{alpha/2} - e^{-alpha/2} of D_0, one per positive even root."""
-    return [poly_sum(monomial(r.weight.half()), monomial(-r.weight.half(), -1)) for r in b.pos_even]
+    return [poly_sum(monomial(r.half()), monomial(-r.half(), -1)) for r in b.pos_even]
 
 
 def cleared_seed(b: BorelData, lam_b: Weight, excluded) -> LaurentPolynomial:
     """e^{lam_b + rho_0} prod_{pos odd minus excluded}(1 + e^{-beta}), where
     rho_0 = rho + rho_1."""
     zero = Weight.zero(b.algebra.n, b.algebra.m)
-    binomials = [poly_sum(monomial(zero), monomial(-r.weight)) for r in b.pos_odd if r not in excluded]
+    binomials = [poly_sum(monomial(zero), monomial(-r)) for r in b.pos_odd if r not in excluded]
     return poly_product(monomial(lam_b + rho_even(b)), *binomials)
 
 
@@ -558,7 +563,7 @@ def kw_character_with_borel(
     lam: HookPartition,
     alg: Algebra,
     b: BorelData,
-    T: tuple[Root, ...],
+    T: tuple[Weight, ...],
     j: int,
     minus: bool = False,
 ) -> LaurentPolynomial:
@@ -601,7 +606,7 @@ def weyl_dimension(alg: Algebra, alternants: dict[tuple[int, ...], int], j: int)
         x = Weight.from_doubled(nu[: alg.n], nu[alg.n :])
         term = Fraction(coef)
         for r in b.pos_even:
-            term *= Fraction(pairing4(x, r.weight), pairing4(rho_0, r.weight))
+            term *= Fraction(pairing4(x, r), pairing4(rho_0, r))
         total += term
     return total / j
 
@@ -686,6 +691,12 @@ def max_matching_brute(edges: dict[int, set[int]]) -> int:
     return 0
 
 
+def root_parity(r: Weight) -> int:
+    """A root's parity from its definition: its total d-degree modulo 2
+    (0 even, 1 odd)."""
+    return sum(r.delta) // 2 % 2
+
+
 def tame_by_definition(lam: HookPartition, alg: Algebra) -> bool:
     """Kac-Wakimoto's definition: L(lambda) is tame when some Borel b has k
     mutually orthogonal isotropic odd simple roots orthogonal to
@@ -700,9 +711,9 @@ def tame_by_definition(lam: HookPartition, alg: Algebra) -> bool:
         b = borel_from_sequence(alg, seq)
         shifted = highest_weight_via_reflections(lam, b) + b.rho
         orth = [
-            r.weight
+            r
             for r in b.simple_roots
-            if r.parity == 1 and r.is_isotropic and pairing4(shifted, r.weight) == 0
+            if root_parity(r) == 1 and pairing4(r, r) == 0 and pairing4(shifted, r) == 0
         ]
         for subset in itertools.combinations(orth, k):
             if all(pairing4(x, y) == 0 for x, y in itertools.combinations(subset, 2)):
@@ -753,3 +764,22 @@ def even_nilradical_by_hand(lam: HookPartition, alg: Algebra) -> list[Weight]:
     if short_eps:
         roots += e[:e_cut]
     return roots
+
+
+def admissibility_positivity(lam: HookPartition, alg: Algebra) -> tuple[bool, Weight | None]:
+    """Check strict positivity of the shifted weight against the even
+    nilradical roots of the canonical parabolic: the positive even roots
+    outside the span of ``canonical_levi_roots``, tried in descending
+    exponent order; returns the first violation as a witness."""
+    report = is_tame(lam, alg)
+    if not report.tame or report.atypicality_k == 0:
+        raise NotTame("positivity check applies to tame modules with k >= 1")
+    b = report.witness_borel
+    shifted = highest_weight_via_reflections(lam, b) + b.rho
+    levi = canonical_levi_roots(b, report)
+    nilradical = [r for r in b.pos_even if not in_simple_span(b, levi, r)]
+    for r in sorted(nilradical, key=Weight.exponent_key, reverse=True):
+        # (shifted, r) / (r, r) > 0, read off the sign of a product of integers
+        if not pairing4(shifted, r) * pairing4(r, r) > 0:
+            return False, r
+    return True, None

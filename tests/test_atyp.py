@@ -20,7 +20,7 @@ from ospchar.atyp import (
 from ospchar.blocks import fingerprint
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
-from ospchar.rootdata import Algebra, b_standard, pairing4
+from ospchar.rootdata import Algebra, b_standard, pairing4, root_str
 from ospchar.hook import highest_weight_via_reflections
 from oracles import e_by_transpose, matched_values, max_matching_brute, pairing_edges, tame_by_definition
 
@@ -131,7 +131,7 @@ class TestIsTame:
         lam = HookPartition.of((3, 3, 3, 2, 2, 2, 1), 2, 3)
         rep = is_tame(lam, D32)
         assert rep.tame and rep.atypicality_k == 1
-        assert [str(r) for r in rep.distinguished_T] == ["d2+e3"]
+        assert [root_str(r) for r in rep.distinguished_T] == ["d2+e3"]
         assert rep.j_lambda == 1  # lambda_{n+1} = m row of the table
 
     def test_typical_is_tame_with_empty_T(self):
@@ -223,17 +223,17 @@ class TestDistinguishedT:
         for k in (1, 2):
             alg = Algebra("B", k, k)
             T = is_tame(HookPartition.of((), k, k), alg).distinguished_T
-            assert [str(r) for r in T] == [f"e{i}-d{i}" for i in range(1, k + 1)]
+            assert [root_str(r) for r in T] == [f"e{i}-d{i}" for i in range(1, k + 1)]
 
     def test_d_minus_pair_case(self):
         alg = Algebra("D", 2, 1)
         T = is_tame(HookPartition.of((), 1, 2), alg).distinguished_T
-        assert [str(r) for r in T] == ["d1-e2"]
+        assert [root_str(r) for r in T] == ["d1-e2"]
 
     def test_d_plus_pair_case(self):
         lam = HookPartition.of((3, 3, 3, 2, 2, 2, 1), 2, 3)
         T = is_tame(lam, D32).distinguished_T
-        assert [str(r) for r in T] == ["d2+e3"]
+        assert [root_str(r) for r in T] == ["d2+e3"]
 
     def test_built_once_and_shared(self):
         for alg, k, index in ((B33, 2, None), (B33, 3, None), (D32, 1, 2), (D32, 2, None)):
@@ -253,12 +253,12 @@ class TestDistinguishedT:
                 shifted = highest_weight_via_reflections(lam, b) + b.rho
                 for r in rep.distinguished_T:
                     assert r in b.simple_roots
-                    assert r.is_isotropic
-                    assert pairing4(shifted, r.weight) == 0
+                    assert pairing4(r, r) == 0
+                    assert pairing4(shifted, r) == 0
                 for r1 in rep.distinguished_T:
                     for r2 in rep.distinguished_T:
                         if r1 != r2:
-                            assert pairing4(r1.weight, r2.weight) == 0
+                            assert pairing4(r1, r2) == 0
 
 
 class TestJLambda:

@@ -17,7 +17,7 @@ from ospchar.hook import (
     hook_partitions,
     parse_partition,
 )
-from ospchar.rootdata import Algebra, b_standard
+from ospchar.rootdata import Algebra, b_standard, root_str
 from json_oracle import poly_from_json, poly_to_json
 from oracles import (
     character,
@@ -54,6 +54,20 @@ class TestClassify:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"] == {"T": None, "e": None, "j": None, "k": 2, "tame": False}
+
+    def test_golden_text(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "classify", "--algebra", "D:3:2", "--partition", "3,3,3,2,2,2,1", "--minus", "--output", "text"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "osp(6|4)  lambda = (3,3,3,2,2,2,1) (minus twin)",
+            "atypicality k = 1",
+            "tame: True",
+            "T = {d2-e3}",
+            "j = 1",
+            "witness Borel: deede",
+        ]
 
     def test_byte_identical_across_runs(self, capsys):
         outs = set()
@@ -186,7 +200,7 @@ def test_character_output_matches_expanded_oracle(capsys, label):
             assert out.splitlines() == [
                 f"{alg.osp_name()}  L({cr.highest_weight.display()})",
                 f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
-                f"T = {{{', '.join(str(r) for r in cr.T_used)}}}",
+                f"T = {{{', '.join(map(root_str, cr.T_used))}}}",
                 f"dim = {evaluate_at_one(want)}",
                 f"ch = {monomial_text(want, alg.n, alg.m)}",
             ], lam.parts

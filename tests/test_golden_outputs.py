@@ -3,7 +3,8 @@
 ``perfbench/golden.json`` stores, for every benchmark operation, its argv
 and sha256("{exit code}\\n{stdout}").  Replaying the workloads here makes
 any byte change in ``classify``, ``bottom`` or ``character`` output fail the
-tests directly.  The file is only read.
+tests directly.  The file is only read.  The stdout of ``verify --max-rank 3``
+is pinned the same way, by its sha256.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from ospchar.rootdata import WeylFactor, weyl_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
+VERIFY_RANK_3_SHA256 = "dd4414e06165e3b780e8f231e57fced60fa08c163ca009d9076401df7cc7039e"
 
 
 def _changed(rows, capsys) -> list[str]:
@@ -54,6 +56,13 @@ def test_reverse_replay_from_empty_weyl_factor_tables(workload, capsys):
     rows = json.loads(GOLDEN.read_text())["workloads"][workload][::-1]
     changed = _changed(rows, capsys)
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"
+
+
+def test_verify_rank_3_matches_its_digest(capsys):
+    # every check's name, verdict and detail on the 15 algebras of rank <= 3
+    assert main(["verify", "--max-rank", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK_3_SHA256
 
 
 def _benchmark_oracles(monkeypatch):

@@ -13,7 +13,6 @@ from ospchar.rootdata import (
     FamilyMismatch,
     NotSimpleIsotropic,
     NotSimpleRoot,
-    Root,
     all_sequences,
     b_odd,
     b_standard,
@@ -21,7 +20,6 @@ from ospchar.rootdata import (
     even_rho,
     height,
     in_simple_span,
-    make_root,
     odd_reflection,
     pairing4,
     root_str,
@@ -38,10 +36,10 @@ from oracles import (
     coords_in_basis,
     denominators,
     dominant,
-    map_exponents,
     monomial,
     poly_sum,
     rho_even,
+    root_parity,
     scaled,
     sigma_twist_poly,
     straighten,
@@ -92,7 +90,7 @@ def coordinate_probes(alg, rng):
     random doubled weights with odd entries, half-integral in both families."""
     naturals = [natural_weight(lam)[0] for lam in hook_partitions(alg.n, alg.m, 2)]
     rho = b_standard(alg).rho
-    probes = [r.weight for r in b_standard(alg).positive_roots()]
+    probes = list(b_standard(alg).pos_even | b_standard(alg).pos_odd)
     probes += [x - y for x in naturals for y in naturals]
     probes += [x + rho - y for x in naturals for y in naturals]
     probes += [
@@ -111,7 +109,7 @@ def test_simple_coords4_match_the_gauss_jordan_solve(alg):
     assert any(v % 2 for x in probes for v in x.exponent_key())
     quarters = 0
     for b in every_borel(alg):
-        simple = [r.weight for r in b.simple_roots]
+        simple = list(b.simple_roots)
         for x in probes:
             got = simple_coords4(b, x)
             assert list(got) == [4 * c for c in coords_in_basis(simple, x)], (str(b.sequence), x)
@@ -122,12 +120,12 @@ def test_simple_coords4_match_the_gauss_jordan_solve(alg):
 def test_in_simple_span_refuses_a_root_that_is_not_simple():
     b = b_standard(D22)
     levi = b.simple_roots[-2:]
-    assert in_simple_span(b, levi, levi[0].weight + levi[1].weight)
-    assert not in_simple_span(b, levi, b.simple_roots[0].weight)
+    assert in_simple_span(b, levi, levi[0] + levi[1])
+    assert not in_simple_span(b, levi, b.simple_roots[0])
     assert in_simple_span(b, (), Weight.zero(D22.n, D22.m))
-    not_simple = make_root(levi[0].weight + levi[1].weight)
+    not_simple = levi[0] + levi[1]
     with pytest.raises(NotSimpleRoot):
-        in_simple_span(b, (not_simple,), not_simple.weight)
+        in_simple_span(b, (not_simple,), not_simple)
     # the Euler character's excluded set and the positivity check use it
     from ospchar.characters import euler_char_character
 
@@ -136,8 +134,9 @@ def test_in_simple_span_refuses_a_root_that_is_not_simple():
 
 
 def roots_by_definition(alg):
-    """Every root of the algebra: +-d_i+-d_j, +-2d_i, +-e_i+-e_j and
-    +-d_i+-e_j, with +-d_i and +-e_j in family B."""
+    """Every root of the algebra, as (even, odd): +-d_i+-d_j, +-2d_i and
+    +-e_i+-e_j are even, +-d_i+-e_j odd, with +-e_j even and +-d_i odd in
+    family B."""
     d = [Weight.basis_delta(alg.n, alg.m, i) for i in range(1, alg.n + 1)]
     e = [Weight.basis_eps(alg.n, alg.m, j) for j in range(1, alg.m + 1)]
     even = [x.scale(2) for x in d]
@@ -146,20 +145,22 @@ def roots_by_definition(alg):
     if alg.family == "B":
         even += e
         odd += d
-    roots = {Root(x, 0) for x in even} | {Root(x, 1) for x in odd}
-    return roots | {Root(-r.weight, r.parity) for r in roots}
+    return tuple({x for r in roots for x in (r, -r)} for roots in (even, odd))
 
 
 def positive_roots_by_definition(alg, seq):
-    """The roots on which h > 0, where h takes the value N - p on the symbol
-    at 0-based position p; a signed sequence's are those of its unsigned
-    twin with the e_m coordinate negated."""
+    """The (even, odd) roots on which h > 0, where h takes the value N - p on
+    the symbol at 0-based position p; a signed sequence's are those of its
+    unsigned twin with the e_m coordinate negated."""
     value = {symbol: len(seq.symbols) - p for p, symbol in enumerate(seq.numbered())}
     h = [value["d", i] for i in range(1, alg.n + 1)] + [value["e", j] for j in range(1, alg.m + 1)]
-    positive = {r for r in roots_by_definition(alg) if sum(map(operator.mul, r.weight.exponent_key(), h)) > 0}
-    if seq.sign == 1:
-        return positive
-    return {Root(Weight(r.weight.delta, r.weight.eps[:-1] + (-r.weight.eps[-1],)), r.parity) for r in positive}
+    out = []
+    for roots in roots_by_definition(alg):
+        positive = {r for r in roots if sum(map(operator.mul, r.exponent_key(), h)) > 0}
+        if seq.sign == -1:
+            positive = {Weight(r.delta, r.eps[:-1] + (-r.eps[-1],)) for r in positive}
+        out.append(positive)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
@@ -168,10 +169,11 @@ def test_root_data_matches_the_definition(alg):
     # simple roots as the positive roots that are not a sum of two of them
     for seq in all_sequences(alg):
         b = borel_from_sequence(alg, seq)
-        positive = positive_roots_by_definition(alg, seq)
-        sums = {x.weight + y.weight for x, y in itertools.combinations_with_replacement(positive, 2)}
-        assert b.positive_roots() == positive, str(seq)
-        assert set(b.simple_roots) == {r for r in positive if r.weight not in sums}, str(seq)
+        even, odd = positive_roots_by_definition(alg, seq)
+        positive = even | odd
+        sums = {x + y for x, y in itertools.combinations_with_replacement(positive, 2)}
+        assert (b.pos_even, b.pos_odd) == (even, odd), str(seq)
+        assert set(b.simple_roots) == {r for r in positive if r not in sums}, str(seq)
 
 
 class TestBorelFromSequence:
@@ -201,7 +203,7 @@ class TestBorelFromSequence:
         # osp(9|10) with sequence ddeeddeed
         alg = Algebra("B", 4, 5)
         b = borel_from_sequence(alg, EpsDeltaSequence.parse("ddeeddeed"))
-        assert [str(r) for r in b.simple_roots] == [
+        assert [root_str(r) for r in b.simple_roots] == [
             "d1-d2", "d2-e1", "e1-e2", "e2-d3", "d3-d4",
             "d4-e3", "e3-e4", "e4-d5", "d5",
         ]
@@ -212,20 +214,28 @@ class TestBorelFromSequence:
                 b = borel_from_sequence(alg, seq)
                 total_odd = Weight.zero(alg.n, alg.m)
                 for r in b.pos_odd:
-                    total_odd = total_odd + r.weight
+                    total_odd = total_odd + r
                 assert b.rho == rho_even(b) - total_odd.half()
 
-    def test_simple_roots_are_positive_and_isotropy_is_odd_mixed(self):
-        for alg in (B22, D22):
-            for seq in all_sequences(alg):
-                b = borel_from_sequence(alg, seq)
-                allpos = b.positive_roots()
-                for r in b.simple_roots:
-                    assert r in allpos
-                for r in allpos:
-                    iso = pairing4(r.weight, r.weight) == 0
-                    if iso:
-                        assert r.parity == 1
+    @pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
+    def test_simple_roots_are_positive_and_isotropy_is_odd_mixed(self, alg):
+        # every Borel, signed D ones included: the set a root sits in is its
+        # parity, read off its d-degree; every isotropic root is odd, so
+        # odd_reflection needs no parity test to refuse an even simple root
+        for b in every_borel(alg):
+            allpos = b.pos_even | b.pos_odd
+            assert not b.pos_even & b.pos_odd
+            for r in b.simple_roots:
+                assert r in allpos
+            assert {root_parity(r) for r in b.pos_even} == {0}
+            assert {root_parity(r) for r in b.pos_odd} == {1}
+            for r in allpos | set(b.simple_roots):
+                if pairing4(r, r) == 0:
+                    assert r in b.pos_odd, (str(b.sequence), root_str(r))
+            for r in b.simple_roots:
+                if r in b.pos_even:
+                    with pytest.raises(NotSimpleIsotropic):
+                        odd_reflection(b, r, Weight.zero(alg.n, alg.m))
 
     def test_even_positive_system_shared_across_borels(self):
         for alg in (B22, D21, D22):
@@ -267,22 +277,22 @@ class TestBorelCache:
         for alg in (B22, D22, Algebra("D", 3, 2)):
             for seq in all_sequences(alg):
                 b = borel_from_sequence(alg, seq)
-                for r in b.positive_roots() | set(b.simple_roots):
+                for r in b.pos_even | b.pos_odd | set(b.simple_roots):
                     text = root_str.__wrapped__(r)
-                    assert root_str(r) == text and str(r) == text
-                    assert root_str(Root(r.weight, r.parity)) is root_str(r)
+                    assert root_str(r) == text
+                    assert root_str(Weight(r.delta, r.eps)) is root_str(r)
 
 
 class TestBOdd:
     def test_b11_sequence_and_simple_roots(self):
         b = b_odd(B11)
         assert str(b.sequence) == "ed"
-        assert [str(r) for r in b.simple_roots] == ["e1-d1", "d1"]
+        assert [root_str(r) for r in b.simple_roots] == ["e1-d1", "d1"]
 
     def test_b_excess_eps_prefixed(self):
         b = b_odd(Algebra("B", 3, 1))
         assert str(b.sequence) == "eeed"
-        assert str(b.simple_roots[0]) == "e1-e2"
+        assert root_str(b.simple_roots[0]) == "e1-e2"
 
     def test_b_excess_deltas_prefixed(self):
         b = b_odd(Algebra("B", 1, 3))
@@ -291,8 +301,8 @@ class TestBOdd:
     def test_d_square_terminal_fork(self):
         b = b_odd(D22)
         assert str(b.sequence) == "dede"
-        assert str(b.simple_roots[-2]) == "d2-e2"
-        assert str(b.simple_roots[-1]) == "d2+e2"
+        assert root_str(b.simple_roots[-2]) == "d2-e2"
+        assert root_str(b.simple_roots[-1]) == "d2+e2"
 
     def test_d_rect_shapes(self):
         assert str(b_odd(D21).sequence) == "ede"
@@ -464,7 +474,7 @@ class TestWeylFactors:
         alg = Algebra("B", 1, rank) if kind == "C" else Algebra(kind, rank, 1)
         for seq in all_sequences(alg):
             b = borel_from_sequence(alg, seq)
-            first = min(b.pos_odd, key=lambda r: r.weight.exponent_key())
+            first = min(b.pos_odd, key=Weight.exponent_key)
             for excluded in (frozenset(), frozenset({first}), b.pos_odd):
                 assert _frozen(_seed_plan(b, excluded)), (str(seq), len(excluded))
 
@@ -547,7 +557,7 @@ class TestDenominatorInvariances:
     def test_dropped_odd_root_breaks_borel_independence(self, alg):
         borels = every_borel(alg)
         last = borels[-1]
-        borels[-1] = with_odd(last, sorted(last.pos_odd, key=str)[1:])
+        borels[-1] = with_odd(last, sorted(last.pos_odd, key=root_str)[1:])
         self.planted(alg, borels, "odd-denominator-borel-independent")
 
     @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
@@ -555,10 +565,10 @@ class TestDenominatorInvariances:
         # the line of beta counted twice: a set of lines would miss it
         borels = every_borel(alg)
         last = borels[-1]
-        beta = min(last.pos_odd, key=str)
-        borels[-1] = with_odd(last, last.pos_odd | {Root(-beta.weight, 1)})
+        beta = min(last.pos_odd, key=root_str)
+        borels[-1] = with_odd(last, last.pos_odd | {-beta})
         self.planted(alg, borels, "odd-denominator-borel-independent")
-        line = {beta, Root(-beta.weight, 1)}
+        line = {beta, -beta}
         borels = [with_odd(b, b.pos_odd | line) for b in every_borel(alg)]
         self.planted(alg, borels, "odd-denominator-weyl-invariant")
 
@@ -566,22 +576,22 @@ class TestDenominatorInvariances:
     def test_odd_root_replaced_by_a_non_root_everywhere(self, alg):
         # +-(d1 - e1) becomes +-(d1 - 2e1) in every Borel
         old, new = w([1, 0], [-1, 0]), w([1, 0], [-2, 0])
-        swap = {old: Root(new, 1), -old: Root(-new, 1)}
-        borels = [with_odd(b, [swap.get(r.weight, r) for r in b.pos_odd]) for b in every_borel(alg)]
+        swap = {old: new, -old: -new}
+        borels = [with_odd(b, [swap.get(r, r) for r in b.pos_odd]) for b in every_borel(alg)]
         self.planted(alg, borels, "odd-denominator-weyl-invariant")
 
     @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
     def test_dropped_even_root_breaks_sign_stability(self, alg):
         borels = every_borel(alg)
         last = borels[-1]
-        borels[-1] = last._replace(pos_even=frozenset(sorted(last.pos_even, key=str)[1:]))
+        borels[-1] = last._replace(pos_even=frozenset(sorted(last.pos_even, key=root_str)[1:]))
         self.planted(alg, borels, "even-denominator-sign-stable")
 
 
 class TestOddReflection:
     def test_orthogonal_case_shifts_by_alpha(self):
         b = b_standard(B11)
-        alpha = make_root(w([1], [-1]))
+        alpha = w([1], [-1])
         b2, gamma2 = odd_reflection(b, alpha, Weight.zero(1, 1))
         assert str(b2.sequence) == "ed"
         # shifted weight gains alpha: was (-1/2|1/2), becomes (1/2|-1/2)
@@ -589,7 +599,7 @@ class TestOddReflection:
 
     def test_nonorthogonal_case_keeps_shifted_weight(self):
         b = b_standard(B11)
-        alpha = make_root(w([1], [-1]))
+        alpha = w([1], [-1])
         gamma = w([2], [0])
         b2, gamma2 = odd_reflection(b, alpha, gamma)
         assert gamma2 + b2.rho == gamma + b.rho
@@ -599,9 +609,9 @@ class TestOddReflection:
             b = b_standard(alg)
             gamma = Weight.from_ints([2, 1][: alg.n], [1, 0][: alg.m])
             for alpha in b.simple_roots:
-                if alpha.parity == 1 and alpha.is_isotropic:
+                if root_parity(alpha) == 1 and pairing4(alpha, alpha) == 0:
                     b2, g2 = odd_reflection(b, alpha, gamma)
-                    back = make_root(-alpha.weight)
+                    back = -alpha
                     b3, g3 = odd_reflection(b2, back, g2)
                     assert b3.sequence == b.sequence
                     assert g3 == gamma
@@ -609,17 +619,17 @@ class TestOddReflection:
     def test_rejects_non_simple_root(self):
         b = b_standard(B22)
         with pytest.raises(NotSimpleIsotropic):
-            odd_reflection(b, make_root(w([1, 0], [0, -1])), Weight.zero(2, 2))
+            odd_reflection(b, w([1, 0], [0, -1]), Weight.zero(2, 2))
 
     def test_rejects_non_isotropic_odd_root(self):
         b = b_standard(B11)  # terminal simple root e_1 is even here; d_1 odd non-isotropic
         bo = b_odd(B11)
         with pytest.raises(NotSimpleIsotropic):
-            odd_reflection(bo, make_root(w([1], [0])), Weight.zero(1, 1))
+            odd_reflection(bo, w([1], [0]), Weight.zero(1, 1))
 
     def test_d_terminal_flip_creates_signed_sequence(self):
         b = borel_from_sequence(D21, EpsDeltaSequence.parse("ede"))
-        alpha = make_root(w([1], [0, 1]))  # d_1 + e_2 is the terminal root
+        alpha = w([1], [0, 1])  # d_1 + e_2 is the terminal root
         b2, _ = odd_reflection(b, alpha, Weight.zero(1, 2))
         assert str(b2.sequence) == "eed-"
 
@@ -632,14 +642,14 @@ class TestOddReflection:
             for seq in all_sequences(alg):
                 b = borel_from_sequence(alg, seq)
                 for alpha in b.simple_roots:
-                    if alpha.parity != 1 or not alpha.is_isotropic:
+                    if root_parity(alpha) != 1 or pairing4(alpha, alpha) != 0:
                         continue
                     for gamma in gammas:
                         b2, g2 = odd_reflection(b, alpha, gamma)
-                        assert b2.rho == b.rho + alpha.weight
-                        assert make_root(-alpha.weight) in b2.simple_roots
+                        assert b2.rho == b.rho + alpha
+                        assert -alpha in b2.simple_roots
                         # the shifted weight is kept, or gains alpha when orthogonal
-                        gain = alpha.weight if pairing4(gamma, alpha.weight) == 0 else Weight.zero(alg.n, alg.m)
+                        gain = alpha if pairing4(gamma, alpha) == 0 else Weight.zero(alg.n, alg.m)
                         assert g2 + b2.rho == gamma + b.rho + gain
                     if alpha == b.simple_roots[-1]:
                         assert alg.family == "D" and b2.sequence.sign == -1
@@ -669,8 +679,8 @@ class TestSigmaTwist:
     def test_weight_and_root_action(self):
         x = w([0], [1, 1])  # e_1 + e_2 over D(2,1)
         assert sigma_twist(D21, x) == w([0], [1, -1])
-        r = make_root(w([1], [0, 1]))
-        assert str(sigma_twist(D21, r)) == "d1-e2"
+        r = w([1], [0, 1])
+        assert root_str(sigma_twist(D21, r)) == "d1-e2"
 
     def test_involution_on_all_kinds(self):
         x = w([2], [1, -1])

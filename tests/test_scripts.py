@@ -19,4 +19,18 @@ def test_tame_census_runs_and_prints_its_footer():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert re.fullmatch(r"# \d+/\d+ tame", proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    footer = re.fullmatch(r"# (\d+)/\d+ tame", lines[-1])
+    assert footer
+    assert not any("Weight(" in line for line in lines)
+    # each tame row ends with T, its k roots rendered as strings like d1-e2
+    tame = atypical = 0
+    for line in lines:
+        row = re.fullmatch(r"\S+\s+(\d+)\s+yes\s+\d+\s+\d+  \{(.*)\}", line)
+        if row:
+            roots = row[2].split(",") if row[2] else []
+            assert len(roots) == int(row[1]), line
+            assert all(re.fullmatch(r"[de]\d[+-][de]\d", r) for r in roots), line
+            tame += 1
+            atypical += bool(roots)
+    assert tame == int(footer[1]) and atypical

@@ -12,9 +12,9 @@ import pytest
 from ospchar.atyp import is_tame
 from ospchar.blocks import bottom_of_block, fingerprint
 from ospchar.characters import kw_character
-from ospchar.exactnum import InputError, Weight
+from ospchar.exactnum import InputError
 from ospchar.hook import HookPartition, HookViolation
-from ospchar.rootdata import Algebra, EpsDeltaSequence, b_standard, make_root
+from ospchar.rootdata import Algebra, EpsDeltaSequence, b_standard
 
 ROOT = Path(__file__).resolve().parents[1]
 B33 = Algebra("B", 3, 3)
@@ -71,19 +71,14 @@ def test_fields_refuse_assignment_and_hash_as_their_tuple(value):
 
 
 def test_repr_is_the_field_text():
-    assert repr(make_root(Weight.from_ints((1, 0), (0, -1)))) == (
-        "Root(weight=Weight(delta=(2, 0), eps=(0, -2)), parity=1)"
-    )
+    # a root is its weight, so the root sets print as weights
     assert repr(b_standard(Algebra("B", 1, 1))) == (
         "BorelData(algebra=Algebra(family='B', m=1, n=1), "
         "sequence=EpsDeltaSequence(symbols=('d', 'e'), sign=1), "
-        "simple_roots=(Root(weight=Weight(delta=(2,), eps=(-2,)), parity=1), "
-        "Root(weight=Weight(delta=(0,), eps=(2,)), parity=0)), "
-        "pos_even=frozenset({Root(weight=Weight(delta=(4,), eps=(0,)), parity=0), "
-        "Root(weight=Weight(delta=(0,), eps=(2,)), parity=0)}), "
-        "pos_odd=frozenset({Root(weight=Weight(delta=(2,), eps=(0,)), parity=1), "
-        "Root(weight=Weight(delta=(2,), eps=(-2,)), parity=1), "
-        "Root(weight=Weight(delta=(2,), eps=(2,)), parity=1)}), "
+        "simple_roots=(Weight(delta=(2,), eps=(-2,)), Weight(delta=(0,), eps=(2,))), "
+        "pos_even=frozenset({Weight(delta=(0,), eps=(2,)), Weight(delta=(4,), eps=(0,))}), "
+        "pos_odd=frozenset({Weight(delta=(2,), eps=(-2,)), Weight(delta=(2,), eps=(0,)), "
+        "Weight(delta=(2,), eps=(2,))}), "
         "rho=Weight(delta=(-1,), eps=(1,)))"
     )
 
