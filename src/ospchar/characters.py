@@ -4,12 +4,20 @@ The formula ch = (1/j) D_0^{-1} sum_w sgn(w) w(e^{s} / prod_{T}(1 + e^{-beta}))
 is evaluated with denominators cleared: the odd denominator identity
 e^{rho_1} prod_{pos odd}(1 + e^{-beta}) = D_1 turns the T-quotient into the
 complementary product, the seed e^{lambda_b + rho_0} prod_{pos odd minus
-T}(1 + e^{-beta}).  Only the seed's alternants matter.  ``_seed_plan``
-splits the odd roots, once per (Borel, T), into the steps of the delta
-blocks T touches and the free W_eps-invariant blocks (the odd roots through
-a delta_i that T does not touch); ``_seed`` expands the steps in full and
-eps-straightens the terms (``_straightened``) before each free block, which
-keeps the alternants.
+T}(1 + e^{-beta}).  Only its alternants matter, so before a factor is
+multiplied in, the terms may be carried by any w in W that fixes the
+product of the factors still to come, times sgn(w); a term that such a w of
+sgn -1 fixes drops out.  With sym(beta) = e^{beta/2} + e^{-beta/2}, the seed
+is e^{x_0} prod sym(beta), x_0 = lambda_b + rho_0 - sum beta/2, and the two
+lines d_i -+ e_j multiply to the quad e^{d_i} + e^{-d_i} + e^{e_j} + e^{-e_j},
+which every coordinate flip fixes.  ``_seed_plan`` sorts the factors, once
+per (Borel, T), into singles (the lines in no quad) and rows (the quads
+through one d_i).  ``_seed`` expands the singles, then the rows T touches,
+then the free rows (a quad on every e_j), and flips each term's entries
+nonnegative (``WeylFactor.flipped``) before each quad.  Before a touched row
+it also sorts the matched pairs (d_t, e_c) of the rows still to come, and
+the eps entries where all of them hold a quad (``_sorted_rows``); before a
+free row it eps-straightens, as the rows left are W_eps-invariant.
 The numerator is W-antisymmetric and the character W-invariant, so only the
 dominant chamber is computed, in three steps, each one factor of
 W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
@@ -71,6 +79,7 @@ from .rootdata import (
     Algebra,
     BorelData,
     WeylFactor,
+    _sort_sign,
     b_standard,
     even_rho,
     height,
@@ -190,72 +199,97 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
 @functools.lru_cache(maxsize=None)
 def _seed_plan(
     b: BorelData, excluded: frozenset[Weight]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The seed's block structure, built once per (Borel, excluded set): the
-    start offset rho_0 - sum_i sigma_i, the steps -beta of the touched roots
-    outside the excluded set, and the free blocks, each the halves beta/2 of
-    the odd roots through one untouched delta_i (they multiply to e^{-sigma_i}
-    times the W_eps-invariant prod(e^{beta/2} + e^{-beta/2})).  Odd roots go
-    in exponent order, blocks in order of first appearance."""
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple]:
+    """The seed's factors (module docstring), built once per (Borel,
+    excluded set): the offset rho_0 - sum_R beta/2, the singles as beta/2 in
+    exponent order, and one row per d_i, touched rows first, each a frame and
+    its quads as coordinate pairs (i, n + j).  A free row's frame is None.  A
+    touched row's is what ``_sorted_rows`` sorts before it, or () when that is
+    nothing: the matched pairs (d_t, e_c) of the rows still to come, when each
+    lacks its quad on one e_c of its own, and the loose eps coordinates, where
+    all of them hold one."""
     if not excluded <= b.pos_odd:
         raise InternalError(f"excluded roots are not positive for {b.sequence}")
-
-    def delta_index(exp: tuple[int, ...]) -> int:
-        # an odd root has one nonzero delta coordinate, and the delta part comes first
-        return next(i for i, v in enumerate(exp) if v)
-
-    touched = {delta_index(r.exponent_key()) for r in excluded}
-    offset = even_rho(b.algebra)
-    steps, blocks = [], {}
-    for r in sorted(b.pos_odd, key=Weight.exponent_key):
-        exp = r.exponent_key()
-        i = delta_index(exp)
-        if i not in touched:
-            half = tuple(v // 2 for v in exp)
-            blocks.setdefault(i, []).append(half)
-            offset = tuple(map(sub, offset, half))
-        elif r not in excluded:
-            steps.append(tuple(-v for v in exp))
-    return offset, tuple(steps), tuple(map(tuple, blocks.values()))
+    alg = b.algebra
+    kept = b.pos_odd - excluded
+    offset = tuple(map(sub, even_rho(alg), sum(kept, Weight.zero(alg.n, alg.m)).half().exponent_key()))
+    singles, lines, blocked = [], {}, {}
+    for r in sorted(b.pos_odd):
+        # an odd root's one nonzero delta coordinate comes first, then at most one eps coordinate
+        nonzero = [t for t, v in enumerate(r.exponent_key()) if v]
+        if r in kept:
+            lines.setdefault((nonzero[0], nonzero[-1]), []).append(r.half().exponent_key())
+        elif len(nonzero) > 1:
+            blocked.setdefault(nonzero[0], set()).add(nonzero[-1])
+    quads: dict[int, list[tuple[int, int]]] = {i: [] for i in range(alg.n)}
+    for (i, c), halves in lines.items():
+        if len(halves) == 2:
+            quads[i].append((i, c))
+        else:
+            singles += halves
+    order = sorted(blocked)
+    rows: list = []
+    for t, i in enumerate(order):
+        coming = [blocked[s] for s in order[t:]]
+        held = set().union(*coming)
+        pairs = tuple(zip(order[t:], map(min, coming)))
+        if not len(held) == len(pairs) == sum(map(len, coming)) > 1:
+            pairs = ()
+        loose = tuple(sorted(set(range(alg.n, alg.rank)) - held))
+        rows.append(((pairs, loose) if pairs or len(loose) > 1 else (), tuple(quads[i])))
+    rows += [(None, tuple(quads[i])) for i in range(alg.n) if i not in blocked]
+    return offset, tuple(singles), tuple(rows)
 
 
 def _seed(b: BorelData, lam_b: Weight, excluded: frozenset[Weight]) -> dict[tuple[int, ...], int]:
     """Terms with the W-alternants of the seed e^{lam_b + rho_0} prod_{pos odd
-    minus excluded}(1 + e^{-beta}): the steps expanded from e^{lam_b + offset},
-    then each free block, the terms eps-straightened before it."""
-    offset, steps, blocks = _seed_plan(b, excluded)
+    minus excluded}(1 + e^{-beta}), expanded from its plan (module docstring):
+    the singles, then each row, its terms straightened before it and flipped
+    before each further quad."""
+    alg = b.algebra
+    n = alg.n
+    delta, eps = weyl_factors(alg)
+    offset, singles, rows = _seed_plan(b, excluded)
     terms = {tuple(map(add, lam_b.exponent_key(), offset)): 1}
-    for step in steps:
-        out = dict(terms)
+    for half in singles:
+        out: dict[tuple[int, ...], int] = {}
         for exp, coef in terms.items():
-            lower = tuple(map(add, exp, step))
-            out[lower] = out.get(lower, 0) + coef
+            for key in (tuple(map(add, exp, half)), tuple(map(sub, exp, half))):
+                out[key] = out.get(key, 0) + coef  # no sign yet, so nothing cancels
         terms = out
-    for halves in blocks:
-        terms = _straightened(b.algebra, terms, False)
-        for half in halves:
+    for frame, quads in rows:
+        terms = _canonical(terms, n, delta.flipped, eps.straighten if frame is None else eps.flipped)
+        if frame:
+            terms = _sorted_rows(terms, *frame)
+        for q, (i, c) in enumerate(quads):
+            if q:
+                terms = _canonical(terms, n, delta.flipped, eps.flipped)
             out = {}
             for exp, coef in terms.items():
-                for key in (tuple(map(add, exp, half)), tuple(map(sub, exp, half))):
-                    new = out.get(key, 0) + coef
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
+                x = list(exp)
+                for k in (i, c):
+                    v = x[k]
+                    for w in (v + 2, v - 2):
+                        x[k] = w
+                        key = tuple(x)
+                        new = out.get(key, 0) + coef
+                        if new:
+                            out[key] = new
+                        else:
+                            del out[key]
+                    x[k] = v
             terms = out
     return terms
 
 
-def _straightened(alg: Algebra, terms: dict[tuple[int, ...], int], whole: bool) -> dict[tuple[int, ...], int]:
-    """Each term's eps part, and its delta part as well when whole, straightened
-    by ``WeylFactor.straighten``: walls dropped, zeros merged away.  When whole,
-    the result is the c_nu of sum_w sgn(w) w(terms) = sum_nu c_nu A_nu."""
-    n = alg.n
-    delta, eps = weyl_factors(alg)
+def _canonical(terms: dict[tuple[int, ...], int], n: int, delta_form, eps_form) -> dict[tuple[int, ...], int]:
+    """Each term's delta part carried by delta_form and its eps part by
+    eps_form (``WeylFactor.straighten`` or ``WeylFactor.flipped``), each
+    giving (sgn w, w values) or None: dropped terms and zeros merged away."""
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in terms.items():
-        d = delta.straighten(exp[:n]) if whole else (1, exp[:n])
-        e = eps.straighten(exp[n:]) if d else None
+        d = delta_form(exp[:n])
+        e = d and eps_form(exp[n:])
         if e is None:
             continue
         key = d[1] + e[1]
@@ -267,6 +301,44 @@ def _straightened(alg: Algebra, terms: dict[tuple[int, ...], int], whole: bool) 
     return out
 
 
+def _sorted_rows(
+    terms: dict[tuple[int, ...], int], pairs: tuple[tuple[int, int], ...], loose: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Flipped terms (``WeylFactor.flipped``) with their matched pairs
+    (exp[t], exp[c]), (t, c) in pairs, sorted into decreasing order (a swap of
+    two pairs has sgn +1), and their loose entries sorted with the sign of the
+    permutation; equal loose entries drop the term.  A negative last entry,
+    family D's odd count of flips, stays on the last entry."""
+    out: dict[tuple[int, ...], int] = {}
+    for exp, coef in terms.items():
+        x = list(exp)
+        last = x[-1]
+        x[-1] = abs(last)
+        for (t, c), (u, v) in zip(pairs, sorted([(x[t], x[c]) for t, c in pairs], reverse=True)):
+            x[t], x[c] = u, v
+        values = tuple(x[c] for c in loose)
+        if len(set(values)) < len(values):
+            continue
+        for c, v in zip(loose, sorted(values, reverse=True)):
+            x[c] = v
+        if last < 0:
+            x[-1] = -x[-1]
+        key = tuple(x)
+        new = out.get(key, 0) + _sort_sign(values) * coef
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
+def _straightened(alg: Algebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The c_nu of sum_w sgn(w) w(terms) = sum_nu c_nu A_nu: each term's delta
+    and eps parts straightened by ``WeylFactor.straighten``."""
+    delta, eps = weyl_factors(alg)
+    return _canonical(terms, alg.n, delta.straighten, eps.straighten)
+
+
 def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> dict[tuple[int, ...], int]:
     """Orbit form {dominant mu: m_mu / j} of (1/j) D_0^{-1} sum_w sgn(w) w(seed),
     the seed given as its terms {doubled exponent: coefficient}.
@@ -276,7 +348,7 @@ def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> d
     multiplicity is not divisible by j.
     """
     orbits = {}
-    for mu, mult in _dominant_multiplicities(alg, _straightened(alg, seed, True)).items():
+    for mu, mult in _dominant_multiplicities(alg, _straightened(alg, seed)).items():
         quotient, rest = divmod(mult, j)
         if rest:
             raise JDivisibilityFailure(f"coefficient {mult} at {mu} not divisible by {j}")

@@ -321,7 +321,7 @@ class WeylFactor:
     unbounded tables of tuples, since the seed terms, dominant weights and
     Racah lifts of every character of an algebra share their parts:
     ``dominant``, ``children`` (the cover graph that ``weights_below``
-    walks), ``straighten``, ``orbit`` and ``shifts``.
+    walks), ``straighten``, ``flipped``, ``orbit`` and ``shifts``.
     """
 
     def __init__(self, kind: str, roots: tuple[tuple[int, ...], ...], rho: tuple[int, ...]):
@@ -382,6 +382,21 @@ class WeylFactor:
             if sum(v < 0 for v in values) % 2:
                 sign = -sign
         return sign, image
+
+    @functools.lru_cache(maxsize=None)
+    def flipped(self, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+        """``straighten`` by the sign flips alone: (sgn w, w values) with every
+        entry made nonnegative, each flip of sgn -1, or None when a zero
+        entry's flip fixes values.  In type D the flips pair up with sgn +1,
+        so an odd count of negatives, which a zero entry absorbs, stays on
+        the last entry."""
+        image = tuple(map(abs, values))
+        odd = sum(v < 0 for v in values) % 2
+        if self.kind != FAMILY_D:
+            return None if 0 in values else (-1 if odd else 1, image)
+        if odd and 0 not in values:
+            image = image[:-1] + (-image[-1],)
+        return 1, image
 
     @functools.lru_cache(maxsize=None)
     def orbit(self, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

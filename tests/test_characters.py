@@ -1,6 +1,5 @@
 """Tests for the character formula, Euler characters, and supercharacters."""
 
-import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from ospchar.characters import (
     JDivisibilityFailure,
     _dominant_multiplicities,
     _racah,
+    _canonical,
     _seed,
     _seed_plan,
     _levi_odd_roots,
@@ -32,6 +32,7 @@ from ospchar.hook import (
 )
 from ospchar.rootdata import (
     Algebra,
+    WeylFactor,
     all_sequences,
     b_odd,
     b_standard,
@@ -120,6 +121,15 @@ class TestTrivialModuleIdentity:
             assert character(cr) == one(alg), alg.label()
             assert cr.dimension == 1
             assert evaluate_at_one(character(cr)) == 1
+
+    @pytest.mark.parametrize("label", ["B:4:4", "D:4:4"])
+    def test_constant_one_at_rank_8(self, label):
+        # the trivial seed holds every odd root but the k = 4 of T: expanded
+        # root by root it had 8 792 448 terms on B:4:4 (47 s, 2 GB); the quads
+        # keep it in the thousands
+        alg = Algebra.parse(label)
+        cr = kw_character(HookPartition.of((), alg.n, alg.m), alg)
+        assert cr.orbits == {(0,) * alg.rank: 1}
 
     def test_j_and_T_match_square_shapes(self):
         import math
@@ -242,14 +252,14 @@ def seed_cases(alg, max_size):
 @pytest.mark.parametrize("alg", [B22, D22, D32], ids=Algebra.label)
 def test_seed_terms_match_the_generic_product(alg):
     # every Borel, with the distinguished set and with the Euler excluded set:
-    # the seed is eps-straightened between its free delta blocks, so it has
-    # the alternants of the full product, not its terms
+    # the seed is flipped, sorted or eps-straightened between its factors, so
+    # it has the alternants of the full product, not its terms
     checked = straightened = 0
     for lam, b, lam_b, excluded in seed_cases(alg, 3):
         want = cleared_seed(b, lam_b, excluded).terms
         seed = _seed(b, lam_b, excluded)
-        got = _straightened(alg, seed, True)
-        assert got == _straightened(alg, want, True), (lam.parts, str(b.sequence))
+        got = _straightened(alg, seed)
+        assert got == _straightened(alg, want), (lam.parts, str(b.sequence))
         checked += 1
         straightened += seed != want
     assert checked >= 2 * len(list(all_sequences(alg)))
@@ -266,10 +276,11 @@ def straightened_before_touched_blocks(b, lam_b, excluded):
     eps-straightened, and only then the blocks that hold an excluded root."""
     alg = b.algebra
     touched = {delta_index(r) for r in excluded}
+    _, eps = weyl_factors(alg)
     seed = monomial(lam_b + rho_even(b), 1)
     for late in (False, True):
         if late:
-            seed = LaurentPolynomial(alg.rank, _straightened(alg, seed.terms, False))
+            seed = LaurentPolynomial(alg.rank, _canonical(seed.terms, alg.n, lambda d: (1, d), eps.straighten))
         for r in b.pos_odd - set(excluded):
             if (delta_index(r) in touched) == late:
                 seed = poly_product(seed, poly_sum(one(alg), monomial(-r, 1)))
@@ -285,8 +296,32 @@ def test_straightening_before_a_touched_block_changes_the_alternants(alg):
         if rep.atypicality_k:
             b, T = rep.witness_borel, set(rep.distinguished_T)
             lam_b = highest_weight_via_reflections(lam, b)
-            want = _straightened(alg, cleared_seed(b, lam_b, T).terms, True)
-            changed += _straightened(alg, straightened_before_touched_blocks(b, lam_b, T), True) != want
+            want = _straightened(alg, cleared_seed(b, lam_b, T).terms)
+            changed += _straightened(alg, straightened_before_touched_blocks(b, lam_b, T)) != want
+    assert changed
+
+
+def dropped_flip_rule(family):
+    """``WeylFactor.flipped`` with the family's own flip rule dropped: on the
+    eps factor, every entry made nonnegative with sgn +1, which loses the
+    sign of a family-B eps flip and family D's parity on the last entry."""
+    flipped = WeylFactor.flipped
+
+    def wrong(factor, values):
+        hit = flipped(factor, values)
+        return (1, tuple(map(abs, values))) if hit and factor.kind == family else hit
+
+    return wrong
+
+
+@pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
+def test_a_wrong_flip_changes_the_alternants(alg, monkeypatch):
+    # the alternant check above bites on the flips before each quad
+    cases = [(b, lam_b, excluded) for _, b, lam_b, excluded in seed_cases(alg, 3)]
+    wants = [_straightened(alg, cleared_seed(*case).terms) for case in cases]
+    assert [_straightened(alg, _seed(*case)) for case in cases] == wants
+    monkeypatch.setattr(WeylFactor, "flipped", dropped_flip_rule(alg.family))
+    changed = sum(_straightened(alg, _seed(*case)) != want for case, want in zip(cases, wants))
     assert changed
 
 
@@ -311,32 +346,40 @@ def doubled(half):
     return tuple(2 * v for v in half)
 
 
+def line(exp):
+    """An odd root up to sign, which sym(beta) = e^{beta/2} + e^{-beta/2} ignores."""
+    return max(exp, tuple(-v for v in exp))
+
+
 @pytest.mark.parametrize("alg", RANK_3_SWEEP[: RANK_3_SWEEP.index(D32) + 1], ids=Algebra.label)
 def test_seed_plan_partitions_the_odd_roots(alg):
-    # the steps, the free blocks and the excluded roots hold each positive
-    # odd root exactly once; a free block holds exactly the roots through one
-    # delta_i that no excluded root touches, and the offset is rho_0 minus
-    # half the sum of the free roots
+    # the singles, the quads (two lines each) and the excluded roots hold each
+    # positive odd root exactly once, up to sign; the quads of a row share
+    # one delta_i, and the row is free (no frame) exactly when it holds a
+    # quad on every eps_j; the free rows come last; the offset is rho_0
+    # minus half the sum of the roots outside the excluded set
+    n, m = alg.n, alg.m
     checked = set()
     for _, b, _, excluded in seed_cases(alg, 4):
         if (b, excluded) in checked:
             continue
         checked.add((b, excluded))
-        offset, steps, blocks = _seed_plan(b, excluded)
-        odd = sorted(r.exponent_key() for r in b.pos_odd)
-        held = [tuple(-v for v in step) for step in steps]
-        held += [doubled(half) for block in blocks for half in block]
+        offset, singles, rows = _seed_plan(b, excluded)
+        held = [doubled(half) for half in singles]
+        for _, quads in rows:
+            for i, c in quads:
+                held += [tuple(2 * (t == i) + 2 * sign * (t == c) for t in range(alg.rank)) for sign in (1, -1)]
         held += [r.exponent_key() for r in excluded]
-        assert sorted(held) == odd, str(b.sequence)
-        touched = {delta_index(r) for r in excluded}
-        through = {}
-        for r in b.pos_odd:
-            through.setdefault(delta_index(r), set()).add(r.exponent_key())
-        free = sorted(sorted(keys) for i, keys in through.items() if i not in touched)
-        assert sorted(sorted(map(doubled, block)) for block in blocks) == free, str(b.sequence)
-        halves = [half for block in blocks for half in block]
-        sigma = [sum(half[t] for half in halves) for t in range(alg.rank)]
-        assert offset == tuple(map(operator.sub, even_rho(alg), sigma)), str(b.sequence)
+        assert sorted(map(line, held)) == sorted(line(r.exponent_key()) for r in b.pos_odd), str(b.sequence)
+        deltas = [{i for i, _ in quads} for _, quads in rows]
+        assert len(rows) == n and all(len(d) <= 1 for d in deltas), str(b.sequence)
+        assert len(set().union(*deltas)) == sum(map(len, deltas)), str(b.sequence)
+        free = [frame is None for frame, _ in rows]
+        assert free == sorted(free), str(b.sequence)
+        for frame, quads in rows:
+            assert (frame is None) == (sorted(c for _, c in quads) == list(range(n, n + m))), str(b.sequence)
+        sigma = [sum(r.exponent_key()[t] for r in b.pos_odd - excluded) for t in range(alg.rank)]
+        assert doubled(offset) == tuple(2 * v - s for v, s in zip(even_rho(alg), sigma)), str(b.sequence)
     assert len(checked) > len(list(all_sequences(alg)))
 
 
@@ -351,6 +394,8 @@ def test_seed_plan_refuses_an_excluded_root_that_is_not_positive():
 
 
 def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys):
+    # and verify's sweep runs every kind of stage: singles, matched pairs and
+    # loose eps coordinates sorted before a touched row, and free rows
     import ospchar.characters as characters
     from ospchar import cli
 
@@ -368,6 +413,12 @@ def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys)
     info = characters._seed_plan.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
+    plans = [characters._seed_plan(*key) for key in set(keys)]
+    frames = [frame for _, _, rows in plans for frame, _ in rows]
+    assert any(singles for _, singles, _ in plans)
+    assert any(frame and frame[0] for frame in frames)
+    assert any(frame and frame[1] for frame in frames)
+    assert None in frames
 
 
 @pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)
@@ -394,7 +445,7 @@ def checked_dimension(lam, alg):
     j division, after checking it against Weyl's formula on the alternants."""
     cr = kw_character(lam, alg)
     b, T = cr.borel_used, set(cr.T_used)
-    alternants = _straightened(alg, _seed(b, highest_weight_via_reflections(lam, b), frozenset(T)), True)
+    alternants = _straightened(alg, _seed(b, highest_weight_via_reflections(lam, b), frozenset(T)))
     assert weyl_dimension(alg, alternants, cr.j_used) == cr.dimension, (alg.label(), lam.parts)
     return cr.dimension
 
@@ -545,7 +596,7 @@ class TestFactoredRacah:
         for lam, rep in tame_weights(alg):
             b = rep.witness_borel if rep.atypicality_k else b_standard(alg)
             lam_b = highest_weight_via_reflections(lam, b)
-            alternants = _straightened(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)).terms, True)
+            alternants = _straightened(alg, cleared_seed(b, lam_b, set(rep.distinguished_T)).terms)
             assert alternants, lam.parts
             got = _dominant_multiplicities(alg, alternants)
             assert got == whole_w_multiplicities(alg, alternants), lam.parts
@@ -593,7 +644,7 @@ class TestEmptyNumerator:
             nu = tuple(a + 2 for a in even_rho(alg))
             flipped = (-nu[0],) + nu[1:]
             seed = LaurentPolynomial(alg.rank, {nu: 1, flipped: 1})
-            assert _straightened(alg, seed.terms, True) == {}
+            assert _straightened(alg, seed.terms) == {}
             assert chamber_quotient(alg, seed) == LaurentPolynomial(alg.rank)
 
 

@@ -453,6 +453,22 @@ class TestWeylFactors:
             else:
                 assert hit == (images[top][0], top), values
 
+    def test_flipped_straightens_by_the_sign_flips(self, kind, rank):
+        # against the subgroup of the factor's sign flips alone; its chamber
+        # is every entry nonnegative, but the last in type D when no entry is 0
+        factor = weyl_factor(kind, rank)
+        flips = [(sign, perm, signs) for sign, perm, signs in _factor_group(kind, rank) if perm == tuple(range(rank))]
+        for values in itertools.product(range(-3, 4), repeat=rank):
+            images: dict[tuple[int, ...], set[int]] = {}
+            for sign, perm, signs in flips:
+                images.setdefault(_act(perm, signs, values), set()).add(sign)
+            (top,) = [e for e in images if min(e[:-1], default=0) >= 0 and (e[-1] >= 0 or kind == "D" and 0 not in e)]
+            hit = factor.flipped(values)
+            if images[top] == {1, -1}:  # a flip of sgn -1 fixes values
+                assert hit is None, values
+            else:
+                assert hit == (*images[top], top), values
+
     def test_children_are_the_dominant_lowerings_by_a_root(self, kind, rank):
         factor = weyl_factor(kind, rank)
         tops = [mu for mu in itertools.product(range(-4, 5), repeat=rank) if factor.dominant(mu) == mu]
@@ -466,7 +482,7 @@ class TestWeylFactors:
         factor = weyl_factor(kind, rank)
         assert _frozen(factor.shifts)
         for values in itertools.product(range(-3, 4), repeat=rank):
-            for name in ("dominant", "straighten", "orbit"):
+            for name in ("dominant", "straighten", "flipped", "orbit"):
                 assert _frozen(getattr(factor, name)(values)), (name, values)
             assert _frozen(factor.children(factor.dominant(values))), values
         # so are the seed plans of an algebra with this factor, built here
