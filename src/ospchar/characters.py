@@ -304,11 +304,11 @@ def _canonical(terms: dict[tuple[int, ...], int], n: int, delta_form, eps_form) 
 def _sorted_rows(
     terms: dict[tuple[int, ...], int], pairs: tuple[tuple[int, int], ...], loose: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
-    """Flipped terms (``WeylFactor.flipped``) with their matched pairs
-    (exp[t], exp[c]), (t, c) in pairs, sorted into decreasing order (a swap of
-    two pairs has sgn +1), and their loose entries sorted with the sign of the
-    permutation; equal loose entries drop the term.  A negative last entry,
-    family D's odd count of flips, stays on the last entry."""
+    """Terms already flipped (``WeylFactor.flipped``), with their matched
+    pairs (exp[t], exp[c]), (t, c) in pairs, sorted into decreasing order (a
+    swap of two pairs has sgn +1), and their loose entries sorted with the
+    sign of the permutation; equal loose entries drop the term.  A negative
+    last entry, family D's odd count of flips, stays on the last entry."""
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in terms.items():
         x = list(exp)
