@@ -280,16 +280,6 @@ def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return sum(map(mul, exp, rho))
 
 
-def _sort_sign(values: tuple[int, ...]) -> int:
-    """Sign of the permutation sorting |values| into decreasing order."""
-    sign = 1
-    for i, a in enumerate(values):
-        for b in values[i + 1 :]:
-            if abs(a) < abs(b):
-                sign = -sign
-    return sign
-
-
 @functools.lru_cache(maxsize=None)
 def _sign_vectors(nonzero: tuple[bool, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
     """Every vector of signs that is 1 where nonzero is False; sign_product,
@@ -321,7 +311,7 @@ class WeylFactor:
     unbounded tables of tuples, since the seed terms, dominant weights and
     Racah lifts of every character of an algebra share their parts:
     ``dominant``, ``children`` (the cover graph that ``weights_below``
-    walks), ``straighten``, ``flipped``, ``orbit`` and ``shifts``.
+    walks), ``straighten``, ``orbit`` and ``shifts``.
     """
 
     def __init__(self, kind: str, roots: tuple[tuple[int, ...], ...], rho: tuple[int, ...]):
@@ -345,11 +335,6 @@ class WeylFactor:
     @functools.lru_cache(maxsize=None)
     def dominant(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """The image of values in the factor's closed dominant chamber."""
-        return self._image(values)
-
-    def _image(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        """``dominant`` without its table: ``straighten`` keeps a table of its
-        own, so its misses would only fill this one with entries never read."""
         image = sorted(map(abs, values), reverse=True)
         if self.kind == FAMILY_D and image[-1] and sum(v < 0 for v in values) % 2:
             image[-1] = -image[-1]
@@ -367,36 +352,41 @@ class WeylFactor:
         return tuple(lower for lower in lowers if self._in_chamber(lower))
 
     @functools.lru_cache(maxsize=None)
-    def straighten(self, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-        """(sgn w, w values) for the w carrying values into the open chamber,
-        or None on a wall: a repeated |entry|, or a zero in types B and C.
-        sgn w is the sort's sign times -1 per flip (type-D flips pair up)."""
-        image = self._image(values)
-        sizes = [abs(v) for v in image]
-        if any(a == b for a, b in zip(sizes, sizes[1:])):
-            return None
-        sign = _sort_sign(values)
-        if self.kind != FAMILY_D:
-            if not image[-1]:
-                return None
-            if sum(v < 0 for v in values) % 2:
-                sign = -sign
-        return sign, image
-
-    @functools.lru_cache(maxsize=None)
-    def flipped(self, values: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-        """``straighten`` by the sign flips alone: (sgn w, w values) with every
-        entry made nonnegative, each flip of sgn -1, or None when a zero
-        entry's flip fixes values.  In type D the flips pair up with sgn +1,
-        so an odd count of negatives, which a zero entry absorbs, stays on
-        the last entry."""
-        image = tuple(map(abs, values))
+    def straighten(
+        self, values: tuple[int, ...], among: tuple[int, ...] | None = None
+    ) -> tuple[int, tuple[int, ...]] | None:
+        """(sgn w, w values) for the w, in the group of the sign flips and the
+        permutations of the positions among (default: every position, the
+        whole factor), that makes every entry nonnegative and sorts the
+        entries at among into decreasing order; or None when an element of
+        sgn -1 fixes values: a zero in types B and C, or one |entry| at two
+        positions of among.  A flip has sgn -1 in types B and C; in type D
+        flips pair up, and an odd count of negatives, which a zero absorbs,
+        stays on the last entry.  With among None this is the chamber map."""
         odd = sum(v < 0 for v in values) % 2
-        if self.kind != FAMILY_D:
-            return None if 0 in values else (-1 if odd else 1, image)
-        if odd and 0 not in values:
-            image = image[:-1] + (-image[-1],)
-        return 1, image
+        if self.kind == FAMILY_D:
+            sign, negative_last = 1, odd and 0 not in values
+        elif 0 in values:
+            return None
+        else:
+            sign, negative_last = -1 if odd else 1, False
+        image = list(map(abs, values))
+        picked = image if among is None else [image[c] for c in among]
+        if len(set(picked)) < len(picked):
+            return None
+        for i, a in enumerate(picked):  # the sort's sign, -1 per inversion
+            for b in picked[i + 1 :]:
+                if a < b:
+                    sign = -sign
+        ordered = sorted(picked, reverse=True)
+        if among is None:
+            image = ordered
+        else:
+            for c, v in zip(among, ordered):
+                image[c] = v
+        if negative_last:
+            image[-1] = -image[-1]
+        return sign, tuple(image)
 
     @functools.lru_cache(maxsize=None)
     def orbit(self, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

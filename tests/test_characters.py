@@ -1,5 +1,6 @@
 """Tests for the character formula, Euler characters, and supercharacters."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from ospchar.characters import (
     JDivisibilityFailure,
     _dominant_multiplicities,
     _racah,
-    _canonical,
     _seed,
     _seed_plan,
     _levi_odd_roots,
@@ -280,7 +280,13 @@ def straightened_before_touched_blocks(b, lam_b, excluded):
     seed = monomial(lam_b + rho_even(b), 1)
     for late in (False, True):
         if late:
-            seed = LaurentPolynomial(alg.rank, _canonical(seed.terms, alg.n, lambda d: (1, d), eps.straighten))
+            terms: dict[tuple[int, ...], int] = {}
+            for exp, coef in seed.terms.items():
+                hit = eps.straighten(exp[alg.n :])
+                if hit:
+                    key = exp[: alg.n] + hit[1]
+                    terms[key] = terms.get(key, 0) + hit[0] * coef
+            seed = LaurentPolynomial(alg.rank, terms)
         for r in b.pos_odd - set(excluded):
             if (delta_index(r) in touched) == late:
                 seed = poly_product(seed, poly_sum(one(alg), monomial(-r, 1)))
@@ -302,26 +308,44 @@ def test_straightening_before_a_touched_block_changes_the_alternants(alg):
 
 
 def dropped_flip_rule(family):
-    """``WeylFactor.flipped`` with the family's own flip rule dropped: on the
-    eps factor, every entry made nonnegative with sgn +1, which loses the
-    sign of a family-B eps flip and family D's parity on the last entry."""
-    flipped = WeylFactor.flipped
+    """``WeylFactor.straighten`` with the family's own flip rule dropped
+    between the seed's factors (among given): on the eps factor, the entries
+    taken nonnegative with sgn +1, which loses the sign of a family-B eps
+    flip and family D's parity on the last entry."""
+    straighten = WeylFactor.straighten
 
-    def wrong(factor, values):
-        hit = flipped(factor, values)
-        return (1, tuple(map(abs, values))) if hit and factor.kind == family else hit
+    def wrong(factor, values, among=None):
+        if among is not None and factor.kind == family:
+            values = tuple(map(abs, values))
+        return straighten(factor, values, among)
+
+    return wrong
+
+
+def dropped_sort_sign():
+    """``WeylFactor.straighten`` with the sort's sign dropped between the
+    seed's factors (among given): the sign is that of the flips alone."""
+    straighten = WeylFactor.straighten
+
+    def wrong(factor, values, among=None):
+        hit = straighten(factor, values, among)
+        if hit and among is not None:
+            return straighten(factor, values, ())[0], hit[1]
+        return hit
 
     return wrong
 
 
 @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
 def test_a_wrong_flip_changes_the_alternants(alg, monkeypatch):
-    # the alternant check above bites on the flips before each quad
+    # the alternant check above bites on the flips and on the sorts before
+    # each quad
     cases = [(b, lam_b, excluded) for _, b, lam_b, excluded in seed_cases(alg, 3)]
     wants = [_straightened(alg, cleared_seed(*case).terms) for case in cases]
-    monkeypatch.setattr(WeylFactor, "flipped", dropped_flip_rule(alg.family))
-    changed = sum(_straightened(alg, _seed(*case)) != want for case, want in zip(cases, wants))
-    assert changed
+    for dropped, wrong in (("flip rule", dropped_flip_rule(alg.family)), ("sort sign", dropped_sort_sign())):
+        monkeypatch.setattr(WeylFactor, "straighten", wrong)
+        changed = sum(_straightened(alg, _seed(*case)) != want for case, want in zip(cases, wants))
+        assert changed, dropped
 
 
 @pytest.mark.parametrize("label, parts", [("B:3:3", (5,)), ("B:2:3", (3, 2))], ids=["B:3:3-5", "B:2:3-3,2"])
@@ -335,6 +359,26 @@ def test_kw_orbits_match_the_full_seed(label, parts):
     full = cleared_seed(b, lam_b, T)
     assert len(_seed(b, lam_b, frozenset(T))) < len(full.terms)
     assert cr.orbits == _divided_orbits(alg, full.terms, cr.j_used)
+
+
+@pytest.mark.parametrize("label, bound", [("B:4:4", 2340), ("D:4:4", 1164)])
+def test_trivial_seed_stays_small(label, bound, monkeypatch):
+    # the largest term dict straightened during the trivial character: before
+    # each quad the seed sorts every eps position where each row still to
+    # come holds a quad, and that keeps it at these sizes
+    import ospchar.characters as characters
+
+    sizes = []
+    canonical = characters._canonical
+
+    def recording(terms, *forms):
+        sizes.append(len(terms))
+        return canonical(terms, *forms)
+
+    monkeypatch.setattr(characters, "_canonical", recording)
+    alg = Algebra.parse(label)
+    assert kw_character(HookPartition.of((), alg.n, alg.m), alg).dimension == 1
+    assert max(sizes) <= bound
 
 
 # the algebras of verify --max-rank 3
@@ -353,30 +397,35 @@ def line(exp):
 @pytest.mark.parametrize("alg", RANK_3_SWEEP[: RANK_3_SWEEP.index(D32) + 1], ids=Algebra.label)
 def test_seed_plan_partitions_the_odd_roots(alg):
     # the singles, the quads (two lines each) and the excluded roots hold each
-    # positive odd root exactly once, up to sign; the quads of a row share
-    # one delta_i, and the row is free (no frame) exactly when it holds a
-    # quad on every eps_j; the free rows come last; the offset is rho_0
-    # minus half the sum of the roots outside the excluded set
+    # positive odd root exactly once, up to sign; the quads of a row come
+    # together, the rows with a quad on every eps_j last; a step's among is
+    # the eps positions where every row still to come holds a quad, so the
+    # quads still to come are permuted among themselves by any permutation
+    # of among; the offset is rho_0 minus half the sum of the roots outside
+    # the excluded set
     n, m = alg.n, alg.m
     checked = set()
     for _, b, _, excluded in seed_cases(alg, 4):
         if (b, excluded) in checked:
             continue
         checked.add((b, excluded))
-        offset, singles, rows = _seed_plan(b, excluded)
+        offset, singles, steps = _seed_plan(b, excluded)
         held = [doubled(half) for half in singles]
-        for _, quads in rows:
-            for i, c in quads:
-                held += [tuple(2 * (t == i) + 2 * sign * (t == c) for t in range(alg.rank)) for sign in (1, -1)]
+        for _, i, c in steps:
+            held += [tuple(2 * (t == i) + 2 * sign * (t == c) for t in range(alg.rank)) for sign in (1, -1)]
         held += [r.exponent_key() for r in excluded]
         assert sorted(map(line, held)) == sorted(line(r.exponent_key()) for r in b.pos_odd), str(b.sequence)
-        deltas = [{i for i, _ in quads} for _, quads in rows]
-        assert len(rows) == n and all(len(d) <= 1 for d in deltas), str(b.sequence)
-        assert len(set().union(*deltas)) == sum(map(len, deltas)), str(b.sequence)
-        free = [frame is None for frame, _ in rows]
-        assert free == sorted(free), str(b.sequence)
-        for frame, quads in rows:
-            assert (frame is None) == (sorted(c for _, c in quads) == list(range(n, n + m))), str(b.sequence)
+        rows = [i for _, i, _ in steps]
+        runs = [i for s, i in enumerate(rows) if not s or rows[s - 1] != i]
+        assert len(runs) == len(set(runs)) and set(runs) <= set(range(n)), str(b.sequence)
+        full = [rows.count(i) == m for i in runs]
+        assert full == sorted(full), str(b.sequence)
+        for s, (among, _, _) in enumerate(steps):
+            coming = {(i, c - n) for _, i, c in steps[s:]}
+            assert among == tuple(j for j in range(m) if all((i, j) in coming for i, _ in coming)), str(b.sequence)
+            for x, y in itertools.combinations(among, 2):
+                swap = {x: y, y: x}
+                assert {(i, swap.get(j, j)) for i, j in coming} == coming, str(b.sequence)
         sigma = [sum(r.exponent_key()[t] for r in b.pos_odd - excluded) for t in range(alg.rank)]
         assert doubled(offset) == tuple(2 * v - s for v, s in zip(even_rho(alg), sigma)), str(b.sequence)
     assert len(checked) > len(list(all_sequences(alg)))
@@ -393,8 +442,8 @@ def test_seed_plan_refuses_an_excluded_root_that_is_not_positive():
 
 
 def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys):
-    # and verify's sweep runs every kind of stage: singles, matched pairs and
-    # loose eps coordinates sorted before a touched row, and free rows
+    # and verify's sweep runs every kind of stage: singles, and quads with no,
+    # some and every eps position to sort
     import ospchar.characters as characters
     from ospchar import cli
 
@@ -412,12 +461,11 @@ def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys)
     info = characters._seed_plan.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
-    plans = [characters._seed_plan(*key) for key in set(keys)]
-    frames = [frame for _, _, rows in plans for frame, _ in rows]
-    assert any(singles for _, singles, _ in plans)
-    assert any(frame and frame[0] for frame in frames)
-    assert any(frame and frame[1] for frame in frames)
-    assert None in frames
+    plans = {key: characters._seed_plan(*key) for key in set(keys)}
+    assert any(singles for _, singles, _ in plans.values())
+    # 0: among empty, 1: some eps positions, 2: every one
+    kinds = {bool(among) + (len(among) == b.algebra.m) for (b, _), plan in plans.items() for among, _, _ in plan[2]}
+    assert kinds == {0, 1, 2}
 
 
 @pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)

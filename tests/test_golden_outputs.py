@@ -52,7 +52,7 @@ def test_reverse_replay_from_empty_weyl_factor_tables(workload, capsys):
         if hasattr(attr, "cache_clear"):
             attr.cache_clear()
             cleared.add(name)
-    assert cleared == {"dominant", "children", "straighten", "flipped", "orbit"}
+    assert cleared == {"dominant", "children", "straighten", "orbit"}
     rows = json.loads(GOLDEN.read_text())["workloads"][workload][::-1]
     changed = _changed(rows, capsys)
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"

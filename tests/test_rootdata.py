@@ -453,21 +453,35 @@ class TestWeylFactors:
             else:
                 assert hit == (images[top][0], top), values
 
-    def test_flipped_straightens_by_the_sign_flips(self, kind, rank):
-        # against the subgroup of the factor's sign flips alone; its chamber
-        # is every entry nonnegative, but the last in type D when no entry is 0
+    def test_straighten_among_positions_by_the_flips_and_their_permutations(self, kind, rank):
+        # for every subset among of the positions, against the subgroup that
+        # the sign flips and the permutations of among generate (among=() is
+        # the flips alone); its chamber is every entry nonnegative, but the
+        # last in type D when no entry is 0, and the entries at among in
+        # decreasing order of size
         factor = weyl_factor(kind, rank)
-        flips = [(sign, perm, signs) for sign, perm, signs in _factor_group(kind, rank) if perm == tuple(range(rank))]
-        for values in itertools.product(range(-3, 4), repeat=rank):
-            images: dict[tuple[int, ...], set[int]] = {}
-            for sign, perm, signs in flips:
-                images.setdefault(_act(perm, signs, values), set()).add(sign)
-            (top,) = [e for e in images if min(e[:-1], default=0) >= 0 and (e[-1] >= 0 or kind == "D" and 0 not in e)]
-            hit = factor.flipped(values)
-            if images[top] == {1, -1}:  # a flip of sgn -1 fixes values
-                assert hit is None, values
-            else:
-                assert hit == (*images[top], top), values
+        group = _factor_group(kind, rank)
+        for among in (c for size in range(rank + 1) for c in itertools.combinations(range(rank), size)):
+            fixed = [i for i in range(rank) if i not in among]
+            subgroup = [(sign, perm, signs) for sign, perm, signs in group if all(perm[i] == i for i in fixed)]
+            for values in itertools.product(range(-3, 4), repeat=rank):
+                images: dict[tuple[int, ...], set[int]] = {}
+                for sign, perm, signs in subgroup:
+                    images.setdefault(_act(perm, signs, values), set()).add(sign)
+                (top,) = [
+                    e
+                    for e in images
+                    if min(e[:-1], default=0) >= 0
+                    and (e[-1] >= 0 or kind == "D" and 0 not in e)
+                    and all(abs(e[a]) >= abs(e[b]) for a, b in zip(among, among[1:]))
+                ]
+                hit = factor.straighten(values, among)
+                if images[top] == {1, -1}:  # an element of sgn -1 fixes values
+                    assert hit is None, (values, among)
+                else:
+                    assert hit == (*images[top], top), (values, among)
+                if len(among) == rank:
+                    assert hit == factor.straighten(values), (values, among)
 
     def test_children_are_the_dominant_lowerings_by_a_root(self, kind, rank):
         factor = weyl_factor(kind, rank)
@@ -482,8 +496,9 @@ class TestWeylFactors:
         factor = weyl_factor(kind, rank)
         assert _frozen(factor.shifts)
         for values in itertools.product(range(-3, 4), repeat=rank):
-            for name in ("dominant", "straighten", "flipped", "orbit"):
+            for name in ("dominant", "straighten", "orbit"):
                 assert _frozen(getattr(factor, name)(values)), (name, values)
+            assert _frozen(factor.straighten(values, tuple(range(1, rank)))), values
             assert _frozen(factor.children(factor.dominant(values))), values
         # so are the seed plans of an algebra with this factor, built here
         # with no, one and every odd root excluded
