@@ -60,7 +60,7 @@ def match_equal(ds: Iterable[int], es: Iterable[int]) -> tuple[int, list[int], l
     return k, left, free
 
 
-def atypicality_degree(shifted: Weight, alg: Algebra) -> int:
+def atypicality_degree(shifted: Weight) -> int:
     """Maximum matching of |d-entries| against |e-entries| of the shifted weight."""
     return match_equal(map(abs, shifted.delta), map(abs, shifted.eps))[0]
 
@@ -163,7 +163,7 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
 
     plus, _ = natural_weight(lam)
     shifted = plus + b_standard(alg).rho
-    k = atypicality_degree(shifted, alg)
+    k = atypicality_degree(shifted)
     e_val = e_of_lambda(lam) if alg.family == FAMILY_D and lam.part(alg.n + 1) < alg.m else None
 
     if k == 0:

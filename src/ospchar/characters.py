@@ -93,7 +93,10 @@ class JDivisibilityFailure(Exception):
     """A weight multiplicity of the divided alternating sum is not divisible by j."""
 
 
-class _CharacterFields(NamedTuple):
+class CharacterResult(NamedTuple):
+    """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
+    (doubled exponent) to its nonzero multiplicity."""
+
     orbits: dict[tuple[int, ...], int]
     highest_weight: Weight
     borel_used: BorelData
@@ -101,13 +104,7 @@ class _CharacterFields(NamedTuple):
     j_used: int
     atypicality_k: int
 
-
-class CharacterResult(_CharacterFields):
-    """A character in Weyl-orbit form: ``orbits`` maps each dominant weight
-    (doubled exponent) to its nonzero multiplicity (no ``__slots__``: the
-    cached ``dimension`` needs an instance ``__dict__``)."""
-
-    @functools.cached_property
+    @property
     def dimension(self) -> int:
         alg = self.borel_used.algebra
         delta, eps = weyl_factors(alg)
@@ -398,22 +395,10 @@ def kw_character(
     if not report.tame:
         raise NotTame(f"{lam} is not tame over {alg.osp_name()}")
     b = report.witness_borel or b_standard(alg)
-    return _kw_character(lam, report, b, highest_weight_via_reflections(lam, b, minus), minus)
-
-
-def _kw_character(
-    lam: HookPartition,
-    report: TamenessReport,
-    b: BorelData,
-    lam_b: Weight,
-    minus: bool = False,
-) -> CharacterResult:
-    """``kw_character`` for a caller that already holds the tame report
-    ``is_tame(lam, alg, minus)``, the Borel b it names (the witness, or the
-    standard Borel for a typical weight) and lam's b-highest weight lam_b."""
     T = report.distinguished_T
+    seed = _seed(b, highest_weight_via_reflections(lam, b, minus), frozenset(T))
     return CharacterResult(
-        orbits=_divided_orbits(b.algebra, _seed(b, lam_b, frozenset(T)), report.j_lambda),
+        orbits=_divided_orbits(alg, seed, report.j_lambda),
         highest_weight=natural_weight(lam)[minus],
         borel_used=b,
         T_used=T,

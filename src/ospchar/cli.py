@@ -25,7 +25,6 @@ from .rootdata import (
     FamilyMismatch,
     all_sequences,
     b_odd,
-    b_standard,
     borel_from_sequence,
     root_str,
     weyl_orbit,
@@ -40,7 +39,6 @@ from .hook import (
 from .atyp import NotTame, is_tame
 from .blocks import WrongRegime, bottom_of_block, lambda_x_family
 from .characters import (
-    _kw_character,
     canonical_levi_roots,
     euler_char_character,
     kw_character,
@@ -167,13 +165,7 @@ def _verify_checks(alg: Algebra, max_size: int):
     denominator invariances (``_denominator_checks``)."""
     checks = []
     zero = Weight.zero(alg.n, alg.m)
-    # tameness is decided once per weight; the characters below reuse it
-    reports = {lam: is_tame(lam, alg) for lam in hook_partitions(alg.n, alg.m, max_size)}
-
-    trivial = HookPartition.of((), alg.n, alg.m)
-    report = reports[trivial]
-    # the trivial weight is 0 on every Borel; its character is reused below
-    cr = _kw_character(trivial, report, report.witness_borel or b_standard(alg), zero)
+    cr = kw_character(HookPartition.of((), alg.n, alg.m), alg)
     checks.append(("trivial-kw-is-one", cr.orbits == {zero.exponent_key(): 1}, f"j={cr.j_used}"))
 
     # Euler constants for the shapes with a pinned value
@@ -193,19 +185,15 @@ def _verify_checks(alg: Algebra, max_size: int):
     # Euler characteristic equals the character for small tame lambdas
     ok = True
     detail = []
-    for lam, report in reports.items():
+    for lam in hook_partitions(alg.n, alg.m, max_size):
+        report = is_tame(lam, alg)
         if not report.tame:
             continue
-        # one walk per (weight, Borel): a typical weight's Euler character is
-        # taken on the odd Borel, an atypical one's on its KW witness Borel
-        b = report.witness_borel or b_standard(alg)
+        # a typical weight's Euler character is taken on the odd Borel, an
+        # atypical one's on its KW witness Borel
+        b = report.witness_borel or b_odd(alg)
         lam_b = highest_weight_via_reflections(lam, b)
-        crx = cr if lam == trivial else _kw_character(lam, report, b, lam_b)
-        if not report.atypicality_k:
-            b = b_odd(alg)
-            lam_b = highest_weight_via_reflections(lam, b)
-        levi = canonical_levi_roots(b, report)
-        if euler_char_character(levi, lam_b, b) != crx.orbits:
+        if euler_char_character(canonical_levi_roots(b, report), lam_b, b) != kw_character(lam, alg).orbits:
             ok = False
             detail.append(str(lam))
     checks.append(("euler-equals-kw", ok, ",".join(detail) or f"|lambda| <= {max_size}"))

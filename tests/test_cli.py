@@ -494,61 +494,22 @@ class TestVerify:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["code"] == "InputError"
 
-    def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
-        from ospchar import atyp
-
-        # held before patching: atyp.is_tame itself is one of the bindings replaced
-        is_tame = atyp.is_tame
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return is_tame(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ospchar") and getattr(module, "is_tame", None) is is_tame:
-                monkeypatch.setattr(module, "is_tame", counting)
-        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
-        assert code == 0 and json.loads(out)["ok"] is True
-        swept = list(hook_partitions(2, 2, 4))
-        assert calls and len(calls) <= len(swept)
-        assert len(set(calls)) == len(calls)
-
-    def test_one_reflection_walk_per_weight_and_borel(self, capsys, monkeypatch):
-        from ospchar import hook
-
-        walk = hook.highest_weight_via_reflections
-        walks = []
-
-        def counting(lam, b, *args, **kwargs):
-            walks.append((lam, b.sequence))
-            return walk(lam, b, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ospchar") and getattr(module, "highest_weight_via_reflections", None) is walk:
-                monkeypatch.setattr(module, "highest_weight_via_reflections", counting)
-        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
-        assert code == 0 and json.loads(out)["ok"] is True
-        assert walks and len(set(walks)) == len(walks)
-
-    def test_one_kw_character_per_tame_weight(self, capsys, monkeypatch):
-        # trivial-kw-is-one and the Euler = KW loop share the trivial character
+    def test_a_wrong_kw_character_fails(self, capsys, monkeypatch):
+        # verify reaches the characters through the public kw_character, so a
+        # fault there must show in both checks that compare against it
         from ospchar import cli
 
-        kw = cli._kw_character
-        calls = []
+        kw = cli.kw_character
 
-        def counting(lam, *args, **kwargs):
-            calls.append(lam)
-            return kw(lam, *args, **kwargs)
+        def doubled(*args, **kwargs):
+            cr = kw(*args, **kwargs)
+            return cr._replace(orbits={mu: 2 * c for mu, c in cr.orbits.items()})
 
-        monkeypatch.setattr(cli, "_kw_character", counting)
-        code, out, _ = run_cli(capsys, "verify", "--algebra", "B:2:2")
-        assert code == 0 and json.loads(out)["ok"] is True
-        alg = Algebra("B", 2, 2)
-        tame = [lam for lam in hook_partitions(alg.n, alg.m, 4) if is_tame(lam, alg).tame]
-        assert len(calls) == len(tame)
-        assert sorted(calls) == sorted(tame)
+        monkeypatch.setattr(cli, "kw_character", doubled)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "B:1:1")
+        assert code == 1
+        failed = {c["check"] for c in json.loads(out)["checks"] if not c["pass"]}
+        assert failed == {"trivial-kw-is-one", "euler-equals-kw"}
 
 
 class TestClosedStdout:
