@@ -511,6 +511,65 @@ class TestVerify:
         failed = {c["check"] for c in json.loads(out)["checks"] if not c["pass"]}
         assert failed == {"trivial-kw-is-one", "euler-equals-kw"}
 
+    def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
+        # the Euler = KW sweep visits every hook partition up to --max-size
+        # once, and skips none (kw_character decides tameness again inside)
+        from ospchar import cli
+
+        calls = []
+
+        def counting(lam, *args, **kwargs):
+            calls.append(lam)
+            return is_tame(lam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "is_tame", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
+        assert code == 0 and json.loads(out)["ok"] is True
+        swept = list(hook_partitions(2, 2, 4))
+        assert calls and sorted(calls) == sorted(swept)
+
+    def test_one_reflection_walk_per_weight_and_borel(self, capsys, monkeypatch):
+        # the Euler side walks each tame weight once, to its witness Borel
+        # when atypical and to the odd Borel when typical
+        from ospchar import cli
+        from ospchar.rootdata import b_odd
+
+        walks = []
+
+        def counting(lam, b, *args, **kwargs):
+            walks.append((lam, b.sequence))
+            return highest_weight_via_reflections(lam, b, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "highest_weight_via_reflections", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "D:2:2", "--max-size", "4")
+        assert code == 0 and json.loads(out)["ok"] is True
+        alg = Algebra("D", 2, 2)
+        expected = []
+        for lam in hook_partitions(alg.n, alg.m, 4):
+            report = is_tame(lam, alg)
+            if report.tame:
+                expected.append((lam, (report.witness_borel or b_odd(alg)).sequence))
+        assert walks and sorted(walks) == sorted(expected)
+
+    def test_one_kw_character_per_tame_weight(self, capsys, monkeypatch):
+        # the Euler = KW loop asks kw_character for every tame weight once and
+        # for no wild one; trivial-kw-is-one asks for the trivial weight again
+        from ospchar import cli
+
+        kw = cli.kw_character
+        calls = []
+
+        def counting(lam, *args, **kwargs):
+            calls.append(lam)
+            return kw(lam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "kw_character", counting)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "B:2:2")
+        assert code == 0 and json.loads(out)["ok"] is True
+        alg = Algebra("B", 2, 2)
+        tame = [lam for lam in hook_partitions(alg.n, alg.m, 4) if is_tame(lam, alg).tame]
+        assert sorted(calls) == sorted(tame + [HookPartition.of((), alg.n, alg.m)])
+
 
 class TestClosedStdout:
     """A reader that closes stdout early (``| head``) ends the call with exit
