@@ -34,11 +34,12 @@ and so is D_0 = A_{rho_0}.
    (Moody-Patera, Bull. AMS 7 (1982)).  The recursion is vector-valued:
    a coefficient and a multiplicity are {label: int}, so each dominant
    weight of a factor is visited once.  The eps recursion runs once, its
-   numerator keyed by nu_eps and labelled by nu_delta; the delta recursion
-   runs once over the distinct nu_delta, each labelled by itself.  m_mu
-   sums, over the labels, the delta multiplicity times the eps one.  The
-   chamber maps the recursion needs are memoized per factor and shared by
-   every character of the process: the dominant weights below the tops are
+   numerator keyed by nu_eps and labelled by nu_delta.  A delta character
+   A_nu / A_rho depends on nu_delta alone: one recursion computes the
+   nu_delta not yet in ``_DELTA_CHARACTERS``, each labelled by itself.  m_mu
+   sums, over the labels, the delta multiplicity times the eps one.  That
+   table and the chamber maps, memoized per factor, are shared by every
+   character of the process: the dominant weights below the tops are
    walked down ``WeylFactor.children`` (mu to the dominant mu - alpha), and
    each lifted weight mu + rho - w rho is one ``WeylFactor.dominant`` lookup.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
@@ -316,6 +317,10 @@ def _in_weight_lattice(n: int, exp: tuple[int, ...]) -> bool:
     return all(v % 2 == 0 for v in exp[:n]) and len({v % 2 for v in exp[n:]}) == 1
 
 
+# {(delta factor, nu_delta): the character {dominant mu: multiplicity} of A_nu / A_rho}
+_DELTA_CHARACTERS: dict[tuple[WeylFactor, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+
+
 def _dominant_multiplicities(
     alg: Algebra, alternants: dict[tuple[int, ...], int]
 ) -> dict[tuple[int, ...], int]:
@@ -334,10 +339,14 @@ def _dominant_multiplicities(
     for mu_eps, by_label in _racah(eps, eps_numerator).items():
         for nu_delta, b in by_label.items():
             eps_by_label.setdefault(nu_delta, []).append((mu_eps, b))
+    missing = {d: {d: 1} for d in eps_by_label if (delta, d) not in _DELTA_CHARACTERS}
+    for mu_delta, by_label in _racah(delta, missing).items():
+        for nu_delta, a in by_label.items():  # a character's top weight has multiplicity 1
+            _DELTA_CHARACTERS.setdefault((delta, nu_delta), {})[mu_delta] = a
     mult: dict[tuple[int, ...], int] = {}
-    for mu_delta, by_label in _racah(delta, {d: {d: 1} for d in eps_by_label}).items():
-        for nu_delta, a in by_label.items():
-            for mu_eps, b in eps_by_label[nu_delta]:
+    for nu_delta, eps_terms in eps_by_label.items():
+        for mu_delta, a in _DELTA_CHARACTERS[delta, nu_delta].items():
+            for mu_eps, b in eps_terms:
                 mu = mu_delta + mu_eps
                 new = mult.get(mu, 0) + a * b
                 if new:
@@ -440,11 +449,10 @@ def euler_char_character(
     return _divided_orbits(b.algebra, _seed(b, lam_b, excluded), 1)
 
 
-@functools.lru_cache(maxsize=None)
 def _levi_odd_roots(b: BorelData, levi_simple_roots: tuple[Weight, ...]) -> frozenset[Weight]:
     """The positive odd roots in the span of the Levi's simple roots, which
     must be simple roots of b: those whose coordinates in b's simple roots
-    vanish off the Levi's.  Built once per (Borel, Levi) and shared."""
+    vanish off the Levi's."""
     return frozenset(r for r in b.pos_odd if in_simple_span(b, levi_simple_roots, r))
 
 

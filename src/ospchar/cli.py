@@ -27,6 +27,7 @@ from .rootdata import (
     b_odd,
     borel_from_sequence,
     root_str,
+    simple_coords4,
     weyl_orbit,
 )
 from .hook import (
@@ -51,10 +52,12 @@ from .characters import (
 # and exits 2
 DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, InputError)
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps with these builds one per call
+
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | tuple[()] = ()) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_JSON.encode(payload))
     else:
         for line in text_lines:
             print(line)
@@ -124,7 +127,7 @@ def _cmd_character(args) -> int:
         # no object, so the first '"character":null' is that key; printing
         # the pieces leaves the large JSON text uncopied
         payload["character"] = None
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = _JSON.encode(payload)
         head, _, tail = text.partition('"character":null')
         print(f'{head}"character":', orbits_json(alg, cr.orbits), tail, sep="")
         return 0
@@ -220,11 +223,13 @@ def _denominator_checks(alg: Algebra, borels) -> list[tuple[str, bool, str]]:
     of their positive odd roots agree, D_0 changes at most its sign when those
     of the positive even roots agree, and D_1 is W-invariant when W preserves
     its line multiset: every line's W-images occur as often as the line.
+    A Borel's positive even roots are those of +-``pos_even`` with no negative simple-root coordinate.
     """
-    odd, even = _lines(borels[0].pos_odd), _lines(borels[0].pos_even)
+    odd = _lines(borels[0].pos_odd)
+    even = [_lines(r for a in b.pos_even for r in (a, -a) if min(simple_coords4(b, r)) >= 0) for b in borels]
     return [
         ("odd-denominator-borel-independent", all(_lines(b.pos_odd) == odd for b in borels), ""),
-        ("even-denominator-sign-stable", all(_lines(b.pos_even) == even for b in borels), ""),
+        ("even-denominator-sign-stable", all(lines == even[0] for lines in even), ""),
         (
             "odd-denominator-weyl-invariant",
             all(odd[_line(x)] == count for line, count in odd.items() for x in weyl_orbit(alg, line)),
@@ -341,9 +346,8 @@ def main(argv=None) -> int:
 
 def _fail(args, exc: Exception, code: int) -> None:
     payload = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-    as_json = getattr(args, "output", "json") == "json"
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+    if getattr(args, "output", "json") == "json":
+        print(_JSON.encode(payload), file=sys.stderr)
     else:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
 

@@ -495,14 +495,9 @@ def _bubble_moves(start: tuple[str, ...], target: tuple[str, ...]) -> Iterator[i
             cur[r - 1], cur[r] = cur[r], cur[r - 1]
 
 
-def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tuple[BorelData, Weight]:
-    """Carry a standard-Borel highest weight to the target Borel.
-
-    The chain bubble-sorts the sequence, one odd reflection per adjacent
-    swap, each at the simple root of the swapped positions; a signed D
-    target is reached by first parking e_m at the right end, flipping at
-    the terminal root d_n + e_m, and then walking -e_m left into place.
-    """
+@functools.lru_cache(maxsize=None)
+def _walk_plan(alg: Algebra, target: EpsDeltaSequence) -> tuple[BorelData, tuple[Weight, ...]]:
+    """The target Borel and the roots of ``reflection_walk``'s chain to it, in order."""
     b = b_standard(alg)
     last = len(target.symbols) - 1
     if target.sign == -1:
@@ -514,10 +509,28 @@ def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tu
     else:
         stages = list(_bubble_moves(b.sequence.symbols, target.symbols))
 
+    alphas = []
     for p in stages:
-        b, gamma = odd_reflection(b, b.simple_roots[p], gamma)
+        alphas.append(b.simple_roots[p])
+        b = odd_reflection(b, alphas[-1], Weight.zero(alg.n, alg.m))[0]
     if b.sequence != target:
         raise InternalError(f"reflection walk reached {b.sequence}, not {target}")
+    return b, tuple(alphas)
+
+
+def reflection_walk(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tuple[BorelData, Weight]:
+    """Carry a standard-Borel highest weight to the target Borel.
+
+    The chain bubble-sorts the sequence, one odd reflection per adjacent
+    swap, each at the simple root of the swapped positions; a signed D
+    target is reached by first parking e_m at the right end, flipping at
+    the terminal root d_n + e_m, and then walking -e_m left into place.
+    The chain's roots do not depend on gamma: they are planned once per target.
+    """
+    b, alphas = _walk_plan(alg, target)
+    for alpha in alphas:
+        if pairing4(gamma, alpha):
+            gamma = gamma - alpha
     return b, gamma
 
 
@@ -547,6 +560,13 @@ class NotSimpleRoot(Exception):
     """A root named as a simple root of a Borel is not one of them."""
 
 
+@functools.lru_cache(maxsize=None)
+def _sequence_axes(alg: Algebra, seq: EpsDeltaSequence) -> tuple[tuple[int, int], ...]:
+    """(axis, sign) of each sequence weight, sign times a basis vector."""
+    keys = [w.exponent_key() for w in _sequence_weights(alg, seq)]
+    return tuple((axis, key[axis] // 2) for key in keys for axis in range(len(key)) if key[axis])
+
+
 def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
     """4 times the coordinates of x in b's simple roots, which form a basis.
 
@@ -558,7 +578,7 @@ def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
     sum; for w_{N-1} + w_N the one before it is (x_1 + ... + x_{N-1} - x_N) / 2.
     """
     exp = x.exponent_key()
-    values = [height(exp, w.exponent_key()) // 2 for w in _sequence_weights(b.algebra, b.sequence)]
+    values = [exp[axis] * sign for axis, sign in _sequence_axes(b.algebra, b.sequence)]
     sums = list(itertools.accumulate(values))  # of doubled entries: 2 * sums[i] is 4 c_i
     coords = [2 * s for s in sums]
     if b.algebra.family == FAMILY_D:

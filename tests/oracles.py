@@ -21,6 +21,9 @@ this file.
   (``dominant``, ``straighten``), which production applies part by part.
 - An exponent map applied to a polynomial (``map_exponents``) and the
   diagram twist of a polynomial (``sigma_twist_poly``).
+- The reflection walk one ``odd_reflection`` at a time
+  (``reflection_walk_by_steps``), against the library's walk replayed from
+  its plan.
 - The closed Frobenius form of a Borel highest weight (``frobenius_weight``),
   against the odd-reflection walk of ``hook.highest_weight_via_reflections``.
 - The naive character pipeline: the fully expanded seed product
@@ -70,10 +73,12 @@ from ospchar.rootdata import (
     BorelData,
     EpsDeltaSequence,
     FamilyMismatch,
+    _bubble_moves,
     all_sequences,
     b_standard,
     borel_from_sequence,
     in_simple_span,
+    odd_reflection,
     pairing4,
     weyl_factors,
     weyl_orbit,
@@ -457,6 +462,31 @@ def sigma_twist_poly(alg: Algebra, p: LaurentPolynomial) -> LaurentPolynomial:
         return exp[:last] + (-exp[last],)
 
     return map_exponents(p, flip)
+
+
+# ---------------------------------------------------------------------------
+# The reflection walk one odd reflection at a time
+
+
+def reflection_walk_by_steps(alg: Algebra, target: EpsDeltaSequence, gamma: Weight) -> tuple[BorelData, Weight]:
+    """``rootdata.reflection_walk`` without its plan: the same chain from the
+    standard Borel, each step an ``odd_reflection`` that carries gamma."""
+    b = b_standard(alg)
+    last = len(target.symbols) - 1
+    if target.sign == -1:
+        em_pos = max(i for i, s in enumerate(target.symbols) if s == "e")
+        park = target.symbols[:em_pos] + target.symbols[em_pos + 1 :] + ("e",)
+        stages = list(_bubble_moves(b.sequence.symbols, park))
+        stages.append(last)  # the terminal root d_n + e_m
+        stages += range(last - 2, em_pos - 1, -1)
+    else:
+        stages = list(_bubble_moves(b.sequence.symbols, target.symbols))
+
+    for p in stages:
+        b, gamma = odd_reflection(b, b.simple_roots[p], gamma)
+    if b.sequence != target:
+        raise InternalError(f"reflection walk reached {b.sequence}, not {target}")
+    return b, gamma
 
 
 # ---------------------------------------------------------------------------

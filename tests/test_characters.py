@@ -896,26 +896,3 @@ def test_supersymmetry_catches_a_perturbed_orbit():
     sc = poly_sum(expand_orbits(D22, supercharacter(cr)), expand_orbits(D22, {mu: 1}))
     assert is_w_invariant(D22, sc)
     assert supersymmetry_violations(sc, D22.n, D22.m)
-
-
-def test_euler_excluded_set_is_built_once(monkeypatch):
-    import ospchar.characters as characters
-    import ospchar.rootdata as rootdata
-
-    solves = []
-    original = rootdata.simple_coords4
-
-    def counting(b, target):
-        solves.append(target)
-        return original(b, target)
-
-    monkeypatch.setattr(rootdata, "simple_coords4", counting)
-    characters._levi_odd_roots.cache_clear()
-    b = b_odd(D32)
-    levi = b.simple_roots[:-1]
-    zero = Weight.zero(D32.n, D32.m)
-    first = euler_char_character(levi, zero, b)
-    assert len(solves) == len(b.pos_odd)
-    second = euler_char_character(list(levi), zero, b)
-    assert len(solves) == len(b.pos_odd)
-    assert second == first == {zero.exponent_key(): 4}

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ospchar import characters, rootdata
 from ospchar.cli import main
 from ospchar.rootdata import WeylFactor, weyl_factor
 
@@ -44,18 +45,35 @@ def test_replay_matches_golden_digest(workload, capsys):
 
 @pytest.mark.parametrize("workload", ["char-sweep", "char-large"])
 def test_reverse_replay_from_empty_weyl_factor_tables(workload, capsys):
-    # the chamber maps are memoized per factor for the whole process, so a
-    # character must not depend on which characters filled the tables first
+    # the chamber maps, the delta characters and the walk plans are memoized
+    # for the whole process, so a character must not depend on which
+    # characters filled the tables first
     weyl_factor.cache_clear()
     cleared = set()
     for name, attr in vars(WeylFactor).items():
         if hasattr(attr, "cache_clear"):
             attr.cache_clear()
             cleared.add(name)
-    assert cleared == {"dominant", "children", "straighten", "orbit"}
+    characters._DELTA_CHARACTERS.clear()
+    rootdata._walk_plan.cache_clear()
+    cleared |= {"_DELTA_CHARACTERS", "_walk_plan"}
+    assert cleared == {"dominant", "children", "straighten", "orbit", "_DELTA_CHARACTERS", "_walk_plan"}
     rows = json.loads(GOLDEN.read_text())["workloads"][workload][::-1]
     changed = _changed(rows, capsys)
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"
+
+
+def test_memoized_delta_characters_of_the_sweep_equal_fresh_ones(capsys):
+    # each table entry was filled in one Racah walk with other labels;
+    # alone, labelled by itself, its nu_delta must give the same character
+    characters._DELTA_CHARACTERS.clear()
+    rows = json.loads(GOLDEN.read_text())["workloads"]["char-sweep"]
+    assert not _changed(rows, capsys)
+    table = dict(characters._DELTA_CHARACTERS)
+    assert table
+    for (delta, nu), character in table.items():
+        fresh = characters._racah(delta, {nu: {nu: 1}})
+        assert character == {mu: by_label[nu] for mu, by_label in fresh.items()}, nu
 
 
 def test_verify_rank_3_matches_its_digest(capsys):

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ospchar.exactnum import Weight
+from ospchar import rootdata
+from ospchar.exactnum import InternalError, Weight
 from ospchar.rootdata import (
     Algebra,
     EpsDeltaSequence,
@@ -22,6 +23,7 @@ from ospchar.rootdata import (
     in_simple_span,
     odd_reflection,
     pairing4,
+    reflection_walk,
     root_str,
     sigma_twist,
     simple_coords4,
@@ -38,6 +40,7 @@ from oracles import (
     dominant,
     monomial,
     poly_sum,
+    reflection_walk_by_steps,
     rho_even,
     root_parity,
     scaled,
@@ -618,6 +621,15 @@ class TestDenominatorInvariances:
         borels[-1] = last._replace(pos_even=frozenset(sorted(last.pos_even, key=root_str)[1:]))
         self.planted(alg, borels, "even-denominator-sign-stable")
 
+    def test_short_even_root_in_every_borel_of_family_d(self):
+        # e_2 is a root of osp(5|4), not of osp(4|4); with it in every Borel
+        # the sets of lines still agree, but in the Borels whose terminal
+        # root is e_1 + e_2 neither e_2 nor -e_2 has no negative coordinate
+        short = w([0, 0], [0, 1])
+        borels = [b._replace(pos_even=b.pos_even | {short}) for b in every_borel(D22)]
+        got = _denominator_checks(D22, borels)
+        assert {name for name, ok, _ in got if not ok} == {"even-denominator-sign-stable"}
+
 
 class TestOddReflection:
     def test_orthogonal_case_shifts_by_alpha(self):
@@ -690,7 +702,6 @@ class TestOddReflection:
     def test_atypicality_invariant_along_chains(self):
         from ospchar.atyp import atypicality_degree_brute
         from ospchar.hook import HookPartition, natural_weight
-        from ospchar.rootdata import reflection_walk
 
         for alg, parts in [(B22, (2, 1)), (D22, (2, 2, 1)), (D21, (1, 1))]:
             lam = HookPartition.of(parts, alg.n, alg.m)
@@ -700,6 +711,24 @@ class TestOddReflection:
                 b2, g2 = reflection_walk(alg, seq, gamma)
                 assert b2.sequence == seq
                 assert atypicality_degree_brute(g2 + b2.rho, alg, b2) == base
+
+    @pytest.mark.parametrize("alg", [B22, D22, Algebra("D", 3, 2)], ids=Algebra.label)
+    def test_planned_walk_equals_the_walk_by_steps(self, alg):
+        # the walk replays a plan shared by every weight; each step's
+        # odd_reflection must give the same Borel and weight
+        for seq in all_sequences(alg):
+            for lam in hook_partitions(alg.n, alg.m, 4):
+                for gamma in set(natural_weight(lam)):
+                    assert reflection_walk(alg, seq, gamma) == reflection_walk_by_steps(alg, seq, gamma), (seq, lam)
+
+    def test_unreachable_target_raises_on_every_call(self, monkeypatch):
+        # a failed plan is not memoized, so every walk to the target raises
+        rootdata._walk_plan.cache_clear()
+        monkeypatch.setattr(rootdata, "_bubble_moves", lambda start, target: iter(()))
+        target = EpsDeltaSequence.parse("eedd")
+        for _ in range(2):
+            with pytest.raises(InternalError, match="reached ddee, not eedd"):
+                reflection_walk(B22, target, Weight.zero(2, 2))
 
 
 class TestSigmaTwist:
