@@ -34,12 +34,11 @@ and so is D_0 = A_{rho_0}.
    (Moody-Patera, Bull. AMS 7 (1982)).  The recursion is vector-valued:
    a coefficient and a multiplicity are {label: int}, so each dominant
    weight of a factor is visited once.  The eps recursion runs once, its
-   numerator keyed by nu_eps and labelled by nu_delta.  A delta character
-   A_nu / A_rho depends on nu_delta alone: one recursion computes the
-   nu_delta not yet in ``_DELTA_CHARACTERS``, each labelled by itself.  m_mu
-   sums, over the labels, the delta multiplicity times the eps one.  That
-   table and the chamber maps, memoized per factor, are shared by every
-   character of the process: the dominant weights below the tops are
+   numerator keyed by nu_eps and labelled by nu_delta; the delta recursion
+   runs once over the nu_delta missing from ``_DELTA_CHARACTERS``, each
+   labelled by itself.  m_mu sums, over the labels, the delta multiplicity
+   times the eps one.  That table and the per-factor chamber maps are shared
+   by every character of the process: the dominant weights below the tops are
    walked down ``WeylFactor.children`` (mu to the dominant mu - alpha), and
    each lifted weight mu + rho - w rho is one ``WeylFactor.dominant`` lookup.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
@@ -445,7 +444,7 @@ def euler_char_character(
     Evaluated in the u_1 form: the seed carries the product over odd
     nilradical roots, avoiding any division by Levi factors.
     """
-    excluded = _levi_odd_roots(b, tuple(levi_simple_roots))
+    excluded = _levi_odd_roots(b, levi_simple_roots)
     return _divided_orbits(b.algebra, _seed(b, lam_b, excluded), 1)
 
 

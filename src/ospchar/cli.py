@@ -52,12 +52,10 @@ from .characters import (
 # and exits 2
 DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, InputError)
 
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps with these builds one per call
-
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | tuple[()] = ()) -> None:
     if as_json:
-        print(_JSON.encode(payload))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in text_lines:
             print(line)
@@ -127,7 +125,7 @@ def _cmd_character(args) -> int:
         # no object, so the first '"character":null' is that key; printing
         # the pieces leaves the large JSON text uncopied
         payload["character"] = None
-        text = _JSON.encode(payload)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         head, _, tail = text.partition('"character":null')
         print(f'{head}"character":', orbits_json(alg, cr.orbits), tail, sep="")
         return 0
@@ -221,9 +219,9 @@ def _denominator_checks(alg: Algebra, borels) -> list[tuple[str, bool, str]]:
     and a factor e^{alpha/2} - e^{-alpha/2} of D_0 only changes its sign when
     alpha does.  So D_1 is the same for every Borel when the line multisets
     of their positive odd roots agree, D_0 changes at most its sign when those
-    of the positive even roots agree, and D_1 is W-invariant when W preserves
-    its line multiset: every line's W-images occur as often as the line.
-    A Borel's positive even roots are those of +-``pos_even`` with no negative simple-root coordinate.
+    of the positive even roots agree (those of +-``pos_even`` with no negative
+    simple-root coordinate), and D_1 is W-invariant when W preserves its line
+    multiset: every line's W-images occur as often as the line.
     """
     odd = _lines(borels[0].pos_odd)
     even = [_lines(r for a in b.pos_even for r in (a, -a) if min(simple_coords4(b, r)) >= 0) for b in borels]
@@ -346,8 +344,9 @@ def main(argv=None) -> int:
 
 def _fail(args, exc: Exception, code: int) -> None:
     payload = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-    if getattr(args, "output", "json") == "json":
-        print(_JSON.encode(payload), file=sys.stderr)
+    as_json = getattr(args, "output", "json") == "json"
+    if as_json:
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=sys.stderr)
     else:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
 

@@ -94,7 +94,9 @@ def highest_weight_via_reflections(lam: HookPartition, b: BorelData, minus: bool
     plus, minus_w = natural_weight(lam)
     if minus and alg.family != FAMILY_D:
         raise FamilyMismatch("minus twin exists only in family D")
-    return reflection_walk(alg, b.sequence, minus_w if minus else plus)[1]
+    gamma0 = minus_w if minus else plus
+    _, gamma = reflection_walk(alg, b.sequence, gamma0)
+    return gamma
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

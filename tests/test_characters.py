@@ -896,3 +896,11 @@ def test_supersymmetry_catches_a_perturbed_orbit():
     sc = poly_sum(expand_orbits(D22, supercharacter(cr)), expand_orbits(D22, {mu: 1}))
     assert is_w_invariant(D22, sc)
     assert supersymmetry_violations(sc, D22.n, D22.m)
+
+
+def test_euler_excluded_set_is_built_once():
+    # a Levi given as a list gives what the tuple gives
+    b = b_odd(D32)
+    levi = b.simple_roots[:-1]
+    zero = Weight.zero(D32.n, D32.m)
+    assert euler_char_character(list(levi), zero, b) == euler_char_character(levi, zero, b) == {zero.exponent_key(): 4}

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from ospchar import characters, rootdata
+from ospchar import characters
 from ospchar.cli import main
-from ospchar.rootdata import WeylFactor, weyl_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
@@ -43,21 +42,41 @@ def test_replay_matches_golden_digest(workload, capsys):
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"
 
 
+def _clear_tables() -> set[str]:
+    """Empty every table the library keeps per process, found rather than
+    named: each lru_cache of an ospchar module or of a class defined there,
+    and each module-level dict.  Returns their qualified names."""
+    cleared = set()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("ospchar."):
+            continue
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == name]
+        for holder in [module, *classes]:
+            for attr_name, attr in vars(holder).items():
+                if hasattr(attr, "cache_clear"):
+                    attr.cache_clear()
+                    cleared.add(attr.__qualname__)
+                elif holder is module and isinstance(attr, dict) and not attr_name.startswith("__"):
+                    attr.clear()
+                    cleared.add(attr_name)
+    return cleared
+
+
 @pytest.mark.parametrize("workload", ["char-sweep", "char-large"])
 def test_reverse_replay_from_empty_weyl_factor_tables(workload, capsys):
-    # the chamber maps, the delta characters and the walk plans are memoized
-    # for the whole process, so a character must not depend on which
-    # characters filled the tables first
-    weyl_factor.cache_clear()
-    cleared = set()
-    for name, attr in vars(WeylFactor).items():
-        if hasattr(attr, "cache_clear"):
-            attr.cache_clear()
-            cleared.add(name)
-    characters._DELTA_CHARACTERS.clear()
-    rootdata._walk_plan.cache_clear()
-    cleared |= {"_DELTA_CHARACTERS", "_walk_plan"}
-    assert cleared == {"dominant", "children", "straighten", "orbit", "_DELTA_CHARACTERS", "_walk_plan"}
+    # the chamber maps, the delta characters, the walk plans and every other
+    # table are memoized for the whole process, so a character must not
+    # depend on which characters filled the tables first
+    cleared = _clear_tables()
+    assert cleared >= {
+        "weyl_factor",
+        "WeylFactor.dominant",
+        "WeylFactor.children",
+        "WeylFactor.straighten",
+        "WeylFactor.orbit",
+        "_DELTA_CHARACTERS",
+        "_walk_plan",
+    }, cleared
     rows = json.loads(GOLDEN.read_text())["workloads"][workload][::-1]
     changed = _changed(rows, capsys)
     assert not changed, f"{len(changed)} of {len(rows)} outputs changed: {changed[:5]}"
