@@ -43,14 +43,15 @@ and so is D_0 = A_{rho_0}.
    each lifted weight mu + rho - w rho is one ``WeylFactor.dominant`` lookup.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
    {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
-   its dimension is sum_mu (m_mu / j) |W mu|, and ``orbits_json`` writes the
-   CLI's JSON straight from it: the eps exponents of all the eps-orbits that
-   occur are sorted and rendered once, and each dominant delta part gets one
-   template, its coefficients set into the slots of that sorted order, which
-   every point of its delta-orbit fills in.  ``orbits_text`` writes the
-   CLI's text rendering from the same form, every mu written out on its
-   delta-orbit times its eps-orbit, in the same order.  The library holds no
-   polynomial type: a character is its orbit form throughout.
+   its dimension is sum_mu (m_mu / j) |W mu|, and the CLI's JSON and text
+   are streamed from it row by row, by one walk (``_rows``) with two term
+   renderers (``orbits_json``, ``orbits_text``): the eps exponents of all the
+   eps-orbits that occur are sorted and rendered once, each dominant delta
+   part gets one template, its terms set into the slots of that sorted
+   order, and each point of its delta-orbit fills in the template as one
+   row, in descending order.  Peak memory is the templates plus one row.
+   The library holds no polynomial type: a character is its orbit form
+   throughout.
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -68,7 +69,7 @@ live in the tests (``tests/oracles.py``), not here.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from operator import add, sub
 
 from .exactnum import InternalError, NotDivisible, Weight
@@ -85,7 +86,6 @@ from .rootdata import (
     in_simple_span,
     root_str,
     weyl_factors,
-    weyl_orbit,
 )
 
 
@@ -124,72 +124,95 @@ class CharacterResult(NamedTuple):
         }
 
 
-def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
-    """Compact JSON text of the terms c_mu e^x, x in W mu, of an orbit form
-    {dominant mu: nonzero c_mu}, each {"coef": str(c), "exp": [...]} with
-    sorted keys, in descending lex order.
+def _rows(alg: Algebra, orbits: dict[tuple[int, ...], int], tails, head, fill, lead) -> Iterator[str]:
+    """The terms c_mu e^x, x in W mu, of an orbit form {dominant mu: nonzero
+    c_mu} in descending lex order, one row per delta point d, each term with
+    its own separator and lead(row) for the first row.
 
     Descending lex order sorts by the delta part first, and the coefficient of
     e^{(w d, e)} equals that of e^{(d, e)} for w in the delta factor.  So the
-    eps terms of a dominant delta part are written once, as a template, and
-    each d in its delta-orbit fills in the template's prefix slot.  The eps
-    exponents of every orbit that occurs are sorted once, and each one's
-    '","exp":[@,...]}' tail is rendered once; a template is its delta part's
-    '{"coef":"c' heads, one per dominant eps weight, set into the slots of
-    that sorted order and joined with the tails.
+    eps terms of a dominant delta part are rendered once, as a template, and
+    each d in its delta-orbit fills it in as fill(template, d).  The eps
+    exponents of every orbit that occurs are sorted once and rendered once,
+    by tails(exponents); a template is its delta part's head(c_mu), one per
+    dominant eps weight, set into the slots of that sorted order and joined
+    with the tails.
     """
     n = alg.n
     delta, eps = weyl_factors(alg)
     eps_orbits = {mu[n:]: eps.orbit(mu[n:]) for mu in orbits}
     exps = sorted([e for orbit in eps_orbits.values() for e in orbit], reverse=True)
     rank = {e: i for i, e in enumerate(exps)}
-    tails = [f'","exp":[@,{",".join(map(str, e))}]}}' for e in exps]
+    texts = tails(exps)
     slots_of = {mu_eps: [rank[e] for e in orbit] for mu_eps, orbit in eps_orbits.items()}
     groups: dict[tuple[int, ...], list[tuple[list[int], int]]] = {}
     for mu, coef in orbits.items():
         groups.setdefault(mu[:n], []).append((slots_of[mu[n:]], coef))
-    rows = []
+    templates = {}
     for mu_delta, group in groups.items():
         heads: list[str | None] = [None] * len(exps)
         for slots, coef in group:
-            head = f'{{"coef":"{coef}'
+            text = head(coef)
             for i in slots:
-                heads[i] = head
-        template = ",".join([head + tail for head, tail in zip(heads, tails) if head])
-        for d in delta.orbit(mu_delta):
-            rows.append((d, template.replace("@", ",".join(map(str, d)))))
-    rows.sort(reverse=True)
-    texts = [text for _, text in rows] or [""]
-    # the brackets go on the end rows: adding them to the joined text would copy it
-    texts[0] = "[" + texts[0]
-    texts[-1] += "]"
-    return ",".join(texts)
+                heads[i] = text
+        templates[mu_delta] = "".join([h + t for h, t in zip(heads, texts) if h])
+    points = sorted([(d, mu_delta) for mu_delta in templates for d in delta.orbit(mu_delta)], reverse=True)
+    for k, (d, mu_delta) in enumerate(points):
+        row = fill(templates[mu_delta], d)
+        yield row if k else lead(row)
 
 
-def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> str:
-    """The terms c_mu e^x, x in W mu, of an orbit form in descending lex
-    order, in the variables x_i = e^{e_i}, y_j = e^{d_j}.  Exponents print
-    halved, so x1^(1/2) and x1^(-1/2) can occur."""
+def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[str]:
+    """Compact JSON text of the terms of an orbit form (``_rows``), each
+    {"coef": str(c), "exp": [...]} with sorted keys, in pieces: "[", each
+    row, "]"."""
+    yield "["
+    yield from _rows(
+        alg,
+        orbits,
+        lambda exps: [f'","exp":[@,{",".join(map(str, e))}]}}' for e in exps],
+        lambda coef: f',{{"coef":"{coef}',
+        lambda template, d: template.replace("@", ",".join(map(str, d))),
+        lambda row: row[1:],
+    )
+    yield "]"
 
-    def power(name: str, doubled: int) -> str:
-        if doubled == 2:
-            return name
-        if doubled % 2 == 0:
-            return f"{name}^{doubled // 2}"
-        return f"{name}^({doubled}/2)"
 
-    names = [f"y{i + 1}" for i in range(alg.n)] + [f"x{i + 1}" for i in range(alg.m)]
-    terms = sorted(((exp, c) for mu, c in orbits.items() for exp in weyl_orbit(alg, mu)), reverse=True)
-    chunks = []
-    for exp, coef in terms:
-        body = "*".join(power(name, doubled) for name, doubled in zip(names, exp) if doubled)
-        if not body:
-            chunks.append(str(coef))
-        elif coef in (1, -1):
-            chunks.append(body if coef == 1 else f"-{body}")
-        else:
-            chunks.append(f"{coef}*{body}")
-    return " + ".join(chunks).replace("+ -", "- ") if chunks else "0"
+def _monomial(names: list[str], exp: tuple[int, ...]) -> str:
+    return "*".join(
+        name if d == 2 else f"{name}^{d // 2}" if d % 2 == 0 else f"{name}^({d}/2)" for name, d in zip(names, exp) if d
+    )
+
+
+def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[str]:
+    """The terms of an orbit form (``_rows``) in the variables x_i = e^{e_i},
+    y_j = e^{d_j}, in pieces, joined by + and -; "0" when there are none.
+    Exponents print halved, so x1^(1/2) and x1^(-1/2) can occur.  A term is
+    its sign, |c| unless |c| is 1, and '@' for the y part, then the x part."""
+    if not orbits:
+        return iter(["0"])
+    xs = [f"x{i + 1}" for i in range(alg.m)]
+    ys = [f"y{i + 1}" for i in range(alg.n)]
+
+    def head(coef: int) -> str:
+        sign = " - " if coef < 0 else " + "
+        return f"{sign}@" if coef in (1, -1) else f"{sign}{abs(coef)}*@"
+
+    def fill(template: str, d: tuple[int, ...]) -> str:
+        if any(d):
+            return template.replace("@", _monomial(ys, d))
+        # the zero delta point has no y part: '@*' goes, a coefficient alone
+        # drops its '*', and a sign alone gets its 1
+        return template.replace("@*", "").replace("*@", "").replace("@", "1")
+
+    return _rows(
+        alg,
+        orbits,
+        lambda exps: ["*" + x if x else "" for x in (_monomial(xs, e) for e in exps)],
+        head,
+        fill,
+        lambda row: "-" + row[3:] if row.startswith(" - ") else row[3:],
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,8 @@
 Output is machine-readable JSON by default (sorted, byte-identical across
 runs); --output text prints a human summary.  Domain errors exit 1 with a
 structured payload; internal faults, and any other exception, exit 2 with
-the same payload.  A usage error (no or an unknown command, an unknown or
+the same payload; running out of memory exits 2 with a payload written
+in advance.  A usage error (no or an unknown command, an unknown or
 missing option) is argparse's: exit 2 with a usage line on stderr and no
 payload.  A reader that closes stdout early gets exit 141 and no payload.
 argv is parsed once, by the named command's own parser, so an unknown
@@ -51,6 +52,12 @@ from .characters import (
 # internal fault (NotDivisible, JDivisibilityFailure, InternalError, a bug)
 # and exits 2
 DOMAIN_ERRORS = (HookViolation, NotTame, WrongRegime, FamilyMismatch, InputError)
+# written as they are when memory runs out, since building a payload then
+# can run out again
+OUT_OF_MEMORY = {
+    "json": '{"error":{"code":"MemoryError","message":"out of memory"}}\n',
+    "text": "error [MemoryError]: out of memory\n",
+}
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | tuple[()] = ()) -> None:
@@ -120,24 +127,26 @@ def _cmd_character(args) -> int:
     payload.update(cr.to_json())
     payload["k"] = cr.atypicality_k
     if args.output == "json":
-        # the character is written from its orbit form and printed at its
-        # sorted place: the keys before it ("T", "algebra", "borel") hold
-        # no object, so the first '"character":null' is that key; printing
-        # the pieces leaves the large JSON text uncopied
+        # the character is written from its orbit form, row by row, at its
+        # sorted place: the keys before it ("T", "algebra", "borel") hold no
+        # object, so the first '"character":null' is that key
         payload["character"] = None
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         head, _, tail = text.partition('"character":null')
-        print(f'{head}"character":', orbits_json(alg, cr.orbits), tail, sep="")
+        sys.stdout.write(head + '"character":')
+        sys.stdout.writelines(orbits_json(alg, cr.orbits))
+        sys.stdout.write(tail + "\n")
         return 0
-    # the text rendering of a large character costs as much as computing it
     lines = [
         f"{alg.osp_name()}  L({cr.highest_weight.display()})",
         f"k = {cr.atypicality_k}, j = {cr.j_used}, Borel = {cr.borel_used.sequence}, "
         f"T = {{{', '.join(map(root_str, cr.T_used))}}}",
         f"dim = {cr.dimension}",
-        f"ch = {orbits_text(alg, cr.orbits)}",
     ]
     _emit(payload, False, lines)
+    sys.stdout.write("ch = ")
+    sys.stdout.writelines(orbits_text(alg, cr.orbits))
+    sys.stdout.write("\n")
     return 0
 
 
@@ -334,6 +343,10 @@ def main(argv=None) -> int:
         # goes to os.devnull so the interpreter's exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
+    except MemoryError as exc:
+        exc.__traceback__ = None  # frees the failed call's frames and what they hold
+        sys.stderr.write(OUT_OF_MEMORY[getattr(args, "output", "json")])
+        return 2
     except DOMAIN_ERRORS as exc:
         _fail(args, exc, 1)
         return 1

@@ -318,6 +318,10 @@ class WeylFactor:
         self.kind = kind
         self.roots = roots
         self.rho = rho
+        # each root with the walls it lowers: (wall index, its pairing > 0)
+        self._lowered = tuple(
+            (alpha, tuple((k, w) for k, w in enumerate(self._walls(alpha)) if w > 0)) for alpha in roots
+        )
 
     @functools.cached_property
     def shifts(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -340,16 +344,26 @@ class WeylFactor:
             image[-1] = -image[-1]
         return tuple(image)
 
-    def _in_chamber(self, values: tuple[int, ...]) -> bool:
-        """Whether values lies in the closed dominant chamber, read off directly."""
-        last = abs(values[-1]) if self.kind == FAMILY_D else values[-1]
-        return last >= 0 and all(a >= b for a, b in zip(values, values[1:-1] + (last,)))
+    def _walls(self, values: tuple[int, ...]) -> list[int]:
+        """The pairings of values with the simple coroots, up to positive
+        scale: b_i - b_{i+1}, then b_r (types B and C) or b_{r-1} + b_r (D)."""
+        last = values[-2] + values[-1] if self.kind == FAMILY_D else values[-1]
+        return [a - b for a, b in zip(values, values[1:])] + [last]
 
     @functools.lru_cache(maxsize=None)
     def children(self, mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The dominant weights mu - alpha, alpha a positive root of the factor."""
-        lowers = (tuple(map(sub, mu, alpha)) for alpha in self.roots)
-        return tuple(lower for lower in lowers if self._in_chamber(lower))
+        """The dominant weights mu - alpha, alpha a positive root of the
+        factor, for dominant mu: mu - alpha is dominant exactly when mu's
+        pairing is at least alpha's on every wall that alpha lowers."""
+        walls = self._walls(mu)
+        lowers = []
+        for alpha, lowered in self._lowered:
+            for k, w in lowered:
+                if walls[k] < w:
+                    break
+            else:
+                lowers.append(tuple(map(sub, mu, alpha)))
+        return tuple(lowers)
 
     @functools.lru_cache(maxsize=None)
     def straighten(

@@ -1,5 +1,7 @@
 """CLI tests: golden JSON output, determinism, and error codes."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -224,25 +226,56 @@ def test_orbits_json_matches_the_expanded_oracle_on_large_characters(label, part
     orbits = kw_character(lam, alg, minus=minus).orbits
     assert len({mu[: alg.n] for mu in orbits}) == groups
     want = json.dumps(poly_to_json(expand_orbits(alg, orbits)), sort_keys=True, separators=(",", ":"))
-    assert orbits_json(alg, orbits) == want
+    assert "".join(orbits_json(alg, orbits)) == want
 
 
 def test_character_json_never_expands_the_polynomial(capsys, monkeypatch):
-    # the JSON writer takes each factor's orbits apart; in characters only
-    # the text renderer walks whole W-orbits
-    from ospchar import characters
+    # the JSON writer takes each factor's orbits apart, and the text path
+    # walks the same rows: neither expands the orbit form over all of W
+    from ospchar import characters, cli, rootdata
 
     argv = ("character", "--algebra", "D:3:1", "--partition", "3,2,1", "--minus")
     _, want, _ = run_cli(capsys, *argv)
+    _, want_text, _ = run_cli(capsys, *argv, "--output", "text")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the JSON path expanded the orbit form")
+        raise AssertionError("the character path expanded the orbit form")
 
-    monkeypatch.setattr(characters, "weyl_orbit", refuse)
+    assert not hasattr(characters, "weyl_orbit")
+    for module in (rootdata, cli):
+        monkeypatch.setattr(module, "weyl_orbit", refuse)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
-    code, _, err = run_cli(capsys, *argv, "--output", "text")
-    assert code == 2 and "expanded the orbit form" in err
+    code, out, _ = run_cli(capsys, *argv, "--output", "text")
+    assert code == 0 and out == want_text
+
+
+class _Pieces(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_large_character_is_written_in_rows(monkeypatch):
+    # the 1.58 MB character goes out row by row, so its whole text never
+    # exists in the process; the bytes are the benchmark's golden ones
+    argv = ["character", "--algebra", "D:3:2", "--partition", "3,3,3,2,2,2,1"]
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+    (want,) = {row["sha256"] for rows in golden["workloads"].values() for row in rows if row["argv"] == argv}
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv)
+    monkeypatch.undo()
+    out = stdout.getvalue()
+    assert len(out) > 1_500_000
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == want
+    assert len(stdout.sizes) >= 40 and max(stdout.sizes) <= 64 * 1024, (len(stdout.sizes), max(stdout.sizes))
 
 
 @pytest.mark.parametrize(
@@ -383,6 +416,27 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(err)["error"]["code"] == "JDivisibilityFailure"
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch, output):
+        # out of memory is an internal fault, also when reporting it would
+        # run out again: the payload is written as it stands, not built
+        from ospchar import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "kw_character", exhausted)
+        monkeypatch.setattr(cli.json, "dumps", exhausted)
+        code, out, err = run_cli(
+            capsys, "character", "--algebra", "B:1:1", "--partition", "0", "--output", output
+        )
+        monkeypatch.undo()
+        assert (code, out) == (2, "")
+        if output == "json":
+            assert json.loads(err) == {"error": {"code": "MemoryError", "message": "out of memory"}}
+        else:
+            assert err == "error [MemoryError]: out of memory\n"
 
 
 class TestReentrancy:
@@ -574,6 +628,29 @@ class TestVerify:
 class TestClosedStdout:
     """A reader that closes stdout early (``| head``) ends the call with exit
     141 (128 + SIGPIPE), no payload and no traceback: it is not a fault."""
+
+    def test_pipe_closed_while_the_rows_stream(self, capsys, monkeypatch, tmp_path):
+        # the reader goes away after a few rows of the 1.6 MB character
+        class Closing(_Pieces):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text):
+                if len(self.sizes) == 5:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):
+                return self.fd  # main points it at os.devnull
+
+        with open(tmp_path / "stdout", "w") as target:
+            stdout = Closing(target.fileno())
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["character", "--algebra", "D:3:2", "--partition", "3,3,3,2,2,2,1"])
+            monkeypatch.undo()
+        assert code == 141 and len(stdout.sizes) == 5
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "argv",
