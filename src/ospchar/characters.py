@@ -10,14 +10,17 @@ product of the factors still to come, times sgn(w); a term that such a w of
 sgn -1 fixes drops out.  With sym(beta) = e^{beta/2} + e^{-beta/2}, the seed
 is e^{x_0} prod sym(beta), x_0 = lambda_b + rho_0 - sum beta/2, and the two
 lines d_i -+ e_j multiply to the quad e^{d_i} + e^{-d_i} + e^{e_j} + e^{-e_j},
-which every coordinate flip fixes; the product of a row's quads (those
-through one d_i) is symmetric in their e_j.  ``_seed_plan`` sorts the
-factors, once per (Borel, T), into singles (the lines in no quad) and quads,
-row by row, the rows T touches first, each quad with the eps positions on
-which every row still to come holds a quad.  ``_seed`` expands the singles,
-then the quads, and before each quad makes every entry of a term
-nonnegative by the flips and sorts the entries at those eps positions
-(``WeylFactor.straighten``).
+which every coordinate flip fixes; a line in no quad is a single.  Read the
+factors still to come as a grid, row i through d_i and column j through e_j,
+each cell a quad, a single d_i + e_j or d_i - e_j, or empty.  Two rows are
+twins when they agree cell by cell and both or neither hold the single d_i
+(family B), two columns when they agree cell by cell; any permutation of
+twin rows, or of twin columns, fixes the product, with its sign.
+``_seed_plan`` lists the factors once per (Borel, T), the singles first (d_i
+alone last), then the quads row by row, the rows T touches first, each with
+the twin classes from it on and, once no single is left, the flips.  ``_seed`` runs them in
+one loop: before each factor it flips every entry of a term nonnegative, if
+allowed, and sorts each twin class (``WeylFactor.straighten``).
 The numerator is W-antisymmetric and the character W-invariant, so only the
 dominant chamber is computed, in three steps, each one factor of
 W = W(C_n) x W(B_m or D_m) at a time (``rootdata.WeylFactor``): every
@@ -70,7 +73,7 @@ from __future__ import annotations
 
 import functools
 from typing import Iterator, NamedTuple
-from operator import add, sub
+from operator import add
 
 from .exactnum import InternalError, NotDivisible, Weight
 from .hook import HookPartition, highest_weight_via_reflections, natural_weight
@@ -216,90 +219,95 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[st
 
 
 @functools.lru_cache(maxsize=None)
-def _seed_plan(
-    b: BorelData, excluded: frozenset[Weight]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], int, int], ...]]:
+def _seed_plan(b: BorelData, excluded: frozenset[Weight]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """The seed's factors (module docstring), built once per (Borel,
-    excluded set): the offset rho_0 - sum_R beta/2, the singles as beta/2 in
-    exponent order, and one step (among, i, n + j) per quad, row by row, the
-    rows T touches first.  among holds the eps positions j on which every
-    row still to come, this quad's included, holds a quad from here on."""
+    excluded set): the offset rho_0 - sum_R beta/2, and one step
+    (delta_classes, eps_classes, flips, moves) per factor, the singles in
+    exponent order, those of d_i alone last, then the quads row by row, the
+    rows T touches first.
+    The classes are the twin rows and twin columns, each of two or more
+    positions, of the factors still to come, this one included; flips holds
+    once no single is left; each move is the (position, change) pairs of one
+    term of the factor."""
     if not excluded <= b.pos_odd:
         raise InternalError(f"excluded roots are not positive for {b.sequence}")
     alg = b.algebra
-    kept = b.pos_odd - excluded
-    offset = tuple(map(sub, even_rho(alg), sum(kept, Weight.zero(alg.n, alg.m)).half().exponent_key()))
-    singles, lines = [], {}
-    for r in sorted(kept):
+    n = alg.n
+    halves = sorted(tuple(v // 2 for v in r.exponent_key()) for r in b.pos_odd - excluded)  # beta/2, doubled
+    offset = tuple(rho - sum(half[t] for half in halves) for t, rho in enumerate(even_rho(alg)))
+    lines: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for half in halves:
         # an odd root's one nonzero delta coordinate comes first, then at most one eps coordinate
-        nonzero = [t for t, v in enumerate(r.exponent_key()) if v]
-        lines.setdefault((nonzero[0], nonzero[-1]), []).append(r.half().exponent_key())
-    quads: dict[int, list[int]] = {i: [] for i in range(alg.n)}
-    for (i, c), halves in lines.items():
-        if len(halves) == 2:
-            quads[i].append(c)
+        nonzero = [t for t, v in enumerate(half) if v]
+        lines.setdefault((nonzero[0], nonzero[-1]), []).append(half)
+    # kinds[i][k] is the factor still to come in row i: at k = 0 the single
+    # d_i (family B), at k = j + 1 the line through e_j; 2 for a quad, else
+    # the single's sign on d_i times its sign there, 0 for none
+    kinds = [[0] * (alg.m + 1) for _ in range(n)]
+    singles, quads = [], []
+    for (i, c), on_line in lines.items():
+        k = c - n + 1 if c >= n else 0
+        if len(on_line) == 1:
+            (half,) = on_line
+            kinds[i][k] = half[i] * half[c]
+            singles.append(((i, k), tuple(tuple((t, s * v) for t, v in enumerate(half) if v) for s in (1, -1))))
         else:
-            singles += halves
-    rows = sorted(quads, key=lambda i: len(quads[i]) == alg.m)  # the rows T touches first
-    pending = [(i, c) for i in rows for c in quads[i]]
+            kinds[i][k] = 2
+            quads.append(((i, k), tuple(((t, s),) for t in (i, c) for s in (2, -2))))
+    singles.sort(key=lambda single: single[0][1] == 0)  # d_i alone last: the columns stay twins
+    quads.sort(key=lambda quad: (min(kinds[quad[0][0]][1:]) == 2, quad[0]))  # the rows T touches first
     steps = []
-    for s, (i, c) in enumerate(pending):
-        coming: dict[int, set[int]] = {}
-        for t, d in pending[s:]:
-            coming.setdefault(t, set()).add(d - alg.n)
-        steps.append((tuple(sorted(set.intersection(*coming.values()))), i, c))
-    return offset, tuple(singles), tuple(steps)
+    for s, ((i, k), moves) in enumerate(singles + quads):
+        twins = []
+        for grid in (kinds, list(zip(*kinds))[1:]):  # the rows, then the columns
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for p, kind in enumerate(grid):
+                groups.setdefault(tuple(kind), []).append(p)
+            twins.append(tuple(tuple(g) for g in groups.values() if len(g) > 1))
+        steps.append((*twins, s >= len(singles), moves))
+        kinds[i][k] = 0
+    return offset, tuple(steps)
 
 
 def _seed(b: BorelData, lam_b: Weight, excluded: frozenset[Weight]) -> dict[tuple[int, ...], int]:
     """Terms with the W-alternants of the seed e^{lam_b + rho_0} prod_{pos odd
     minus excluded}(1 + e^{-beta}), expanded from its plan (module docstring):
-    the singles, then the quads, each term flipped nonnegative and sorted at
-    the step's eps positions before each quad."""
-    alg = b.algebra
-    n = alg.n
-    delta, eps = weyl_factors(alg)
-    offset, singles, steps = _seed_plan(b, excluded)
+    before each factor the terms are straightened by the step's twin classes
+    and flips, if it has any, then multiplied by the factor's moves."""
+    offset, steps = _seed_plan(b, excluded)
     terms = {tuple(map(add, lam_b.exponent_key(), offset)): 1}
-    for half in singles:
+    for delta_classes, eps_classes, flips, moves in steps:
+        if delta_classes or eps_classes or flips:
+            terms = _straightened(b.algebra, terms, delta_classes, eps_classes, flips)
         out: dict[tuple[int, ...], int] = {}
         for exp, coef in terms.items():
-            for key in (tuple(map(add, exp, half)), tuple(map(sub, exp, half))):
-                out[key] = out.get(key, 0) + coef  # no sign yet, so nothing cancels
-        terms = out
-    for among, i, c in steps:
-        terms = _canonical(terms, n, delta, eps, among)
-        out = {}
-        for exp, coef in terms.items():
-            x = list(exp)
-            for k in (i, c):
-                v = x[k]
-                for w in (v + 2, v - 2):
-                    x[k] = w
-                    key = tuple(x)
-                    new = out.get(key, 0) + coef
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
-                x[k] = v
+            for move in moves:
+                x = list(exp)
+                for k, v in move:
+                    x[k] += v
+                key = tuple(x)
+                new = out.get(key, 0) + coef
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
         terms = out
     return terms
 
 
-def _canonical(
-    terms: dict[tuple[int, ...], int], n: int, delta: WeylFactor, eps: WeylFactor, among: tuple[int, ...] | None = None
+def _straightened(
+    alg: Algebra, terms: dict[tuple[int, ...], int], delta_classes=None, eps_classes=None, flips: bool = True
 ) -> dict[tuple[int, ...], int]:
-    """Each term's delta and eps parts carried by ``WeylFactor.straighten``:
-    into the open chamber when among is None, else the delta part flipped
-    nonnegative and the eps part also sorted at the eps positions among.
-    Dropped terms and zeros are merged away."""
-    delta_form, eps_form = delta.straighten, eps.straighten
-    delta_among = None if among is None else ()
+    """Each term's delta and eps parts carried by ``WeylFactor.straighten``
+    with the given classes and flips, by default into the open chamber, which
+    gives the c_nu of sum_w sgn(w) w(terms) = sum_nu c_nu A_nu.  Dropped
+    terms and zeros are merged away."""
+    n = alg.n
+    delta, eps = weyl_factors(alg)
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in terms.items():
-        d = delta_form(exp[:n], delta_among)
-        e = d and eps_form(exp[n:], among)
+        d = delta.straighten(exp[:n], delta_classes, flips)
+        e = d and eps.straighten(exp[n:], eps_classes, flips)
         if e is None:
             continue
         key = d[1] + e[1]
@@ -309,12 +317,6 @@ def _canonical(
         else:
             del out[key]
     return out
-
-
-def _straightened(alg: Algebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """The c_nu of sum_w sgn(w) w(terms) = sum_nu c_nu A_nu: each term's delta
-    and eps parts straightened by ``WeylFactor.straighten``."""
-    return _canonical(terms, alg.n, *weyl_factors(alg))
 
 
 def _divided_orbits(alg: Algebra, seed: dict[tuple[int, ...], int], j: int) -> dict[tuple[int, ...], int]:

@@ -319,11 +319,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, shared across calls."""
-    return _parsers()[0]
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parsers()

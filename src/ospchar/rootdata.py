@@ -367,37 +367,40 @@ class WeylFactor:
 
     @functools.lru_cache(maxsize=None)
     def straighten(
-        self, values: tuple[int, ...], among: tuple[int, ...] | None = None
+        self, values: tuple[int, ...], classes: tuple[tuple[int, ...], ...] | None = None, flips: bool = True
     ) -> tuple[int, tuple[int, ...]] | None:
-        """(sgn w, w values) for the w, in the group of the sign flips and the
-        permutations of the positions among (default: every position, the
-        whole factor), that makes every entry nonnegative and sorts the
-        entries at among into decreasing order; or None when an element of
-        sgn -1 fixes values: a zero in types B and C, or one |entry| at two
-        positions of among.  A flip has sgn -1 in types B and C; in type D
-        flips pair up, and an odd count of negatives, which a zero absorbs,
-        stays on the last entry.  With among None this is the chamber map."""
-        odd = sum(v < 0 for v in values) % 2
-        if self.kind == FAMILY_D:
-            sign, negative_last = 1, odd and 0 not in values
-        elif 0 in values:
-            return None
-        else:
-            sign, negative_last = -1 if odd else 1, False
-        image = list(map(abs, values))
-        picked = image if among is None else [image[c] for c in among]
-        if len(set(picked)) < len(picked):
-            return None
-        for i, a in enumerate(picked):  # the sort's sign, -1 per inversion
-            for b in picked[i + 1 :]:
-                if a < b:
-                    sign = -sign
-        ordered = sorted(picked, reverse=True)
-        if among is None:
-            image = ordered
-        else:
-            for c, v in zip(among, ordered):
-                image[c] = v
+        """(sgn w, w values) for the w, in the group of the sign flips (when
+        flips) and the permutations within each class of positions
+        (default: one class of every position), that makes every entry
+        nonnegative (when flips) and sorts each class into decreasing order;
+        or None when an element of sgn -1 fixes values: with flips a zero in
+        types B and C, or one entry at two positions of a class.  A flip has
+        sgn -1 in types B and C; in type D flips pair up, and an odd count of
+        negatives, which a zero absorbs, stays on the last entry after the
+        sort.  The defaults give the chamber map."""
+        sign, negative_last = 1, False
+        if flips:
+            odd = sum(v < 0 for v in values) % 2
+            if self.kind == FAMILY_D:
+                negative_last = odd and 0 not in values
+            elif 0 in values:
+                return None
+            elif odd:
+                sign = -1
+        image = list(map(abs, values) if flips else values)
+        for positions in (None,) if classes is None else classes:
+            picked = image if positions is None else [image[c] for c in positions]
+            if len(set(picked)) < len(picked):
+                return None
+            for i, a in enumerate(picked):  # the sort's sign, -1 per inversion
+                for b in picked[i + 1 :]:
+                    if a < b:
+                        sign = -sign
+            if positions is None:
+                image = sorted(picked, reverse=True)
+            else:
+                for c, v in zip(positions, sorted(picked, reverse=True)):
+                    image[c] = v
         if negative_last:
             image[-1] = -image[-1]
         return sign, tuple(image)

@@ -249,17 +249,42 @@ def seed_cases(alg, max_size):
             yield lam, b, lam_b, euler
 
 
+def excluded_sweep(alg, draws=2):
+    """(b, lam_b, excluded) for every Borel b with no root excluded, with each
+    odd simple root excluded, and with each orthogonal pair of isotropic
+    simple roots excluded, each at draws seeded random lam_b."""
+    rng = random.Random(f"{alg.label()}-{draws}")
+    for seq in all_sequences(alg):
+        b = borel_from_sequence(alg, seq)
+        odd = [r for r in b.simple_roots if r in b.pos_odd]
+        isotropic = [r for r in odd if pairing4(r, r) == 0]
+        sets = [frozenset()] + [frozenset({r}) for r in odd]
+        sets += [frozenset(pair) for pair in itertools.combinations(isotropic, 2) if pairing4(*pair) == 0]
+        for excluded in sets:
+            for _ in range(draws):
+                delta, eps = ([rng.randint(-3, 3) for _ in range(size)] for size in (alg.n, alg.m))
+                yield b, Weight.from_ints(delta, eps), excluded
+
+
+def alternant_cases(alg):
+    """(b, lam_b, excluded): every ``seed_cases`` with |lambda| <= 3, then the
+    ``excluded_sweep``."""
+    yield from ((b, lam_b, excluded) for _, b, lam_b, excluded in seed_cases(alg, 3))
+    yield from excluded_sweep(alg)
+
+
 @pytest.mark.parametrize("alg", [B22, D22, D32], ids=Algebra.label)
 def test_seed_terms_match_the_generic_product(alg):
-    # every Borel, with the distinguished set and with the Euler excluded set:
-    # the seed is flipped, sorted or eps-straightened between its factors, so
-    # it has the alternants of the full product, not its terms
+    # every Borel, with the distinguished set, the Euler excluded set and the
+    # excluded sweep: the seed is flipped and sorted by its twin rows and
+    # columns between its factors, so it has the alternants of the full
+    # product, not its terms
     checked = straightened = 0
-    for lam, b, lam_b, excluded in seed_cases(alg, 3):
+    for b, lam_b, excluded in alternant_cases(alg):
         want = cleared_seed(b, lam_b, excluded).terms
         seed = _seed(b, lam_b, excluded)
         got = _straightened(alg, seed)
-        assert got == _straightened(alg, want), (lam.parts, str(b.sequence))
+        assert got == _straightened(alg, want), (lam_b, str(b.sequence), excluded)
         checked += 1
         straightened += seed != want
     assert checked >= 2 * len(list(all_sequences(alg)))
@@ -309,42 +334,64 @@ def test_straightening_before_a_touched_block_changes_the_alternants(alg):
 
 def dropped_flip_rule(family):
     """``WeylFactor.straighten`` with the family's own flip rule dropped
-    between the seed's factors (among given): on the eps factor, the entries
-    taken nonnegative with sgn +1, which loses the sign of a family-B eps
-    flip and family D's parity on the last entry."""
+    between the seed's factors (classes given, flips on): on the eps factor,
+    the entries taken nonnegative with sgn +1, which loses the sign of a
+    family-B eps flip and family D's parity on the last entry."""
     straighten = WeylFactor.straighten
 
-    def wrong(factor, values, among=None):
-        if among is not None and factor.kind == family:
+    def wrong(factor, values, classes=None, flips=True):
+        if classes is not None and flips and factor.kind == family:
             values = tuple(map(abs, values))
-        return straighten(factor, values, among)
+        return straighten(factor, values, classes, flips)
 
     return wrong
 
 
-def dropped_sort_sign():
-    """``WeylFactor.straighten`` with the sort's sign dropped between the
-    seed's factors (among given): the sign is that of the flips alone."""
+def dropped_sort_sign(kind):
+    """``WeylFactor.straighten`` with the sort's sign dropped inside the twin
+    classes of one factor (kind "C": the twin rows, else the twin columns)
+    between the seed's factors: the sign is that of the flips alone."""
     straighten = WeylFactor.straighten
 
-    def wrong(factor, values, among=None):
-        hit = straighten(factor, values, among)
-        if hit and among is not None:
-            return straighten(factor, values, ())[0], hit[1]
+    def wrong(factor, values, classes=None, flips=True):
+        hit = straighten(factor, values, classes, flips)
+        if hit and classes is not None and factor.kind == kind:
+            return straighten(factor, values, (), flips)[0], hit[1]
         return hit
+
+    return wrong
+
+
+def flips_before_singles():
+    """``_seed_plan`` with the flips allowed at every step, also before a
+    single, which a flip of its d_i or e_j does not fix."""
+    plan = _seed_plan
+
+    def wrong(b, excluded):
+        offset, steps = plan(b, excluded)
+        return offset, tuple((rows, columns, True, moves) for rows, columns, _, moves in steps)
 
     return wrong
 
 
 @pytest.mark.parametrize("alg", [B22, D22], ids=Algebra.label)
 def test_a_wrong_flip_changes_the_alternants(alg, monkeypatch):
-    # the alternant check above bites on the flips and on the sorts before
-    # each quad
-    cases = [(b, lam_b, excluded) for _, b, lam_b, excluded in seed_cases(alg, 3)]
+    # the alternant check above bites on the flips and on the sorts of the
+    # twin rows and twin columns before each factor
+    import ospchar.characters as characters
+
+    cases = list(alternant_cases(alg))
     wants = [_straightened(alg, cleared_seed(*case).terms) for case in cases]
-    for dropped, wrong in (("flip rule", dropped_flip_rule(alg.family)), ("sort sign", dropped_sort_sign())):
-        monkeypatch.setattr(WeylFactor, "straighten", wrong)
-        changed = sum(_straightened(alg, _seed(*case)) != want for case, want in zip(cases, wants))
+    bugs = {
+        "flip rule": (WeylFactor, "straighten", dropped_flip_rule(alg.family)),
+        "sort sign of the twin rows": (WeylFactor, "straighten", dropped_sort_sign("C")),
+        "sort sign of the twin columns": (WeylFactor, "straighten", dropped_sort_sign(alg.family)),
+        "flips before a single": (characters, "_seed_plan", flips_before_singles()),
+    }
+    for dropped, (owner, name, wrong) in bugs.items():
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, wrong)
+            changed = sum(_straightened(alg, _seed(*case)) != want for case, want in zip(cases, wants))
         assert changed, dropped
 
 
@@ -361,23 +408,34 @@ def test_kw_orbits_match_the_full_seed(label, parts):
     assert cr.orbits == _divided_orbits(alg, full.terms, cr.j_used)
 
 
-@pytest.mark.parametrize("label, bound", [("B:4:4", 2340), ("D:4:4", 1164)])
-def test_trivial_seed_stays_small(label, bound, monkeypatch):
-    # the largest term dict straightened during the trivial character: before
-    # each quad the seed sorts every eps position where each row still to
-    # come holds a quad, and that keeps it at these sizes
+@pytest.mark.parametrize(
+    "seed, label, bound",
+    [("trivial", "B:4:4", 256), ("trivial", "D:4:4", 116), ("euler", "B:4:4", 840), ("euler", "B:5:5", 5152)],
+)
+def test_trivial_seed_stays_small(seed, label, bound, monkeypatch):
+    # the largest term dict straightened during the trivial character, or
+    # during verify's euler-trivial-constant seed (singles only, through the
+    # odd Borel with every odd root of its Levi excluded): before each factor
+    # the seed sorts its twin rows and twin columns, and that keeps it at
+    # these sizes; taking the singles d_i last keeps the columns twins, and
+    # without it the Euler seeds reach 3 656 and 33 470
     import ospchar.characters as characters
 
     sizes = []
-    canonical = characters._canonical
+    straightened = characters._straightened
 
-    def recording(terms, *forms):
+    def recording(alg, terms, *classes):
         sizes.append(len(terms))
-        return canonical(terms, *forms)
+        return straightened(alg, terms, *classes)
 
-    monkeypatch.setattr(characters, "_canonical", recording)
+    monkeypatch.setattr(characters, "_straightened", recording)
     alg = Algebra.parse(label)
-    assert kw_character(HookPartition.of((), alg.n, alg.m), alg).dimension == 1
+    zero = Weight.zero(alg.n, alg.m)
+    if seed == "trivial":
+        assert kw_character(HookPartition.of((), alg.n, alg.m), alg).dimension == 1
+    else:
+        b = b_odd(alg)
+        assert euler_char_character(b.simple_roots[:-1], zero, b) == {zero.exponent_key(): 2**alg.m}
     assert max(sizes) <= bound
 
 
@@ -394,39 +452,76 @@ def line(exp):
     return max(exp, tuple(-v for v in exp))
 
 
+def factor_lines(moves, rank):
+    """The lines of one seed factor, read off its moves: a quad's four moves
+    are +-2 on d_i, then +-2 on e_j, and it holds the lines d_i -+ e_j; a
+    single's two moves are +-beta/2."""
+    if len(moves) == 4:
+        (i, _), (c, _) = moves[0][0], moves[2][0]
+        return [line(tuple(2 * (t == i) + 2 * sign * (t == c) for t in range(rank))) for sign in (1, -1)]
+    half = [0] * rank
+    for t, v in moves[0]:
+        half[t] = v
+    return [line(doubled(half))]
+
+
+def twin_classes(coming, axes):
+    """The classes, of two or more, of the axes that some transposition of
+    axes, applied to every line, maps the lines still to come onto
+    themselves: the definition of twin rows or twin columns."""
+    classes: list[list[int]] = []
+    for a in axes:
+        for members in classes:
+            swap = {a: members[0], members[0]: a}
+            if sorted(line(tuple(exp[swap.get(t, t)] for t in range(len(exp)))) for exp in coming) == coming:
+                members.append(a)
+                break
+        else:
+            classes.append([a])
+    return {tuple(members) for members in classes if len(members) > 1}
+
+
 @pytest.mark.parametrize("alg", RANK_3_SWEEP[: RANK_3_SWEEP.index(D32) + 1], ids=Algebra.label)
 def test_seed_plan_partitions_the_odd_roots(alg):
-    # the singles, the quads (two lines each) and the excluded roots hold each
-    # positive odd root exactly once, up to sign; the quads of a row come
-    # together, the rows with a quad on every eps_j last; a step's among is
-    # the eps positions where every row still to come holds a quad, so the
-    # quads still to come are permuted among themselves by any permutation
-    # of among; the offset is rho_0 minus half the sum of the roots outside
-    # the excluded set
-    n, m = alg.n, alg.m
+    # the factors (a single's line, a quad's two) and the excluded roots hold
+    # each positive odd root exactly once, up to sign; the singles come first,
+    # those of d_i alone last, then the quads, those of a row together, the
+    # rows with a quad on every eps_j last; each step's classes are the twin
+    # rows and twin columns of the lines still to come, by their definition,
+    # and it may flip exactly when no single is left, where each flip fixes
+    # those lines; the offset is rho_0 minus half the sum of the roots
+    # outside the excluded set
+    n, m, rank = alg.n, alg.m, alg.rank
     checked = set()
-    for _, b, _, excluded in seed_cases(alg, 4):
+    keys = [(b, excluded) for _, b, _, excluded in seed_cases(alg, 4)]
+    for b, excluded in keys + [(b, excluded) for b, _, excluded in excluded_sweep(alg, 1)]:
         if (b, excluded) in checked:
             continue
         checked.add((b, excluded))
-        offset, singles, steps = _seed_plan(b, excluded)
-        held = [doubled(half) for half in singles]
-        for _, i, c in steps:
-            held += [tuple(2 * (t == i) + 2 * sign * (t == c) for t in range(alg.rank)) for sign in (1, -1)]
-        held += [r.exponent_key() for r in excluded]
-        assert sorted(map(line, held)) == sorted(line(r.exponent_key()) for r in b.pos_odd), str(b.sequence)
-        rows = [i for _, i, _ in steps]
+        offset, steps = _seed_plan(b, excluded)
+        held = [exp for *_, moves in steps for exp in factor_lines(moves, rank)]
+        held += [line(r.exponent_key()) for r in excluded]
+        assert sorted(held) == sorted(line(r.exponent_key()) for r in b.pos_odd), str(b.sequence)
+        quads = [len(moves) == 4 for *_, moves in steps]
+        assert quads == sorted(quads), str(b.sequence)
+        alone = [len(moves[0]) == 1 for *_, moves in steps if len(moves) == 2]  # the single d_i
+        assert alone == sorted(alone), str(b.sequence)
+        rows = [moves[0][0][0] for *_, moves in steps if len(moves) == 4]
         runs = [i for s, i in enumerate(rows) if not s or rows[s - 1] != i]
         assert len(runs) == len(set(runs)) and set(runs) <= set(range(n)), str(b.sequence)
         full = [rows.count(i) == m for i in runs]
         assert full == sorted(full), str(b.sequence)
-        for s, (among, _, _) in enumerate(steps):
-            coming = {(i, c - n) for _, i, c in steps[s:]}
-            assert among == tuple(j for j in range(m) if all((i, j) in coming for i, _ in coming)), str(b.sequence)
-            for x, y in itertools.combinations(among, 2):
-                swap = {x: y, y: x}
-                assert {(i, swap.get(j, j)) for i, j in coming} == coming, str(b.sequence)
-        sigma = [sum(r.exponent_key()[t] for r in b.pos_odd - excluded) for t in range(alg.rank)]
+        for s, (delta_classes, eps_classes, flips, _) in enumerate(steps):
+            coming = sorted(exp for *_, moves in steps[s:] for exp in factor_lines(moves, rank))
+            assert set(delta_classes) == twin_classes(coming, range(n)), (str(b.sequence), s)
+            want = {tuple(c - n for c in members) for members in twin_classes(coming, range(n, rank))}
+            assert set(eps_classes) == want, (str(b.sequence), s)
+            assert all(list(members) == sorted(members) for members in delta_classes + eps_classes)
+            assert flips == all(quads[s:]), (str(b.sequence), s)
+            for t in range(rank) if flips else ():
+                flipped = sorted(line(tuple(-v if u == t else v for u, v in enumerate(exp))) for exp in coming)
+                assert flipped == coming, (str(b.sequence), s, t)
+        sigma = [sum(r.exponent_key()[t] for r in b.pos_odd - excluded) for t in range(rank)]
         assert doubled(offset) == tuple(2 * v - s for v, s in zip(even_rho(alg), sigma)), str(b.sequence)
     assert len(checked) > len(list(all_sequences(alg)))
 
@@ -442,8 +537,8 @@ def test_seed_plan_refuses_an_excluded_root_that_is_not_positive():
 
 
 def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys):
-    # and verify's sweep runs every kind of stage: singles, and quads with no,
-    # some and every eps position to sort
+    # and verify's sweep runs every kind of step: singles and quads, each with
+    # and without twin rows, and with and without twin columns
     import ospchar.characters as characters
     from ospchar import cli
 
@@ -461,11 +556,10 @@ def test_seed_plan_is_built_once_per_borel_and_excluded_set(monkeypatch, capsys)
     info = characters._seed_plan.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
-    plans = {key: characters._seed_plan(*key) for key in set(keys)}
-    assert any(singles for _, singles, _ in plans.values())
-    # 0: among empty, 1: some eps positions, 2: every one
-    kinds = {bool(among) + (len(among) == b.algebra.m) for (b, _), plan in plans.items() for among, _, _ in plan[2]}
-    assert kinds == {0, 1, 2}
+    steps = [step for key in set(keys) for step in characters._seed_plan(*key)[1]]
+    # (a quad, some twin rows, some twin columns)
+    kinds = {(len(moves) == 4, bool(rows), bool(columns)) for rows, columns, _, moves in steps}
+    assert kinds == set(itertools.product((False, True), repeat=3))
 
 
 @pytest.mark.parametrize("alg", RANK_3_SWEEP, ids=Algebra.label)

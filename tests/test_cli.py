@@ -12,7 +12,7 @@ import pytest
 
 from ospchar.atyp import is_tame
 from ospchar.characters import kw_character, orbits_json
-from ospchar.cli import build_parser, main
+from ospchar.cli import _parsers, main
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -453,7 +453,7 @@ class TestReentrancy:
         assert code == 0 and text.startswith("osp(7|6)  lambda = ")
         code, last, _ = run_cli(capsys, *character)
         assert code == 0 and last == first
-        assert build_parser() is build_parser()
+        assert _parsers() is _parsers()
 
 
 COMMANDS = ("classify", "bottom", "character", "block-family", "verify")

@@ -456,35 +456,44 @@ class TestWeylFactors:
             else:
                 assert hit == (images[top][0], top), values
 
-    def test_straighten_among_positions_by_the_flips_and_their_permutations(self, kind, rank):
-        # for every subset among of the positions, against the subgroup that
-        # the sign flips and the permutations of among generate (among=() is
-        # the flips alone); its chamber is every entry nonnegative, but the
-        # last in type D when no entry is 0, and the entries at among in
-        # decreasing order of size
+    def test_straighten_by_classes_and_flips_against_their_subgroup(self, kind, rank):
+        # for every set of classes of positions (the blocks of two or more of
+        # a set partition), with and without the flips, against the subgroup
+        # that the permutations within each class, and the sign flips when
+        # allowed, generate; its chamber is each class in decreasing order,
+        # and with the flips every entry nonnegative, but the last in type D
+        # when no entry is 0, each class ordered by size
         factor = weyl_factor(kind, rank)
         group = _factor_group(kind, rank)
-        for among in (c for size in range(rank + 1) for c in itertools.combinations(range(rank), size)):
-            fixed = [i for i in range(rank) if i not in among]
-            subgroup = [(sign, perm, signs) for sign, perm, signs in group if all(perm[i] == i for i in fixed)]
-            for values in itertools.product(range(-3, 4), repeat=rank):
-                images: dict[tuple[int, ...], set[int]] = {}
-                for sign, perm, signs in subgroup:
-                    images.setdefault(_act(perm, signs, values), set()).add(sign)
-                (top,) = [
-                    e
-                    for e in images
-                    if min(e[:-1], default=0) >= 0
-                    and (e[-1] >= 0 or kind == "D" and 0 not in e)
-                    and all(abs(e[a]) >= abs(e[b]) for a, b in zip(among, among[1:]))
+        for partition in _set_partitions(tuple(range(rank))):
+            classes = tuple(block for block in partition if len(block) > 1)
+            home = {i: block for block in partition for i in block}
+            for flips in (True, False):
+                subgroup = [
+                    (sign, perm, signs)
+                    for sign, perm, signs in group
+                    if all(perm[i] in home[i] for i in range(rank)) and (flips or -1 not in signs)
                 ]
-                hit = factor.straighten(values, among)
-                if images[top] == {1, -1}:  # an element of sgn -1 fixes values
-                    assert hit is None, (values, among)
-                else:
-                    assert hit == (*images[top], top), (values, among)
-                if len(among) == rank:
-                    assert hit == factor.straighten(values), (values, among)
+                size = abs if flips else int
+                for values in itertools.product(range(-3, 4), repeat=rank):
+                    images: dict[tuple[int, ...], set[int]] = {}
+                    for sign, perm, signs in subgroup:
+                        images.setdefault(_act(perm, signs, values), set()).add(sign)
+                    (top,) = [
+                        e
+                        for e in images
+                        if not flips
+                        or min(e[:-1], default=0) >= 0
+                        and (e[-1] >= 0 or kind == "D" and 0 not in e)
+                        if all(size(e[a]) >= size(e[b]) for block in classes for a, b in zip(block, block[1:]))
+                    ]
+                    hit = factor.straighten(values, classes, flips)
+                    if images[top] == {1, -1}:  # an element of sgn -1 fixes values
+                        assert hit is None, (values, classes, flips)
+                    else:
+                        assert hit == (*images[top], top), (values, classes, flips)
+                    if flips and classes == (tuple(range(rank)),):
+                        assert hit == factor.straighten(values), (values, classes)
 
     def test_children_are_the_dominant_lowerings_by_a_root(self, kind, rank):
         factor = weyl_factor(kind, rank)
@@ -501,7 +510,8 @@ class TestWeylFactors:
         for values in itertools.product(range(-3, 4), repeat=rank):
             for name in ("dominant", "straighten", "orbit"):
                 assert _frozen(getattr(factor, name)(values)), (name, values)
-            assert _frozen(factor.straighten(values, tuple(range(1, rank)))), values
+            for flips in (True, False):
+                assert _frozen(factor.straighten(values, (tuple(range(1, rank)),), flips)), values
             assert _frozen(factor.children(factor.dominant(values))), values
         # so are the seed plans of an algebra with this factor, built here
         # with no, one and every odd root excluded
@@ -511,6 +521,18 @@ class TestWeylFactors:
             first = min(b.pos_odd, key=Weight.exponent_key)
             for excluded in (frozenset(), frozenset({first}), b.pos_odd):
                 assert _frozen(_seed_plan(b, excluded)), (str(seq), len(excluded))
+
+
+def _set_partitions(items: tuple[int, ...]):
+    """Every partition of items into blocks, each block in increasing order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [(first,), *partition]
+        for k, block in enumerate(partition):
+            yield [*partition[:k], (first, *block), *partition[k + 1 :]]
 
 
 def _frozen(value) -> bool:
