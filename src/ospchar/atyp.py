@@ -10,10 +10,13 @@ and its maximum matching is the multiset intersection of the two sides,
 which ``match_equal`` strikes pair by pair from the small int tuples.
 ``atypicality_degree_brute``, a subset brute force, is its oracle.
 
-Tameness is decided on the standard-Borel shifted weight.  Orthogonality to
-d_i -+ e_j is compared on doubled entries as derived from the pairing, whose
-(d,d) = -1 sign convention makes an eyeballed entry comparison wrong; the
-tests keep the pairing itself as the oracle.
+Tameness is decided on the standard-Borel shifted weight by one test,
+``shifted_tameness``, which ``is_tame`` and the block descent share: the
+case "lambda_{n+1} < m" is read off the weight as kappa_m = 0, that is a
+last e-entry equal to rho's.  Orthogonality to d_i -+ e_j is compared on
+doubled entries as derived from the pairing, whose (d,d) = -1 sign
+convention makes an eyeballed entry comparison wrong; the tests keep the
+pairing itself as the oracle.
 """
 
 from __future__ import annotations
@@ -132,6 +135,21 @@ def _case_34_borel(alg: Algebra, i: int) -> BorelData:
     return borel_from_sequence(alg, EpsDeltaSequence(symbols, sign))
 
 
+def shifted_tameness(shifted: Weight, alg: Algebra) -> tuple[int, bool, int | None]:
+    """(k, tame, case-ii index) of the plain module's standard-Borel shifted
+    weight.  Below the family-D pair case only the minus roots count; there
+    (kappa_m > 0, lambda_{n+1} = m) a tame weight has k = 1 and the pair
+    d_i + e_m, whose i is returned."""
+    k = atypicality_degree(shifted)
+    if k == 0:
+        return 0, True, None
+    if alg.family == FAMILY_B or shifted.eps[-1] == b_standard(alg).rho.eps[-1]:
+        # only the minus roots d_i - e_j, orthogonal when a_i = -b_j
+        return k, match_equal(map(neg, shifted.delta), shifted.eps)[0] == k, None
+    i = _d_case_ii_index(shifted, alg)
+    return k, i is not None and k == 1, i
+
+
 @functools.lru_cache(maxsize=None)
 def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[Weight, ...]:
     """The distinguished set T of a tame weight: it depends only on
@@ -150,11 +168,11 @@ def _distinguished_T(alg: Algebra, k: int, case_ii_index: int | None) -> tuple[W
 def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessReport:
     """Classify L of the plain (or minus-twisted) natural weight.
 
-    The one place that decides the case (the minus roots, or the pair
-    d_i + e_m), e, j and the twist: the minus flag applies sigma to the
-    witness Borel and T, tameness itself being symmetric under the diagram
-    twist.  Typical modules come back tame with an empty distinguished set
-    and j = 1.
+    The case and k come from ``shifted_tameness``; this is the one place
+    that decides the witness, T, e, j and the twist: the minus flag applies
+    sigma to the witness Borel and T, tameness itself being symmetric under
+    the diagram twist.  Typical modules come back tame with an empty
+    distinguished set and j = 1.
     """
     if lam.n != alg.n or lam.m != alg.m:
         raise HookViolation("partition ambient does not match the algebra")
@@ -162,21 +180,11 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
         raise FamilyMismatch("minus twin exists only in family D")
 
     plus, _ = natural_weight(lam)
-    shifted = plus + b_standard(alg).rho
-    k = atypicality_degree(shifted)
+    k, tame, case_ii_index = shifted_tameness(plus + b_standard(alg).rho, alg)
     e_val = e_of_lambda(lam) if alg.family == FAMILY_D and lam.part(alg.n + 1) < alg.m else None
 
     if k == 0:
         return TamenessReport(0, True, None, (), e_val, 1)
-
-    case_ii_index: int | None = None
-    if alg.family == FAMILY_B or lam.part(alg.n + 1) < alg.m:
-        # only the minus roots d_i - e_j, orthogonal when a_i = -b_j
-        tame = match_equal(map(neg, shifted.delta), shifted.eps)[0] == k
-    else:
-        case_ii_index = _d_case_ii_index(shifted, alg)
-        tame = case_ii_index is not None and k == 1
-
     if not tame:
         return TamenessReport(k, False, None, None, e_val, None)
 

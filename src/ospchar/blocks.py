@@ -4,7 +4,9 @@ algorithm, and the finite family of tame weights sharing a type-D k=1 block.
 A central character is fingerprinted by removing the matched atypical pairs
 (a multiset intersection) from the shifted weight and keeping the surviving
 absolute values; dominance is decided exactly through simple-root
-coordinates, kept times 4 as ints.
+coordinates, kept times 4 as ints.  The descent walks shifted weights: each
+step is tested by ``atyp.shifted_tameness``, the test ``is_tame`` runs, and
+the partition is recovered from the weight (``partition_from_shifted``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 from .exactnum import InternalError, Weight, half_str
 from .hook import HookPartition, HookViolation, natural_weight, transpose
-from .atyp import _d_case_ii_index, is_tame, match_equal
+from .atyp import _d_case_ii_index, is_tame, match_equal, shifted_tameness
 from .rootdata import FAMILY_B, FAMILY_D, Algebra, BorelData, b_standard, simple_coords4
 
 
@@ -111,20 +113,20 @@ def bottom_of_block(lam: HookPartition, alg: Algebra) -> BottomTrace:
 
     Each step finds the minimal e-entry b_j > 0 equal to some d-entry with
     -b_j absent on the d-side, shrinks it to the least admissible value,
-    and re-sorts; the loop stops at the first tame weight.  The iteration
-    cap only converts a latent bug into a diagnosis.
+    and re-sorts; the loop stops at the first tame weight.  Each step's
+    weight is recovered as a partition, which checks that it stays a hook
+    weight.  The iteration cap only converts a latent bug into a diagnosis.
     """
     if lam.n != alg.n or lam.m != alg.m:
         raise HookViolation("partition ambient does not match the algebra")
-    rho = b_standard(alg).rho
     half_integral = alg.family == FAMILY_B
     steps: list[BottomStep] = []
     current = lam
+    shifted = natural_weight(lam)[0] + b_standard(alg).rho
     cap = 2 * (lam.size() + (alg.m + alg.n) ** 2) + 16
     for _ in range(cap):
-        if is_tame(current, alg).tame:
+        if shifted_tameness(shifted, alg)[1]:
             return BottomTrace(tuple(steps), current)
-        shifted = natural_weight(current)[0] + rho
         a_vals = list(shifted.delta)
         b_vals = list(shifted.eps)
         candidates = [
@@ -147,6 +149,7 @@ def bottom_of_block(lam: HookPartition, alg: Algebra) -> BottomTrace:
         new_shifted = Weight.from_doubled(new_a, new_b)
         steps.append(BottomStep(shifted, chosen, x, new_shifted))
         current = partition_from_shifted(new_shifted, alg)
+        shifted = new_shifted
     raise InternalError("bottom-of-block did not terminate within the cap")
 
 

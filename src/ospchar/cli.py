@@ -26,6 +26,7 @@ from .rootdata import (
     FamilyMismatch,
     all_sequences,
     b_odd,
+    b_standard,
     borel_from_sequence,
     root_str,
     simple_coords4,
@@ -36,10 +37,11 @@ from .hook import (
     HookViolation,
     highest_weight_via_reflections,
     hook_partitions,
+    natural_weight,
     parse_partition,
 )
-from .atyp import NotTame, is_tame
-from .blocks import WrongRegime, bottom_of_block, lambda_x_family
+from .atyp import NotTame, is_tame, shifted_tameness
+from .blocks import WrongRegime, bottom_of_block, lambda_x_family, preceq, same_central_character
 from .characters import (
     canonical_levi_roots,
     euler_char_character,
@@ -171,8 +173,9 @@ def _cmd_block_family(args) -> int:
 def _verify_checks(alg: Algebra, max_size: int):
     """Identity suite, every character compared in Weyl-orbit form: the
     trivial character is 1, the Euler constants, the Euler character equals
-    the KW character for every tame |lambda| <= max_size, and the
-    denominator invariances (``_denominator_checks``)."""
+    the KW character for every tame |lambda| <= max_size, every such
+    lambda's block bottom against its block, and the denominator
+    invariances (``_denominator_checks``)."""
     checks = []
     zero = Weight.zero(alg.n, alg.m)
     cr = kw_character(HookPartition.of((), alg.n, alg.m), alg)
@@ -207,6 +210,17 @@ def _verify_checks(alg: Algebra, max_size: int):
             ok = False
             detail.append(str(lam))
     checks.append(("euler-equals-kw", ok, ",".join(detail) or f"|lambda| <= {max_size}"))
+
+    # every bottom of a block is tame, has lambda's central character and
+    # lies below lambda on the standard Borel
+    std = b_standard(alg)
+    below = []
+    for lam in hook_partitions(alg.n, alg.m, max_size):
+        bottom = bottom_of_block(lam, alg).result
+        x, y = (natural_weight(p)[0] + std.rho for p in (lam, bottom))
+        if not (shifted_tameness(y, alg)[1] and same_central_character(x, y, alg) and preceq(y, x, std)):
+            below.append(str(lam))
+    checks.append(("bottom-in-block", not below, ",".join(below) or f"|lambda| <= {max_size}"))
     checks += _denominator_checks(alg, [borel_from_sequence(alg, seq) for seq in all_sequences(alg)])
     return checks
 

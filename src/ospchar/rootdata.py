@@ -259,11 +259,15 @@ def b_odd(alg: Algebra) -> BorelData:
 
 
 def all_sequences(alg: Algebra) -> Iterator[EpsDeltaSequence]:
-    """Every eps-delta sequence of the algebra, signed variants included."""
-    for pattern in sorted(set(itertools.permutations("d" * alg.n + "e" * alg.m))):
-        yield EpsDeltaSequence(tuple(pattern))
+    """Every eps-delta sequence of the algebra, signed variants included, in
+    sorted order: the patterns by the positions of their d symbols, which
+    ``combinations`` lists in lexicographic order."""
+    size = alg.n + alg.m
+    for ds in itertools.combinations(range(size), alg.n):
+        pattern = tuple("d" if i in ds else "e" for i in range(size))
+        yield EpsDeltaSequence(pattern)
         if alg.family == FAMILY_D and pattern[-1] == "d":
-            yield EpsDeltaSequence(tuple(pattern), sign=-1)
+            yield EpsDeltaSequence(pattern, sign=-1)
 
 
 # ---------------------------------------------------------------------------

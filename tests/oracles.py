@@ -38,8 +38,15 @@ this file.
   (``natural_weight_by_index``), against the library's plain-tuple forms.
 - Atypicality and tameness from their definitions: orthogonality edges read
   off the pairing (``pairing_edges``), a maximum matching by trying every
-  edge subset (``max_matching_brute``), and Kac-Wakimoto's tameness
+  edge subset (``max_matching_brute``), the case split read off the
+  partition (``tameness_by_pairing``), and Kac-Wakimoto's tameness
   condition checked on every Borel (``tame_by_definition``).
+- Every eps-delta sequence from every permutation of the symbols
+  (``all_sequences_by_permutations``), against the library's enumeration by
+  the positions of the d symbols.
+- The block descent one hook partition at a time, with a whole
+  ``is_tame`` report per step (``bottom_of_block_by_partitions``), against
+  the library's descent on shifted weights.
 - The parity invariant e(lambda) read off the whole transpose
   (``e_by_transpose``), and the even nilradical of the canonical parabolic
   listed root by root from the cut points of the witness Borel
@@ -64,6 +71,7 @@ from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from ospchar.atyp import NotTame, atypicality_degree_brute, is_tame
+from ospchar.blocks import BottomStep, BottomTrace, partition_from_shifted
 from ospchar.characters import CharacterResult, _divided_orbits, _seed, canonical_levi_roots
 from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
@@ -721,6 +729,25 @@ def max_matching_brute(edges: dict[int, set[int]]) -> int:
     return 0
 
 
+def tameness_by_pairing(lam: HookPartition, alg: Algebra) -> tuple[int, bool, int | None]:
+    """(k, tame, case-ii index) of the plain module, the case read off the
+    partition: unless the family is D and lambda_{n+1} = m, a tame weight has
+    k mutually orthogonal minus roots d_i - e_j orthogonal to it; otherwise
+    it has k = 1 and the one d_i + e_m orthogonal to it, whose i is
+    returned."""
+    n, m = alg.n, alg.m
+    shifted = natural_weight_by_index(lam)[0] + b_standard(alg).rho
+    k = max_matching_brute(pairing_edges(shifted, alg, False))
+    if k == 0:
+        return 0, True, None
+    if alg.family != FAMILY_D or lam.part(n + 1) < m:
+        return k, max_matching_brute(pairing_edges(shifted, alg, True)) == k, None
+    em = Weight.basis_eps(n, m, m)
+    hits = [i for i in range(1, n + 1) if pairing4(shifted, Weight.basis_delta(n, m, i) + em) == 0]
+    (index,) = hits or [None]
+    return k, index is not None and k == 1, index
+
+
 def root_parity(r: Weight) -> int:
     """A root's parity from its definition: its total d-degree modulo 2
     (0 even, 1 odd)."""
@@ -813,3 +840,41 @@ def admissibility_positivity(lam: HookPartition, alg: Algebra) -> tuple[bool, We
         if not pairing4(shifted, r) * pairing4(r, r) > 0:
             return False, r
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Sequences and the block descent, built the first way
+
+
+def all_sequences_by_permutations(alg: Algebra) -> Iterator[EpsDeltaSequence]:
+    """Every eps-delta sequence of the algebra, signed variants included, from
+    all (m + n)! permutations of the symbols, deduplicated and sorted."""
+    for pattern in sorted(set(itertools.permutations("d" * alg.n + "e" * alg.m))):
+        yield EpsDeltaSequence(tuple(pattern))
+        if alg.family == FAMILY_D and pattern[-1] == "d":
+            yield EpsDeltaSequence(tuple(pattern), sign=-1)
+
+
+def bottom_of_block_by_partitions(lam: HookPartition, alg: Algebra) -> BottomTrace:
+    """The descent to the bottom of the block one hook partition at a time:
+    each step rebuilds the shifted weight from the partition and asks
+    ``is_tame`` for its whole report."""
+    rho = b_standard(alg).rho
+    steps = []
+    current = lam
+    while not is_tame(current, alg).tame:
+        shifted = natural_weight(current)[0] + rho
+        a_vals, b_vals = list(shifted.delta), list(shifted.eps)
+        chosen = min(bv for bv in b_vals if bv > 0 and bv in a_vals and -bv not in a_vals)
+        j, i = b_vals.index(chosen), a_vals.index(chosen)
+        x = 0 if alg.family == FAMILY_D else 1
+        while x in b_vals[j + 1 :] or -x in a_vals:
+            x += 2
+        if x > chosen:
+            raise InternalError("no admissible replacement value")
+        new_a = sorted(a_vals[:i] + a_vals[i + 1 :] + [-x], reverse=True)
+        new_b = sorted(b_vals[:j] + b_vals[j + 1 :] + [x], reverse=True)
+        after = Weight.from_doubled(new_a, new_b)
+        steps.append(BottomStep(shifted, chosen, x, after))
+        current = partition_from_shifted(after, alg)
+    return BottomTrace(tuple(steps), current)

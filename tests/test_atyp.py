@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ospchar.atyp import (
+    _case_34_borel,
     _d_case_ii_index,
     _distinguished_T,
     atypicality_degree,
@@ -16,13 +17,21 @@ from ospchar.atyp import (
     e_of_lambda,
     is_tame,
     match_equal,
+    shifted_tameness,
 )
 from ospchar.blocks import fingerprint
 from ospchar.exactnum import InternalError, Weight
 from ospchar.hook import HookPartition, hook_partitions, natural_weight
-from ospchar.rootdata import Algebra, b_standard, pairing4, root_str
+from ospchar.rootdata import Algebra, b_odd, b_standard, pairing4, root_str, sigma_twist
 from ospchar.hook import highest_weight_via_reflections
-from oracles import e_by_transpose, matched_values, max_matching_brute, pairing_edges, tame_by_definition
+from oracles import (
+    e_by_transpose,
+    matched_values,
+    max_matching_brute,
+    pairing_edges,
+    tame_by_definition,
+    tameness_by_pairing,
+)
 
 B33 = Algebra("B", 3, 3)
 D32 = Algebra("D", 3, 2)
@@ -156,6 +165,45 @@ class TestIsTame:
         assert set(obj) == {"k", "tame", "T", "e", "j"}
         assert obj["k"] == 1 and obj["tame"] is True
         assert obj["T"] == ["e1-d1"] and obj["j"] == 2 and obj["e"] is None
+
+
+RANK_3_ALGEBRAS = [Algebra(f, m, n) for f in ("B", "D") for m in (1, 2, 3) for n in (1, 2, 3) if f == "B" or m >= 2]
+
+
+class TestShiftedTameness:
+    def test_agrees_with_the_pairing_and_with_both_reports(self):
+        # every hook weight of the rank-3 sweep at |lambda| <= 8: (k, tame,
+        # case-ii index) against the pairing with the case read off the
+        # partition, and against the plain and minus reports, whose witness
+        # and T the index picks
+        kinds = Counter()
+        for alg in RANK_3_ALGEBRAS:
+            rho = b_standard(alg).rho
+            for lam in hook_partitions(alg.n, alg.m, 8):
+                k, tame, index = got = shifted_tameness(natural_weight(lam)[0] + rho, alg)
+                assert got == tameness_by_pairing(lam, alg), (alg.label(), lam.parts)
+                for minus in (False, True) if alg.family == "D" else (False,):
+                    rep = is_tame(lam, alg, minus=minus)
+                    assert (rep.atypicality_k, rep.tame) == (k, tame), (alg.label(), lam.parts, minus)
+                    if tame and k:
+                        witness = b_odd(alg) if index is None else _case_34_borel(alg, index)
+                        T = _distinguished_T(alg, k, index)
+                        if minus:
+                            witness, T = sigma_twist(alg, witness), tuple(sigma_twist(alg, r) for r in T)
+                        assert (rep.witness_borel, rep.distinguished_T) == (witness, T)
+                pair_case = alg.family == "D" and lam.part(alg.n + 1) == alg.m
+                kinds[pair_case, k > 0, tame, index is not None] += 1
+        # typical and both atypical verdicts on each side of the case split,
+        # and a pair d_i + e_m that leaves the weight wild (k > 1)
+        assert set(kinds) >= {
+            (False, False, True, False),
+            (False, True, True, False),
+            (False, True, False, False),
+            (True, False, True, False),
+            (True, True, True, True),
+            (True, True, False, True),
+            (True, True, False, False),
+        }, kinds
 
 
 class TestTamenessByDefinition:

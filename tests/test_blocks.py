@@ -199,6 +199,26 @@ class TestBottomOfBlock:
                 assert len(bottoms) <= 1
 
 
+# the benchmark's census (B:4:4 and D:4:4 at |lambda| <= 11) and seven
+# smaller algebras at |lambda| <= 9
+DESCENT_SWEEP = [("B:4:4", 11), ("D:4:4", 11)] + [
+    (label, 9) for label in ("B:1:1", "B:2:2", "B:3:3", "D:2:1", "D:2:2", "D:3:2", "D:4:3")
+]
+
+
+@pytest.mark.parametrize("label, size", DESCENT_SWEEP, ids=[label for label, _ in DESCENT_SWEEP])
+def test_descent_on_shifted_weights_equals_the_descent_by_partitions(label, size):
+    # every step (before, b, b_tilde, after) and the result, against the
+    # descent that rebuilds each step from its partition with a whole report
+    alg = Algebra.parse(label)
+    longest = 0
+    for lam in hook_partitions(alg.n, alg.m, size):
+        trace = bottom_of_block(lam, alg)
+        assert trace == oracles.bottom_of_block_by_partitions(lam, alg), lam.parts
+        longest = max(longest, len(trace.steps))
+    assert longest >= min(2, alg.n, alg.m)
+
+
 class TestLambdaXFamily:
     def test_osp_6_4_golden(self):
         lam = HookPartition.of((3, 3, 3, 2, 2, 2, 1), 2, 3)

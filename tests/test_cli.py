@@ -565,6 +565,29 @@ class TestVerify:
         failed = {c["check"] for c in json.loads(out)["checks"] if not c["pass"]}
         assert failed == {"trivial-kw-is-one", "euler-equals-kw"}
 
+    def test_a_descent_stopped_one_step_early_fails(self, capsys, monkeypatch):
+        # verify reaches the descent through the public bottom_of_block; one
+        # that returns the weight before its last step must fail the block
+        # check, on exactly the weights that take a step, and no other check
+        from ospchar import cli
+        from ospchar.blocks import bottom_of_block, partition_from_shifted
+
+        def early(lam, alg):
+            trace = bottom_of_block(lam, alg)
+            if not trace.steps:
+                return trace
+            last = trace.steps[-1].before
+            return trace._replace(steps=trace.steps[:-1], result=partition_from_shifted(last, alg))
+
+        monkeypatch.setattr(cli, "bottom_of_block", early)
+        code, out, _ = run_cli(capsys, "verify", "--algebra", "B:2:2")
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        alg = Algebra("B", 2, 2)
+        stepped = [str(lam) for lam in hook_partitions(2, 2, 4) if bottom_of_block(lam, alg).steps]
+        assert stepped
+        assert [(c["check"], c["detail"]) for c in failed] == [("bottom-in-block", ",".join(stepped))]
+
     def test_tameness_decided_once_per_weight(self, capsys, monkeypatch):
         # the Euler = KW sweep visits every hook partition up to --max-size
         # once, and skips none (kw_character decides tameness again inside)

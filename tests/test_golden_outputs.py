@@ -4,7 +4,8 @@
 and sha256("{exit code}\\n{stdout}").  Replaying the workloads here makes
 any byte change in ``classify``, ``bottom`` or ``character`` output fail the
 tests directly.  The file is only read.  The stdout of ``verify --max-rank 3``
-is pinned the same way, by its sha256.
+is pinned the same way, by its sha256, with and without the entries of its
+newest check.
 """
 
 import hashlib
@@ -20,7 +21,10 @@ from ospchar.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
-VERIFY_RANK_3_SHA256 = "dd4414e06165e3b780e8f231e57fced60fa08c163ca009d9076401df7cc7039e"
+VERIFY_RANK_3_SHA256 = "d0bf4a9db1fb75fd8a40c14f83b7ed0912ad892e0e1555ae2ae9b0b3b753533f"
+# the same stdout without the bottom-in-block entries, as it was before that
+# check joined the suite
+VERIFY_RANK_3_WITHOUT_BOTTOMS_SHA256 = "dd4414e06165e3b780e8f231e57fced60fa08c163ca009d9076401df7cc7039e"
 
 
 def _changed(rows, capsys) -> list[str]:
@@ -100,6 +104,13 @@ def test_verify_rank_3_matches_its_digest(capsys):
     assert main(["verify", "--max-rank", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RANK_3_SHA256
+    # the older checks' entries are unchanged, written the same way
+    payload = json.loads(out)
+    bottoms = [c for c in payload["checks"] if c["check"] == "bottom-in-block"]
+    assert len(bottoms) == 15 and all(c["pass"] for c in bottoms)
+    payload["checks"] = [c for c in payload["checks"] if c["check"] != "bottom-in-block"]
+    old = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(old.encode()).hexdigest() == VERIFY_RANK_3_WITHOUT_BOTTOMS_SHA256
 
 
 def _benchmark_oracles(monkeypatch):

@@ -35,6 +35,7 @@ from ospchar.characters import _seed_plan
 from ospchar.cli import _denominator_checks
 from ospchar.hook import hook_partitions, natural_weight
 from oracles import (
+    all_sequences_by_permutations,
     coords_in_basis,
     denominators,
     dominant,
@@ -177,6 +178,15 @@ def test_root_data_matches_the_definition(alg):
         sums = {x + y for x, y in itertools.combinations_with_replacement(positive, 2)}
         assert (b.pos_even, b.pos_odd) == (even, odd), str(seq)
         assert set(b.simple_roots) == {r for r in positive if r not in sums}, str(seq)
+
+
+def test_all_sequences_equal_the_permutation_enumeration():
+    # the d positions list the patterns in the sorted order of the deduplicated
+    # permutations, signed family-D variants in place, for every m, n <= 5
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for alg in [Algebra("B", m, n)] + ([Algebra("D", m, n)] if m >= 2 else []):
+                assert list(all_sequences(alg)) == list(all_sequences_by_permutations(alg)), alg.label()
 
 
 class TestBorelFromSequence:
