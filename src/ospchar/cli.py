@@ -4,21 +4,28 @@ Output is machine-readable JSON by default (sorted, byte-identical across
 runs); --output text prints a human summary.  Domain errors exit 1 with a
 structured payload; internal faults, and any other exception, exit 2 with
 the same payload; running out of memory exits 2 with a payload written
-in advance.  A usage error (no or an unknown command, an unknown or
-missing option) is argparse's: exit 2 with a usage line on stderr and no
-payload.  A reader that closes stdout early gets exit 141 and no payload.
-argv is parsed once, by the named command's own parser, so an unknown
-option is reported as ``ospchar <command>: error: ...``.
+in advance.  A reader that closes stdout early gets exit 141 and no payload.
+
+argv is read by ``parse_argv`` from one table, ``COMMANDS``: each command's
+handler, help line and options, each option with its name, kind and help.
+``--help`` text comes from the same table.  The grammar is argparse's:
+options in any order, as ``--name value`` or ``--name=value``, any unique
+prefix of a name, the last of a repeated option winning.  A usage error (no
+or an unknown command, an unknown, ambiguous or missing option, a bad
+value) exits 2 with a usage line and ``<prog>: error: <message>`` on stderr
+and no payload; an unknown option after the command is reported as
+``ospchar <command>: error: ...``.  Importing this module loads no argparse.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from collections import Counter
+from types import MappingProxyType, SimpleNamespace
+from typing import Callable
 
 from .exactnum import InputError, Weight, half_str
 from .rootdata import (
@@ -290,59 +297,185 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-@functools.lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name, built on
-    first use and shared: parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="ospchar",
-        description="Tame-module classification and exact character evaluation "
-        "for ortho-symplectic Lie superalgebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One ``--name`` of a command, stored on the parsed args as ``dest``.
+    ``kind`` is ``bool`` for a flag, which takes no value, or what its one
+    value is read as: ``str``, ``int``, or a tuple of its choices.  An option
+    not given takes ``default``, unless that is REQUIRED."""
 
-    def common(p):
-        p.add_argument("--algebra", required=True, help="B:m:n or D:m:n")
-        p.add_argument("--partition", required=True, help="comma-separated parts, 0 for trivial")
-        p.add_argument("--output", choices=("json", "text"), default="json")
+    __slots__ = ("name", "help", "kind", "default", "dest")
 
-    p = sub.add_parser("classify", help="tameness report for a highest weight")
-    common(p)
-    p.add_argument("--minus", action="store_true", help="use the minus twin (family D)")
-    p.set_defaults(func=_cmd_classify)
+    def __init__(self, name: str, help: str, kind: object = str, default: object = None):
+        self.name, self.help, self.kind, self.default = name, help, kind, default
+        self.dest = name[2:].replace("-", "_")
 
-    p = sub.add_parser("bottom", help="descend to the tame bottom of the block")
-    common(p)
-    p.set_defaults(func=_cmd_bottom)
+    def spec(self) -> str:
+        """How the option is written: --algebra ALGEBRA, --output {json,text}, --minus."""
+        if self.kind is bool:
+            return self.name
+        if isinstance(self.kind, tuple):
+            return f"{self.name} {{{','.join(self.kind)}}}"
+        return f"{self.name} {self.dest.upper()}"
 
-    p = sub.add_parser("character", help="evaluate the character formula")
-    common(p)
-    p.add_argument("--minus", action="store_true", help="use the minus twin (family D)")
-    p.set_defaults(func=_cmd_character)
 
-    p = sub.add_parser("block-family", help="the finite tame family of a D-type k=1 block")
-    common(p)
-    p.set_defaults(func=_cmd_block_family)
+class Command:
+    """A command's handler, which takes the parsed args and returns the exit
+    code, its help line and its options."""
 
-    p = sub.add_parser("verify", help="run the built-in identity suite")
-    p.add_argument("--algebra", help="restrict to one algebra")
-    p.add_argument("--max-rank", type=int, default=2, help="rank sweep bound without --algebra")
-    p.add_argument("--max-size", type=int, default=4, help="partition size bound for equalities")
-    p.add_argument("--output", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_verify)
-    return parser, sub.choices
+    __slots__ = ("run", "help", "options")
+
+    def __init__(self, run: Callable[[SimpleNamespace], int], help: str, options: tuple[Option, ...]):
+        self.run, self.help, self.options = run, help, options
+
+
+REQUIRED = object()
+DESCRIPTION = (
+    "Tame-module classification and exact character evaluation for ortho-symplectic Lie superalgebras."
+)
+_HELP = Option("--help", "show this help message and exit", bool)
+_COMMON = (
+    Option("--algebra", "B:m:n or D:m:n", default=REQUIRED),
+    Option("--partition", "comma-separated parts, 0 for trivial", default=REQUIRED),
+    Option("--output", "json or text (default: json)", ("json", "text"), "json"),
+)
+_MINUS = Option("--minus", "use the minus twin (family D)", bool, False)
+# read-only, so that emptying the module's tables leaves the commands in place
+COMMANDS = MappingProxyType(
+    {
+        "classify": Command(_cmd_classify, "tameness report for a highest weight", (*_COMMON, _MINUS)),
+        "bottom": Command(_cmd_bottom, "descend to the tame bottom of the block", _COMMON),
+        "character": Command(_cmd_character, "evaluate the character formula", (*_COMMON, _MINUS)),
+        "block-family": Command(_cmd_block_family, "the finite tame family of a D-type k=1 block", _COMMON),
+        "verify": Command(
+            _cmd_verify,
+            "run the built-in identity suite",
+            (
+                Option("--algebra", "restrict to one algebra"),
+                Option("--max-rank", "rank sweep bound without --algebra", int, 2),
+                Option("--max-size", "partition size bound for equalities", int, 4),
+                _COMMON[2],
+            ),
+        ),
+    }
+)
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: ospchar [-h] {{{','.join(COMMANDS)}}} ..."
+    specs = (o.spec() if o.default is REQUIRED else f"[{o.spec()}]" for o in COMMANDS[name].options)
+    return f"usage: ospchar {name} [-h] {' '.join(specs)}"
+
+
+def _help(name: str | None):
+    """Print the help of the program (name None) or of one command; exit 0."""
+    if name is None:
+        about, heading, rows = DESCRIPTION, "commands", [(c, COMMANDS[c].help) for c in COMMANDS]
+    else:
+        about, heading = COMMANDS[name].help, "options"
+        rows = [("-h, --help", _HELP.help)] + [(o.spec(), o.help) for o in COMMANDS[name].options]
+    sys.stdout.write(f"{_usage(name)}\n\n{about}\n\n{heading}:\n" + "".join(f"  {a:<21} {b}\n" for a, b in rows))
+    raise SystemExit(0)
+
+
+def _usage_error(name: str | None, message: str):
+    """A usage line and ``<prog>: error: <message>`` on stderr; exit 2."""
+    prog = "ospchar" if name is None else f"ospchar {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(token: str, name: str | None, options: tuple[Option, ...]) -> tuple[Option | None, str | None] | None:
+    """A token before any ``--`` as argparse reads it: None for a value, else
+    (option, its ``=value`` or None), the option None when unknown.  An exact
+    name wins over a unique prefix; an ambiguous prefix is a usage error."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":  # one dash: -h, anything glued to it being a value
+        if token[1] == "h":
+            return _HELP, None if token == "-h" else token[3 if token[2] == "=" else 2 :]
+    else:
+        head, eq, value = token.partition("=")
+        found = [o for o in options if o.name == head] or [o for o in options if o.name.startswith(head)]
+        if len(found) > 1:
+            _usage_error(name, f"ambiguous option: {token} could match {', '.join(o.name for o in found)}")
+        if found:
+            return found[0], value if eq else None
+    # a negative number is a value, as is anything with a space
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _flag(name: str | None, option: Option, value: str | None) -> None:
+    if value is not None:
+        label = "-h/--help" if option is _HELP else option.name
+        _usage_error(name, f"argument {label}: ignored explicit argument {value!r}")
+    if option is _HELP:
+        _help(name)
+
+
+def _parse_command(name: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """A command's options, read left to right: the parsed args and the tokens
+    left over.  A repeated option keeps its last value."""
+    command = COMMANDS[name]
+    # '--' and every token after it are left over
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    options = (_HELP, *command.options)
+    reads = [_read(t, name, options) for t in tokens[:end]] + [(None, None)] * (len(tokens) - end)
+    values = {o.dest: o.default for o in command.options}
+    extras = []
+    pending = zip(tokens, reads)
+    for token, read in pending:
+        option, value = read or (None, None)
+        if option is None:
+            extras.append(token)
+            continue
+        if option.kind is bool:
+            _flag(name, option, value)
+            values[option.dest] = True
+            continue
+        if value is None:  # the next token, unless it reads as an option
+            value, read = next(pending, (None, True))
+            if read is not None:
+                _usage_error(name, f"argument {option.name}: expected one argument")
+        if isinstance(option.kind, tuple) and value not in option.kind:
+            choices = ", ".join(map(repr, option.kind))
+            _usage_error(name, f"argument {option.name}: invalid choice: {value!r} (choose from {choices})")
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(name, f"argument {option.name}: invalid int value: {value!r}")
+        values[option.dest] = value
+    missing = [o.name for o in command.options if values[o.dest] is REQUIRED]
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, func=command.run, **values), extras
+
+
+def parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The args of one call, read as ``ospchar [-h] <command> [options]``.
+    Help exits 0 and a usage error exits 2, as SystemExit."""
+    extras = []
+    for i, token in enumerate(argv):
+        read = None if token == "--" else _read(token, None, (_HELP,))
+        if read is None:
+            if token not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _usage_error(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            args, more = _parse_command(token, argv[i + 1 :])
+            if extras or more:
+                # the program reports what was left over around its command
+                _usage_error(None if extras else token, f"unrecognized arguments: {' '.join(extras + more)}")
+            return args
+        option, value = read
+        if option is _HELP:
+            _flag(None, option, value)
+        extras.append(token)
+    _usage_error(None, "the following arguments are required: command")
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        # no command first: help, a usage error, or an option before the command
-        args = parser.parse_args(argv)
-    else:
-        # the top-level parser would only hand argv[1:] on to this one
-        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -56,10 +56,14 @@ this file.
 - A diagnostic, not a check: strict positivity of a tame weight against the
   even nilradical of its canonical parabolic (``admissibility_positivity``),
   which fails on some tame weights (B:3:3, (5)).
+- The argv grammar as argparse reads it (``_parsers``, the CLI's former
+  parsers, unchanged, and their dispatch, ``parse_argv_by_argparse``), against
+  the CLI's table-driven ``parse_argv``.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import heapq
 import itertools
@@ -73,6 +77,7 @@ from typing import Callable, Iterable, Iterator
 from ospchar.atyp import NotTame, atypicality_degree_brute, is_tame
 from ospchar.blocks import BottomStep, BottomTrace, partition_from_shifted
 from ospchar.characters import CharacterResult, _divided_orbits, _seed, canonical_levi_roots
+from ospchar.cli import _cmd_block_family, _cmd_bottom, _cmd_character, _cmd_classify, _cmd_verify
 from ospchar.exactnum import InternalError, NotDivisible, Weight
 from ospchar.hook import HookPartition, HookViolation, highest_weight_via_reflections, natural_weight, transpose
 from ospchar.rootdata import (
@@ -878,3 +883,60 @@ def bottom_of_block_by_partitions(lam: HookPartition, alg: Algebra) -> BottomTra
         steps.append(BottomStep(shifted, chosen, x, after))
         current = partition_from_shifted(after, alg)
     return BottomTrace(tuple(steps), current)
+
+
+# ---------------------------------------------------------------------------
+# The argv grammar
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    first use and shared: parse_args keeps no state between calls."""
+    parser = argparse.ArgumentParser(
+        prog="ospchar",
+        description="Tame-module classification and exact character evaluation "
+        "for ortho-symplectic Lie superalgebras.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--algebra", required=True, help="B:m:n or D:m:n")
+        p.add_argument("--partition", required=True, help="comma-separated parts, 0 for trivial")
+        p.add_argument("--output", choices=("json", "text"), default="json")
+
+    p = sub.add_parser("classify", help="tameness report for a highest weight")
+    common(p)
+    p.add_argument("--minus", action="store_true", help="use the minus twin (family D)")
+    p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("bottom", help="descend to the tame bottom of the block")
+    common(p)
+    p.set_defaults(func=_cmd_bottom)
+
+    p = sub.add_parser("character", help="evaluate the character formula")
+    common(p)
+    p.add_argument("--minus", action="store_true", help="use the minus twin (family D)")
+    p.set_defaults(func=_cmd_character)
+
+    p = sub.add_parser("block-family", help="the finite tame family of a D-type k=1 block")
+    common(p)
+    p.set_defaults(func=_cmd_block_family)
+
+    p = sub.add_parser("verify", help="run the built-in identity suite")
+    p.add_argument("--algebra", help="restrict to one algebra")
+    p.add_argument("--max-rank", type=int, default=2, help="rank sweep bound without --algebra")
+    p.add_argument("--max-size", type=int, default=4, help="partition size bound for equalities")
+    p.add_argument("--output", choices=("json", "text"), default="json")
+    p.set_defaults(func=_cmd_verify)
+    return parser, sub.choices
+
+
+def parse_argv_by_argparse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the CLI parsed it with argparse: by the named command's
+    own parser when the command comes first, else by the top-level one."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))

@@ -12,7 +12,7 @@ import pytest
 
 from ospchar.atyp import is_tame
 from ospchar.characters import kw_character, orbits_json
-from ospchar.cli import _parsers, main
+from ospchar.cli import main
 from ospchar.hook import (
     HookPartition,
     highest_weight_via_reflections,
@@ -30,6 +30,7 @@ from oracles import (
     naive_cleared_sum,
     sigma_twist_poly,
 )
+from test_golden_outputs import _clear_tables
 
 
 def run_cli(capsys, *argv):
@@ -453,7 +454,15 @@ class TestReentrancy:
         assert code == 0 and text.startswith("osp(7|6)  lambda = ")
         code, last, _ = run_cli(capsys, *character)
         assert code == 0 and last == first
-        assert _parsers() is _parsers()
+        # the command table is no per-process table: emptying every one of
+        # those leaves main parsing and running as before
+        assert "COMMANDS" not in _clear_tables()
+        with pytest.raises(SystemExit) as exc:
+            main(["character", "--algebra", "B:1:1", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, again, _ = run_cli(capsys, *character)
+        assert code == 0 and again == first
 
 
 COMMANDS = ("classify", "bottom", "character", "block-family", "verify")
