@@ -10,10 +10,12 @@ and its maximum matching is the multiset intersection of the two sides,
 which ``match_equal`` strikes pair by pair from the small int tuples.
 ``atypicality_degree_brute``, a subset brute force, is its oracle.
 
-Tameness is decided on the standard-Borel shifted weight by one test,
-``shifted_tameness``, which ``is_tame`` and the block descent share: the
-case "lambda_{n+1} < m" is read off the weight as kappa_m = 0, that is a
-last e-entry equal to rho's.  Orthogonality to d_i -+ e_j is compared on
+The standard-Borel shifted weight lambda + rho is written in one place,
+``shifted_weight``, for tameness, the block descent and ``verify``.
+Tameness is decided on it by one test, ``shifted_tameness``, which
+``is_tame`` and the block descent share: the case "lambda_{n+1} < m" is
+read off the weight as kappa_m = 0, that is a last e-entry equal to
+rho's.  Orthogonality to d_i -+ e_j is compared on
 doubled entries as derived from the pairing, whose (d,d) = -1 sign
 convention makes an eyeballed entry comparison wrong; the tests keep the
 pairing itself as the oracle.
@@ -135,6 +137,11 @@ def _case_34_borel(alg: Algebra, i: int) -> BorelData:
     return borel_from_sequence(alg, EpsDeltaSequence(symbols, sign))
 
 
+def shifted_weight(lam: HookPartition, alg: Algebra) -> Weight:
+    """lambda + rho of the plain module on the standard Borel."""
+    return natural_weight(lam)[0] + b_standard(alg).rho
+
+
 def shifted_tameness(shifted: Weight, alg: Algebra) -> tuple[int, bool, int | None]:
     """(k, tame, case-ii index) of the plain module's standard-Borel shifted
     weight.  Below the family-D pair case only the minus roots count; there
@@ -179,8 +186,7 @@ def is_tame(lam: HookPartition, alg: Algebra, minus: bool = False) -> TamenessRe
     if minus and alg.family != FAMILY_D:
         raise FamilyMismatch("minus twin exists only in family D")
 
-    plus, _ = natural_weight(lam)
-    k, tame, case_ii_index = shifted_tameness(plus + b_standard(alg).rho, alg)
+    k, tame, case_ii_index = shifted_tameness(shifted_weight(lam, alg), alg)
     e_val = e_of_lambda(lam) if alg.family == FAMILY_D and lam.part(alg.n + 1) < alg.m else None
 
     if k == 0:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactnum import InternalError, Weight, half_str
-from .hook import HookPartition, HookViolation, natural_weight, transpose
-from .atyp import _d_case_ii_index, is_tame, match_equal, shifted_tameness
+from .hook import HookPartition, HookViolation, transpose
+from .atyp import _d_case_ii_index, is_tame, match_equal, shifted_tameness, shifted_weight
 from .rootdata import FAMILY_B, FAMILY_D, Algebra, BorelData, b_standard, simple_coords4
 
 
@@ -122,7 +122,7 @@ def bottom_of_block(lam: HookPartition, alg: Algebra) -> BottomTrace:
     half_integral = alg.family == FAMILY_B
     steps: list[BottomStep] = []
     current = lam
-    shifted = natural_weight(lam)[0] + b_standard(alg).rho
+    shifted = shifted_weight(lam, alg)
     cap = 2 * (lam.size() + (alg.m + alg.n) ** 2) + 16
     for _ in range(cap):
         if shifted_tameness(shifted, alg)[1]:
@@ -164,7 +164,7 @@ def lambda_x_family(lam: HookPartition, alg: Algebra) -> list[tuple[int, HookPar
     if not report.tame or report.atypicality_k != 1:
         raise WrongRegime("requires a tame module of atypicality 1")
 
-    shifted = natural_weight(lam)[0] + b_standard(alg).rho
+    shifted = shifted_weight(lam, alg)
     # never None here: with lambda_{n+1} < m a tame pair a_i = -b_j needs
     # a_n = b_m = 0, since lambda_n >= m - 1 makes every a_i >= 0
     i = _d_case_ii_index(shifted, alg)

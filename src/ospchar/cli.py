@@ -25,7 +25,7 @@ import re
 import sys
 from collections import Counter
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 from .exactnum import InputError, Weight, half_str
 from .rootdata import (
@@ -44,10 +44,9 @@ from .hook import (
     HookViolation,
     highest_weight_via_reflections,
     hook_partitions,
-    natural_weight,
     parse_partition,
 )
-from .atyp import NotTame, is_tame, shifted_tameness
+from .atyp import NotTame, is_tame, shifted_tameness, shifted_weight
 from .blocks import WrongRegime, bottom_of_block, lambda_x_family, preceq, same_central_character
 from .characters import (
     canonical_levi_roots,
@@ -69,25 +68,41 @@ OUT_OF_MEMORY = {
 }
 
 
+def _write_json(payload: dict, out: TextIO, character: Iterable[str] | None = None) -> None:
+    """payload and a newline on out, as compact JSON with sorted keys.  A
+    character given as text rows is written, row by row, as the value of the
+    key "character" at its sorted place: the keys before it ("T", "algebra",
+    "borel") hold no object, so the first '"character":null' is that key."""
+    if character is not None:
+        payload["character"] = None
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if character is not None:
+        head, _, text = text.partition('"character":null')
+        out.write(head + '"character":')
+        out.writelines(character)
+    out.write(text + "\n")
+
+
 def _emit(payload: dict, as_json: bool, text_lines: list[str] | tuple[()] = ()) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _write_json(payload, sys.stdout)
     else:
         for line in text_lines:
             print(line)
 
 
-def _cmd_classify(args) -> int:
+def _request(args) -> tuple[Algebra, HookPartition, dict]:
+    """The algebra and the partition of a command's args, and the head of
+    its payload: the command, the algebra and the parts."""
     alg = Algebra.parse(args.algebra)
     lam = HookPartition.of(parse_partition(args.partition), alg.n, alg.m)
+    return alg, lam, {"command": args.command, "algebra": alg.label(), "partition": list(lam.parts)}
+
+
+def _cmd_classify(args) -> int:
+    alg, lam, payload = _request(args)
     report = is_tame(lam, alg, minus=args.minus)
-    payload = {
-        "command": "classify",
-        "algebra": alg.label(),
-        "partition": list(lam.parts),
-        "minus": args.minus,
-        "report": report.to_json(),
-    }
+    payload.update(minus=args.minus, report=report.to_json())
     if args.output == "json":
         _emit(payload, True)
         return 0
@@ -107,15 +122,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bottom(args) -> int:
-    alg = Algebra.parse(args.algebra)
-    lam = HookPartition.of(parse_partition(args.partition), alg.n, alg.m)
+    alg, lam, payload = _request(args)
     trace = bottom_of_block(lam, alg)
-    payload = {
-        "command": "bottom",
-        "algebra": alg.label(),
-        "partition": list(lam.parts),
-        "trace": trace.to_json(),
-    }
+    payload["trace"] = trace.to_json()
     if args.output == "json":
         _emit(payload, True)
         return 0
@@ -129,22 +138,13 @@ def _cmd_bottom(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    alg = Algebra.parse(args.algebra)
-    lam = HookPartition.of(parse_partition(args.partition), alg.n, alg.m)
+    alg, lam, payload = _request(args)
     cr = kw_character(lam, alg, minus=args.minus)
-    payload = {"command": "character", "algebra": alg.label(), "partition": list(lam.parts)}
     payload.update(cr.to_json())
     payload["k"] = cr.atypicality_k
     if args.output == "json":
-        # the character is written from its orbit form, row by row, at its
-        # sorted place: the keys before it ("T", "algebra", "borel") hold no
-        # object, so the first '"character":null' is that key
-        payload["character"] = None
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        head, _, tail = text.partition('"character":null')
-        sys.stdout.write(head + '"character":')
-        sys.stdout.writelines(orbits_json(alg, cr.orbits))
-        sys.stdout.write(tail + "\n")
+        # the character is written from its orbit form, row by row
+        _write_json(payload, sys.stdout, orbits_json(alg, cr.orbits))
         return 0
     lines = [
         f"{alg.osp_name()}  L({cr.highest_weight.display()})",
@@ -160,16 +160,10 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_block_family(args) -> int:
-    alg = Algebra.parse(args.algebra)
-    lam = HookPartition.of(parse_partition(args.partition), alg.n, alg.m)
+    alg, lam, payload = _request(args)
     family = lambda_x_family(lam, alg)
-    payload = {
-        "command": "block-family",
-        "algebra": alg.label(),
-        "partition": list(lam.parts),
-        "X": [x for x, _ in family],
-        "members": [{"x": x, "partition": list(p.parts)} for x, p in family],
-    }
+    payload["X"] = [x for x, _ in family]
+    payload["members"] = [{"x": x, "partition": list(p.parts)} for x, p in family]
     lines = [f"{alg.osp_name()}  X = {{{', '.join(str(x) for x, _ in family)}}}"]
     for x, p in family:
         lines.append(f"  lambda({x}) = {p}")
@@ -202,32 +196,26 @@ def _verify_checks(alg: Algebra, max_size: int):
         euler = euler_char_character(b.simple_roots[:-1], zero, b)
         checks.append(("euler-trivial-constant", euler == {zero.exponent_key(): expected}, f"= {expected}"))
 
-    # Euler characteristic equals the character for small tame lambdas
-    ok = True
-    detail = []
+    # for each small lambda: if tame, its Euler characteristic equals its
+    # character; its block's bottom is tame, has lambda's central character
+    # and lies below lambda on the standard Borel
+    std = b_standard(alg)
+    unequal, below = [], []
     for lam in hook_partitions(alg.n, alg.m, max_size):
         report = is_tame(lam, alg)
-        if not report.tame:
-            continue
-        # a typical weight's Euler character is taken on the odd Borel, an
-        # atypical one's on its KW witness Borel
-        b = report.witness_borel or b_odd(alg)
-        lam_b = highest_weight_via_reflections(lam, b)
-        if euler_char_character(canonical_levi_roots(b, report), lam_b, b) != kw_character(lam, alg).orbits:
-            ok = False
-            detail.append(str(lam))
-    checks.append(("euler-equals-kw", ok, ",".join(detail) or f"|lambda| <= {max_size}"))
-
-    # every bottom of a block is tame, has lambda's central character and
-    # lies below lambda on the standard Borel
-    std = b_standard(alg)
-    below = []
-    for lam in hook_partitions(alg.n, alg.m, max_size):
-        bottom = bottom_of_block(lam, alg).result
-        x, y = (natural_weight(p)[0] + std.rho for p in (lam, bottom))
+        if report.tame:
+            # a typical weight's Euler character is taken on the odd Borel,
+            # an atypical one's on its KW witness Borel
+            b = report.witness_borel or b_odd(alg)
+            lam_b = highest_weight_via_reflections(lam, b)
+            if euler_char_character(canonical_levi_roots(b, report), lam_b, b) != kw_character(lam, alg).orbits:
+                unequal.append(str(lam))
+        x, y = shifted_weight(lam, alg), shifted_weight(bottom_of_block(lam, alg).result, alg)
         if not (shifted_tameness(y, alg)[1] and same_central_character(x, y, alg) and preceq(y, x, std)):
             below.append(str(lam))
-    checks.append(("bottom-in-block", not below, ",".join(below) or f"|lambda| <= {max_size}"))
+    swept = f"|lambda| <= {max_size}"
+    checks.append(("euler-equals-kw", not unequal, ",".join(unequal) or swept))
+    checks.append(("bottom-in-block", not below, ",".join(below) or swept))
     checks += _denominator_checks(alg, [borel_from_sequence(alg, seq) for seq in all_sequences(alg)])
     return checks
 
@@ -498,10 +486,8 @@ def main(argv=None) -> int:
 
 
 def _fail(args, exc: Exception, code: int) -> None:
-    payload = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-    as_json = getattr(args, "output", "json") == "json"
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=sys.stderr)
+    if getattr(args, "output", "json") == "json":
+        _write_json({"error": {"code": type(exc).__name__, "message": str(exc)}}, sys.stderr)
     else:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
 

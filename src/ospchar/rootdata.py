@@ -183,13 +183,6 @@ def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> tuple[Weight, ...]
     return tuple(basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered())
 
 
-def _even_positive_roots(alg: Algebra) -> frozenset[Weight]:
-    zero_delta, zero_eps = (0,) * alg.n, (0,) * alg.m
-    weights = [Weight.from_doubled(r, zero_eps) for r in _factor_roots(TYPE_C, alg.n)]
-    weights += [Weight.from_doubled(zero_delta, r) for r in _factor_roots(alg.family, alg.m)]
-    return frozenset(weights)
-
-
 @functools.lru_cache(maxsize=None)
 def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     """Construct the full Borel data for an eps-delta sequence.
@@ -198,8 +191,10 @@ def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
     are w_i - w_j and w_i + w_j for i < j whose symbols differ, plus the w_i
     of the d symbols in family B.  The simple roots are the w_i - w_{i+1},
     then w_N in family B, and in family D 2w_N after a final d, else
-    w_{N-1} + w_N.  rho is half the even positive roots' sum minus the odd's.
-    Built once per (algebra, sequence); the frozen result is shared.
+    w_{N-1} + w_N.  The positive even roots are the algebra's, one set
+    shared by all its Borels, and rho is ``even_rho`` minus half the sum of
+    the positive odd roots.  Built once per (algebra, sequence); the frozen
+    result is shared.
     """
     if seq.n != alg.n or seq.m != alg.m:
         raise ValueError("sequence does not match algebra ranks")
@@ -223,15 +218,17 @@ def borel_from_sequence(alg: Algebra, seq: EpsDeltaSequence) -> BorelData:
         if r not in pos_even and r not in pos_odd:
             raise InternalError(f"simple root {root_str(r)} not positive for {seq}")
 
-    zero = Weight.zero(alg.n, alg.m)
-    total = sum(pos_even, zero) - sum(pos_odd, zero)
+    odd_sum = [sum(col) for col in zip(*(r.delta + r.eps for r in pos_odd))]
+    if any(s % 2 for s in odd_sum):
+        raise InternalError(f"the positive odd roots of {seq} have a sum that is not halvable")
+    rho = [r - s // 2 for r, s in zip(even_rho(alg), odd_sum)]
     return BorelData(
         algebra=alg,
         sequence=seq,
         simple_roots=simple_roots,
         pos_even=pos_even,
         pos_odd=pos_odd,
-        rho=total.half(),
+        rho=Weight.from_doubled(rho[: alg.n], rho[alg.n :]),
     )
 
 
@@ -464,6 +461,15 @@ def even_rho(alg: Algebra) -> tuple[int, ...]:
     """rho_0 as a doubled exponent; the same for every Borel considered."""
     delta, eps = weyl_factors(alg)
     return delta.rho + eps.rho
+
+
+@functools.lru_cache(maxsize=None)
+def _even_positive_roots(alg: Algebra) -> frozenset[Weight]:
+    """The positive even roots, the Weyl factors' roots as weights; the same
+    for every Borel considered, so one set per algebra is shared by all."""
+    delta, eps = weyl_factors(alg)
+    zero_delta, zero_eps = (0,) * alg.n, (0,) * alg.m
+    return frozenset([Weight(r, zero_eps) for r in delta.roots] + [Weight(zero_delta, r) for r in eps.roots])
 
 
 def weyl_orbit(alg: Algebra, exp: tuple[int, ...]) -> list[tuple[int, ...]]:

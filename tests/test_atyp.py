@@ -18,6 +18,7 @@ from ospchar.atyp import (
     is_tame,
     match_equal,
     shifted_tameness,
+    shifted_weight,
 )
 from ospchar.blocks import fingerprint
 from ospchar.exactnum import InternalError, Weight
@@ -28,6 +29,7 @@ from oracles import (
     e_by_transpose,
     matched_values,
     max_matching_brute,
+    natural_weight_by_index,
     pairing_edges,
     tame_by_definition,
     tameness_by_pairing,
@@ -172,15 +174,18 @@ RANK_3_ALGEBRAS = [Algebra(f, m, n) for f in ("B", "D") for m in (1, 2, 3) for n
 
 class TestShiftedTameness:
     def test_agrees_with_the_pairing_and_with_both_reports(self):
-        # every hook weight of the rank-3 sweep at |lambda| <= 8: (k, tame,
-        # case-ii index) against the pairing with the case read off the
-        # partition, and against the plain and minus reports, whose witness
-        # and T the index picks
+        # every hook weight of the rank-3 sweep at |lambda| <= 8: lambda + rho
+        # against the weight read off the parts by index; (k, tame, case-ii
+        # index) against the pairing with the case read off the partition,
+        # and against the plain and minus reports, whose witness and T the
+        # index picks
         kinds = Counter()
         for alg in RANK_3_ALGEBRAS:
             rho = b_standard(alg).rho
             for lam in hook_partitions(alg.n, alg.m, 8):
-                k, tame, index = got = shifted_tameness(natural_weight(lam)[0] + rho, alg)
+                shifted = natural_weight_by_index(lam)[0] + rho
+                assert shifted_weight(lam, alg) == shifted, (alg.label(), lam.parts)
+                k, tame, index = got = shifted_tameness(shifted, alg)
                 assert got == tameness_by_pairing(lam, alg), (alg.label(), lam.parts)
                 for minus in (False, True) if alg.family == "D" else (False,):
                     rep = is_tame(lam, alg, minus=minus)

@@ -86,6 +86,10 @@ class TestPairing:
 
 # every algebra with m, n <= 3: B:1:1 to D:3:3
 RANK_3_ALGEBRAS = [Algebra(f, m, n) for f in ("B", "D") for m in (1, 2, 3) for n in (1, 2, 3) if f == "B" or m >= 2]
+# every algebra of rank m + n <= 4: B:1:1 to D:3:1
+RANK_4_ALGEBRAS = [
+    Algebra(f, m, n) for f in ("B", "D") for m in range(1, 4) for n in range(1, 4) if m + n <= 4 and (f == "B" or m >= 2)
+]
 
 
 def coordinate_probes(alg, rng):
@@ -222,13 +226,29 @@ class TestBorelFromSequence:
         ]
 
     def test_rho_is_even_minus_odd_half_sums(self):
-        for alg in (B11, B22, D21, D22):
+        # every sequence of every algebra of rank <= 4, signed ones included:
+        # rho is half the sum of the positive even roots minus the odd ones,
+        # summed here as weights, and the even roots are one shared set
+        for alg in RANK_4_ALGEBRAS:
+            shared = b_standard(alg).pos_even
             for seq in all_sequences(alg):
                 b = borel_from_sequence(alg, seq)
-                total_odd = Weight.zero(alg.n, alg.m)
+                total = Weight.zero(alg.n, alg.m)
+                for r in b.pos_even:
+                    total = total + r
                 for r in b.pos_odd:
-                    total_odd = total_odd + r
-                assert b.rho == rho_even(b) - total_odd.half()
+                    total = total - r
+                assert b.rho == total.half(), str(seq)
+                assert b.pos_even is shared, str(seq)
+
+    def test_odd_roots_with_no_half_sum_raise_internal_error(self, monkeypatch):
+        # B:1:1 "de" with w_1 = d_1 / 2: its odd roots w_1 -+ e_1 and w_1 sum
+        # to 3 w_1, whose doubled entry 3 has no half in the lattice; the
+        # simple roots w_1 - e_1 and e_1 are still positive
+        half_d = Weight.from_doubled([1], [0])
+        monkeypatch.setattr(rootdata, "_sequence_weights", lambda alg, seq: (half_d, w([0], [1])))
+        with pytest.raises(InternalError, match="not halvable"):
+            borel_from_sequence.__wrapped__(B11, EpsDeltaSequence.parse("de"))
 
     @pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
     def test_simple_roots_are_positive_and_isotropy_is_odd_mixed(self, alg):
