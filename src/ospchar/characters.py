@@ -40,21 +40,21 @@ and so is D_0 = A_{rho_0}.
    numerator keyed by nu_eps and labelled by nu_delta; the delta recursion
    runs once over the nu_delta missing from ``_DELTA_CHARACTERS``, each
    labelled by itself.  m_mu sums, over the labels, the delta multiplicity
-   times the eps one.  That table and the per-factor chamber maps are shared
-   by every character of the process: the dominant weights below the tops are
-   walked down ``WeylFactor.children`` (mu to the dominant mu - alpha), and
-   each lifted weight mu + rho - w rho is one ``WeylFactor.dominant`` lookup.
+   times the eps one.  That table and the per-factor maps are shared by
+   every character of the process: the dominant weights below the tops are
+   walked down ``WeylFactor.children`` (mu to the dominant mu - alpha); a
+   final m_mu is kept, for this recursion only, at each point of its orbit,
+   where each lift mu + rho - w rho, above mu, is one lookup.
 3. Orbits.  Each m_mu is divided by j exactly.  The orbit form
    {dominant mu: m_mu / j} is the product: ``CharacterResult`` stores it,
    its dimension is sum_mu (m_mu / j) |W mu|, and the CLI's JSON and text
    are streamed from it row by row, by one walk (``_rows``) with two term
    renderers (``orbits_json``, ``orbits_text``): the eps exponents of all the
    eps-orbits that occur are sorted and rendered once, each dominant delta
-   part gets one template, its terms set into the slots of that sorted
-   order, and each point of its delta-orbit fills in the template as one
-   row, in descending order.  Peak memory is the templates plus one row.
-   The library holds no polynomial type: a character is its orbit form
-   throughout.
+   part gets one template, the pieces between the delta slots of its terms
+   in that order, and each point of its delta-orbit joins them as one row,
+   in descending order.  Peak memory is the templates plus one row.  The
+   library holds no polynomial type: a character is its orbit form throughout.
 
 Divisibility by D_0 is proved, not tried: before the recursion every
 nu - rho_0 is checked to lie in the weight lattice of g_0 (integral delta
@@ -72,6 +72,7 @@ live in the tests (``tests/oracles.py``), not here.
 from __future__ import annotations
 
 import functools
+from itertools import compress
 from typing import Iterator, NamedTuple
 from operator import add
 
@@ -135,11 +136,11 @@ def _rows(alg: Algebra, orbits: dict[tuple[int, ...], int], tails, head, fill, l
     Descending lex order sorts by the delta part first, and the coefficient of
     e^{(w d, e)} equals that of e^{(d, e)} for w in the delta factor.  So the
     eps terms of a dominant delta part are rendered once, as a template, and
-    each d in its delta-orbit fills it in as fill(template, d).  The eps
-    exponents of every orbit that occurs are sorted once and rendered once,
-    by tails(exponents); a template is its delta part's head(c_mu), one per
-    dominant eps weight, set into the slots of that sorted order and joined
-    with the tails.
+    each d in its delta-orbit fills its delta slots as fill(pieces, d).  The
+    eps exponents of every orbit that occurs are sorted and rendered once, by
+    tails(exponents), a term's text after its delta slot; head(c_mu) is the
+    text before it.  A template is [head, tail + head, ..., tail] over the
+    terms it fills, in that sorted order.
     """
     n = alg.n
     delta, eps = weyl_factors(alg)
@@ -158,7 +159,8 @@ def _rows(alg: Algebra, orbits: dict[tuple[int, ...], int], tails, head, fill, l
             text = head(coef)
             for i in slots:
                 heads[i] = text
-        templates[mu_delta] = "".join([h + t for h, t in zip(heads, texts) if h])
+        filled_heads, filled_tails = list(filter(None, heads)), list(compress(texts, heads))
+        templates[mu_delta] = [filled_heads[0], *map(add, filled_tails, filled_heads[1:]), filled_tails[-1]]
     points = sorted([(d, mu_delta) for mu_delta in templates for d in delta.orbit(mu_delta)], reverse=True)
     for k, (d, mu_delta) in enumerate(points):
         row = fill(templates[mu_delta], d)
@@ -169,13 +171,15 @@ def orbits_json(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[st
     """Compact JSON text of the terms of an orbit form (``_rows``), each
     {"coef": str(c), "exp": [...]} with sorted keys, in pieces: "[", each
     row, "]"."""
+    point = ",".join(["%d"] * alg.n)
+    tail = ",%d" * alg.m + "]}"
     yield "["
     yield from _rows(
         alg,
         orbits,
-        lambda exps: [f'","exp":[@,{",".join(map(str, e))}]}}' for e in exps],
-        lambda coef: f',{{"coef":"{coef}',
-        lambda template, d: template.replace("@", ",".join(map(str, d))),
+        lambda exps: [tail % e for e in exps],
+        lambda coef: f',{{"coef":"{coef}","exp":[',
+        lambda pieces, d: (point % d).join(pieces),
         lambda row: row[1:],
     )
     yield "]"
@@ -191,7 +195,7 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[st
     """The terms of an orbit form (``_rows``) in the variables x_i = e^{e_i},
     y_j = e^{d_j}, in pieces, joined by + and -; "0" when there are none.
     Exponents print halved, so x1^(1/2) and x1^(-1/2) can occur.  A term is
-    its sign, |c| unless |c| is 1, and '@' for the y part, then the x part."""
+    its sign, |c| unless |c| is 1, and the y part, then the x part."""
     if not orbits:
         return iter(["0"])
     xs = [f"x{i + 1}" for i in range(alg.m)]
@@ -199,14 +203,14 @@ def orbits_text(alg: Algebra, orbits: dict[tuple[int, ...], int]) -> Iterator[st
 
     def head(coef: int) -> str:
         sign = " - " if coef < 0 else " + "
-        return f"{sign}@" if coef in (1, -1) else f"{sign}{abs(coef)}*@"
+        return sign if coef in (1, -1) else f"{sign}{abs(coef)}*"
 
-    def fill(template: str, d: tuple[int, ...]) -> str:
+    def fill(pieces: list[str], d: tuple[int, ...]) -> str:
         if any(d):
-            return template.replace("@", _monomial(ys, d))
+            return _monomial(ys, d).join(pieces)
         # the zero delta point has no y part: '@*' goes, a coefficient alone
         # drops its '*', and a sign alone gets its 1
-        return template.replace("@*", "").replace("*@", "").replace("@", "1")
+        return "@".join(pieces).replace("@*", "").replace("*@", "").replace("@", "1")
 
     return _rows(
         alg,
@@ -386,13 +390,14 @@ def _racah(
     """Dominant weight multiplicities of sum_nu c_nu A_nu / A_rho over one
     Weyl factor, by Racah's recursion (see the module docstring).  Each c_nu
     and each multiplicity is a vector {label: nonzero int}, so one pass over
-    the dominant weights serves every label."""
+    the dominant weights serves every label; lifts are read off orbit points."""
     if not numerator:
         return {}
     rho = factor.rho
     tops = [tuple(a - b for a, b in zip(nu, rho)) for nu in numerator]
     ceiling = max(height(t, rho) for t in tops)
     mult: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    images: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # W mu -> m_mu, for mu in mult
     weights = sorted(((height(mu, rho), mu) for mu in factor.weights_below(tops)), reverse=True)
     for h, mu in weights:
         total = dict(numerator.get(tuple(map(add, mu, rho)), ()))
@@ -400,7 +405,7 @@ def _racah(
         for shift_height, sign, shift in factor.shifts:
             if shift_height > room:
                 break  # every dominant weight above the ceiling has multiplicity 0
-            higher = mult.get(factor.dominant(tuple(map(add, mu, shift))))
+            higher = images.get(tuple(map(add, mu, shift)))
             if higher:
                 for label, m in higher.items():
                     new = total.get(label, 0) - sign * m
@@ -410,6 +415,7 @@ def _racah(
                         del total[label]
         if total:
             mult[mu] = total
+            images.update(dict.fromkeys(factor.orbit(mu), total))
     return mult
 
 

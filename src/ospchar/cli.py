@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from collections import Counter
+from itertools import compress
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterable, TextIO
 
@@ -35,8 +36,8 @@ from .rootdata import (
     b_odd,
     b_standard,
     borel_from_sequence,
+    nonnegative_in_simple_roots,
     root_str,
-    simple_coords4,
     weyl_orbit,
 )
 from .hook import (
@@ -238,11 +239,18 @@ def _denominator_checks(alg: Algebra, borels) -> list[tuple[str, bool, str]]:
     alpha does.  So D_1 is the same for every Borel when the line multisets
     of their positive odd roots agree, D_0 changes at most its sign when those
     of the positive even roots agree (those of +-``pos_even`` with no negative
-    simple-root coordinate), and D_1 is W-invariant when W preserves its line
-    multiset: every line's W-images occur as often as the line.
+    simple-root coordinate, in one pass per Borel), and D_1 is W-invariant when
+    W preserves its line multiset: every line's W-images occur as often as it.
     """
     odd = _lines(borels[0].pos_odd)
-    even = [_lines(r for a in b.pos_even for r in (a, -a) if min(simple_coords4(b, r)) >= 0) for b in borels]
+    signed = {}  # +-pos_even as exponents, with their lines, once per set: an algebra's Borels share one
+    even = []
+    for b in borels:
+        if b.pos_even not in signed:
+            keys = [r.exponent_key() for a in b.pos_even for r in (a, -a)]
+            signed[b.pos_even] = keys, [_line(key) for key in keys]
+        keys, lines = signed[b.pos_even]
+        even.append(Counter(compress(lines, nonnegative_in_simple_roots(b, keys))))
     return [
         ("odd-denominator-borel-independent", all(_lines(b.pos_odd) == odd for b in borels), ""),
         ("even-denominator-sign-stable", all(lines == even[0] for lines in even), ""),

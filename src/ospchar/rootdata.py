@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -281,38 +280,16 @@ def height(exp: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return sum(map(mul, exp, rho))
 
 
-@functools.lru_cache(maxsize=None)
-def _sign_vectors(nonzero: tuple[bool, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
-    """Every vector of signs that is 1 where nonzero is False; sign_product,
-    if given, fixes the product of the signs.  At most 3 * 2^rank keys."""
-    vectors = []
-    for signs in itertools.product((1, -1), repeat=sum(nonzero)):
-        if sign_product is None or math.prod(signs) == sign_product:
-            flips = iter(signs)
-            vectors.append(tuple(next(flips) if v else 1 for v in nonzero))
-    return tuple(vectors)
-
-
-def _signed_permutations(values: tuple[int, ...], sign_product: int | None) -> tuple[tuple[int, ...], ...]:
-    """Distinct signed permutations of values; sign_product, if given, fixes
-    the sign of the product of the entries."""
-    return tuple(
-        tuple(map(mul, perm, vec))
-        for perm in set(itertools.permutations(map(abs, values)))
-        for vec in _sign_vectors(tuple(map(bool, perm)), sign_product)
-    )
-
-
 class WeylFactor:
     """One factor of W = W(C_n) x W(B_m or D_m): signed permutations of the
     delta axes exp[:n] (kind "C") or of the eps axes exp[n:] (kind "B" or "D",
     whose sign flips come in pairs).  ``rho`` is half the sum of ``roots``.
     One factor is built per (kind, rank), so factors compare by identity.
-    Its chamber maps are memoized per factor for the whole process, in
-    unbounded tables of tuples, since the seed terms, dominant weights and
-    Racah lifts of every character of an algebra share their parts:
-    ``dominant``, ``children`` (the cover graph that ``weights_below``
-    walks), ``straighten``, ``orbit`` and ``shifts``.
+    Its maps are memoized per factor for the whole process, in unbounded
+    tables of tuples, since the seed terms and dominant weights of every
+    character of an algebra share their parts: ``children`` (the cover graph
+    that ``weights_below`` walks), ``straighten``, ``orbit`` and ``shifts``;
+    none maps a Racah lift to the chamber (``characters._racah``).
     """
 
     def __init__(self, kind: str, roots: tuple[tuple[int, ...], ...], rho: tuple[int, ...]):
@@ -336,14 +313,6 @@ class WeylFactor:
             if any(shift):
                 shifts.append((height(shift, self.rho), self.straighten(image)[0], shift))
         return tuple(sorted(shifts))
-
-    @functools.lru_cache(maxsize=None)
-    def dominant(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        """The image of values in the factor's closed dominant chamber."""
-        image = sorted(map(abs, values), reverse=True)
-        if self.kind == FAMILY_D and image[-1] and sum(v < 0 for v in values) % 2:
-            image[-1] = -image[-1]
-        return tuple(image)
 
     def _walls(self, values: tuple[int, ...]) -> list[int]:
         """The pairings of values with the simple coroots, up to positive
@@ -408,11 +377,14 @@ class WeylFactor:
 
     @functools.lru_cache(maxsize=None)
     def orbit(self, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The distinct images of values under the factor's Weyl group."""
-        sign_product = None
+        """The distinct images of values under the factor's Weyl group: the
+        permutations of every sign pattern, zeros unsigned, in type D with no
+        zero only those with as many negatives as values, modulo 2."""
+        patterns = itertools.product(*[(v, -v) if v else (0,) for v in values])
         if self.kind == FAMILY_D and all(values):
-            sign_product = -1 if sum(v < 0 for v in values) % 2 else 1
-        return _signed_permutations(values, sign_product)
+            odd = sum(v < 0 for v in values) % 2
+            patterns = [p for p in patterns if sum(v < 0 for v in p) % 2 == odd]
+        return tuple(set().union(*map(itertools.permutations, patterns)))
 
     def weights_below(self, tops: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
         """Every dominant weight below some top in the dominance order,
@@ -613,6 +585,18 @@ def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
         if b.sequence.symbols[-1] == "e":
             coords[-2] = sums[-2] - values[-1]
     return tuple(coords)
+
+
+def nonnegative_in_simple_roots(b: BorelData, keys: list[tuple[int, ...]]) -> list[bool]:
+    """For each doubled exponent in keys, whether its coordinates in b's simple
+    roots (``simple_coords4``) are all nonnegative: the same partial sums along
+    b's sequence and type-D fork, one position at a time for all keys."""
+    sums = [[0] * len(keys)]
+    for axis, sign in _sequence_axes(b.algebra, b.sequence):
+        sums.append([s + key[axis] * sign for s, key in zip(sums[-1], keys)])
+    if b.algebra.family == FAMILY_D and b.sequence.symbols[-1] == "e":
+        sums[-2] = [2 * s - last for s, last in zip(sums[-2], sums[-1])]
+    return [min(column) >= 0 for column in zip(*sums[1:])]
 
 
 def in_simple_span(b: BorelData, simple_roots: tuple[Weight, ...], x: Weight) -> bool:

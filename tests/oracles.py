@@ -17,8 +17,13 @@ this file.
   ``divide_by_factors``), the route the character pipeline replaced.
 - The Weyl group element by element (``weyl_group``) and the naive signed
   sum over it (``weyl_alternating_sum``).
-- The chamber maps of a whole weight, one Weyl factor's map per part
-  (``dominant``, ``straighten``), which production applies part by part.
+- The closed-chamber map, by a sort of the absolute values, of one Weyl
+  factor (``factor_dominant``) and of a whole weight (``dominant``), which
+  production never needs: Racah's lifts are read off orbit points.  The
+  open-chamber map of a whole weight, one Weyl factor's map per part
+  (``straighten``), which production applies part by part.  The orbit of one
+  Weyl factor as the images under all of its signed permutations
+  (``factor_orbit``).
 - An exponent map applied to a polynomial (``map_exponents``) and the
   diagram twist of a polynomial (``sigma_twist_poly``).
 - The reflection walk one ``odd_reflection`` at a time
@@ -424,10 +429,31 @@ def weyl_group(alg: Algebra) -> tuple[tuple[int, WeylAction], ...]:
     return tuple(out)
 
 
+def factor_dominant(values: tuple[int, ...], paired_flips: bool) -> tuple[int, ...]:
+    """The image of values in the closed chamber of one Weyl factor: the
+    absolute values in decreasing order; with paired_flips (type D) an odd
+    count of negatives, which a zero absorbs, stays on the last entry."""
+    image = sorted(map(abs, values), reverse=True)
+    if paired_flips and image[-1] and sum(v < 0 for v in values) % 2:
+        image[-1] = -image[-1]
+    return tuple(image)
+
+
+def factor_orbit(values: tuple[int, ...], paired_flips: bool) -> set[tuple[int, ...]]:
+    """The images of values under every signed permutation of its axes; with
+    paired_flips only those with an even number of sign flips."""
+    out = set()
+    for perm, signs in _signed_permutations(len(values), paired_flips):
+        image = [0] * len(values)
+        for i, v in enumerate(values):
+            image[perm[i]] = signs[i] * v
+        out.add(tuple(image))
+    return out
+
+
 def dominant(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, ...]:
     """The image of exp in the closed dominant chamber."""
-    delta, eps = weyl_factors(alg)
-    return delta.dominant(exp[: alg.n]) + eps.dominant(exp[alg.n :])
+    return factor_dominant(exp[: alg.n], False) + factor_dominant(exp[alg.n :], alg.family == FAMILY_D)
 
 
 def straighten(alg: Algebra, exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

@@ -729,7 +729,12 @@ def whole_w_multiplicities(alg, alternants):
     return mult
 
 
-@pytest.mark.parametrize("alg", [Algebra.parse(a) for a in ("B:1:1", "B:2:2", "D:2:2", "D:3:2")], ids=Algebra.label)
+# the delta factors C1, C2 and C3 and the eps factors B1, B2, D2 and D3, with
+# C3 and B2 together in B:2:3
+FACTORED_RACAH_ALGEBRAS = ("B:1:1", "B:1:2", "B:2:2", "B:2:3", "D:2:2", "D:3:1", "D:3:2")
+
+
+@pytest.mark.parametrize("alg", [Algebra.parse(a) for a in FACTORED_RACAH_ALGEBRAS], ids=Algebra.label)
 class TestFactoredRacah:
     """Racah one Weyl factor at a time against the recursion over all of W."""
 

@@ -74,7 +74,6 @@ def test_reverse_replay_from_empty_weyl_factor_tables(workload, capsys):
     cleared = _clear_tables()
     assert cleared >= {
         "weyl_factor",
-        "WeylFactor.dominant",
         "WeylFactor.children",
         "WeylFactor.straighten",
         "WeylFactor.orbit",

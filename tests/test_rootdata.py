@@ -21,6 +21,7 @@ from ospchar.rootdata import (
     even_rho,
     height,
     in_simple_span,
+    nonnegative_in_simple_roots,
     odd_reflection,
     pairing4,
     reflection_walk,
@@ -39,6 +40,8 @@ from oracles import (
     coords_in_basis,
     denominators,
     dominant,
+    factor_dominant,
+    factor_orbit,
     monomial,
     poly_sum,
     reflection_walk_by_steps,
@@ -123,6 +126,20 @@ def test_simple_coords4_match_the_gauss_jordan_solve(alg):
             assert list(got) == [4 * c for c in coords_in_basis(simple, x)], (str(b.sequence), x)
             quarters += any(c % 2 for c in got)
     assert (alg.family == "D") == bool(quarters)
+
+
+@pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
+def test_nonnegative_in_simple_roots_matches_simple_coords4(alg):
+    # every Borel, on the probes and their negatives, the +-even roots among them
+    probes = coordinate_probes(alg, random.Random(alg.label()))
+    probes += [-x for x in probes]
+    keys = [x.exponent_key() for x in probes]
+    mixed = 0
+    for b in every_borel(alg):
+        want = [min(simple_coords4(b, x)) >= 0 for x in probes]
+        assert nonnegative_in_simple_roots(b, keys) == want, str(b.sequence)
+        mixed += sum(not ok and not ok_neg for ok, ok_neg in zip(want, want[len(want) // 2 :]))
+    assert mixed  # some probes have coordinates of both signs
 
 
 def test_in_simple_span_refuses_a_root_that_is_not_simple():
@@ -475,7 +492,7 @@ class TestWeylFactors:
             for sign, perm, signs in group:
                 images.setdefault(_act(perm, signs, values), []).append(sign)
             (top,) = [e for e in images if _in_closed_chamber(kind, e)]
-            assert factor.dominant(values) == top, values
+            assert factor_dominant(values, kind == "D") == top, values
             orbit = factor.orbit(values)
             assert len(set(orbit)) == len(orbit), values  # no sign flipped on a zero
             assert sorted(orbit) == sorted(images), values
@@ -527,22 +544,22 @@ class TestWeylFactors:
 
     def test_children_are_the_dominant_lowerings_by_a_root(self, kind, rank):
         factor = weyl_factor(kind, rank)
-        tops = [mu for mu in itertools.product(range(-4, 5), repeat=rank) if factor.dominant(mu) == mu]
+        tops = [mu for mu in itertools.product(range(-4, 5), repeat=rank) if factor_dominant(mu, kind == "D") == mu]
         assert tops
         for mu in tops:
             lowers = [tuple(a - b for a, b in zip(mu, alpha)) for alpha in factor.roots]
-            assert factor.children(mu) == tuple(x for x in lowers if factor.dominant(x) == x), mu
+            assert factor.children(mu) == tuple(x for x in lowers if factor_dominant(x, kind == "D") == x), mu
 
     def test_memoized_values_are_immutable(self, kind, rank):
         # the tables are shared by every caller in the process
         factor = weyl_factor(kind, rank)
         assert _frozen(factor.shifts)
         for values in itertools.product(range(-3, 4), repeat=rank):
-            for name in ("dominant", "straighten", "orbit"):
+            for name in ("straighten", "orbit"):
                 assert _frozen(getattr(factor, name)(values)), (name, values)
             for flips in (True, False):
                 assert _frozen(factor.straighten(values, (tuple(range(1, rank)),), flips)), values
-            assert _frozen(factor.children(factor.dominant(values))), values
+            assert _frozen(factor.children(factor_dominant(values, kind == "D"))), values
         # so are the seed plans of an algebra with this factor, built here
         # with no, one and every odd root excluded
         alg = Algebra("B", 1, rank) if kind == "C" else Algebra(kind, rank, 1)
@@ -551,6 +568,38 @@ class TestWeylFactors:
             first = min(b.pos_odd, key=Weight.exponent_key)
             for excluded in (frozenset(), frozenset({first}), b.pos_odd):
                 assert _frozen(_seed_plan(b, excluded)), (str(seq), len(excluded))
+
+
+# cut to the rank: distinct, with zeros, all zero, repeated, negative (an odd
+# count of them at some ranks), doubled half-odd, negative with zeros
+ORBIT_VALUES = [
+    (5, 4, 3, 2, 1),
+    (3, 0, 1, 0, 2),
+    (0, 0, 0, 0, 0),
+    (2, 2, 1, 1, 2),
+    (-1, -1, -1, -1, -1),
+    (-3, 1, -1, 2, -2),
+    (-1, 3, 3, 5, -1),
+    (-2, 0, -2, 1, 0),
+]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["C", "B", "D"])
+def test_orbit_is_every_signed_permutation_image_once(kind, rank):
+    # against the images under the whole factor, by brute force over its
+    # signed permutations; type D keeps the parity of the count of negatives
+    # unless a zero absorbs a flip
+    factor = weyl_factor(kind, rank)
+    parities = set()
+    for values in ORBIT_VALUES:
+        values = values[:rank]
+        orbit = factor.orbit(values)
+        assert len(set(orbit)) == len(orbit), values
+        assert set(orbit) == factor_orbit(values, kind == "D"), values
+        if all(values):
+            parities.add(sum(v < 0 for v in values) % 2)
+    assert parities == {0, 1}
 
 
 def _set_partitions(items: tuple[int, ...]):
