@@ -61,7 +61,7 @@ def preceq(a: Weight, b: Weight, borel: BorelData) -> bool:
     roots, so the positive-root cone equals the simple-root cone: b - a
     must have nonnegative integer coordinates in the simple roots.
     """
-    return all(c >= 0 and c % 4 == 0 for c in simple_coords4(borel, b - a))
+    return all(c >= 0 and c % 4 == 0 for c in simple_coords4(borel, [(b - a).exponent_key()])[0])
 
 
 class BottomStep(NamedTuple):

@@ -30,14 +30,16 @@ from typing import Callable, Iterable, TextIO
 
 from .exactnum import InputError, Weight, half_str
 from .rootdata import (
+    FAMILY_B,
+    FAMILY_D,
     Algebra,
     FamilyMismatch,
     all_sequences,
     b_odd,
     b_standard,
     borel_from_sequence,
-    nonnegative_in_simple_roots,
     root_str,
+    simple_coords4,
     weyl_orbit,
 )
 from .hook import (
@@ -186,11 +188,11 @@ def _verify_checks(alg: Algebra, max_size: int):
     # Euler constants for the shapes with a pinned value
     m, n = alg.m, alg.n
     expected = None
-    if alg.family == "B" and m == n:
+    if alg.family == FAMILY_B and m == n:
         expected = 2**m
-    elif alg.family == "D" and m == n:
+    elif alg.family == FAMILY_D and m == n:
         expected = 2 ** (m - 1)
-    elif alg.family == "D" and m == n + 1:
+    elif alg.family == FAMILY_D and m == n + 1:
         expected = 2**n
     if expected is not None:
         b = b_odd(alg)
@@ -250,7 +252,7 @@ def _denominator_checks(alg: Algebra, borels) -> list[tuple[str, bool, str]]:
             keys = [r.exponent_key() for a in b.pos_even for r in (a, -a)]
             signed[b.pos_even] = keys, [_line(key) for key in keys]
         keys, lines = signed[b.pos_even]
-        even.append(Counter(compress(lines, nonnegative_in_simple_roots(b, keys))))
+        even.append(Counter(compress(lines, [min(c) >= 0 for c in simple_coords4(b, keys)])))
     return [
         ("odd-denominator-borel-independent", all(_lines(b.pos_odd) == odd for b in borels), ""),
         ("even-denominator-sign-stable", all(lines == even[0] for lines in even), ""),
@@ -273,9 +275,9 @@ def _cmd_verify(args) -> int:
     else:
         for m in range(1, args.max_rank + 1):
             for n in range(1, args.max_rank + 1):
-                algebras.append(Algebra("B", m, n))
+                algebras.append(Algebra(FAMILY_B, m, n))
                 if m >= 2:
-                    algebras.append(Algebra("D", m, n))
+                    algebras.append(Algebra(FAMILY_D, m, n))
     results = []
     all_ok = True
     for alg in algebras:

@@ -21,13 +21,13 @@ class HookViolation(Exception):
 
 
 def transpose(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate partition by column counts."""
-    if not parts:
-        return ()
-    out = []
-    for col in range(1, parts[0] + 1):
-        out.append(sum(1 for p in parts if p >= col))
-    return tuple(out)
+    """Conjugate partition by column counts: each part counts once in each
+    of its columns, and the first part spans them all."""
+    counts = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for col in range(p):
+            counts[col] += 1
+    return tuple(counts)
 
 
 class _HookFields(NamedTuple):
@@ -77,10 +77,8 @@ def natural_weight(lam: HookPartition) -> tuple[Weight, Weight]:
     parts are at most m), with the last entry negated in the minus twin."""
     head = [2 * p for p in lam.parts[: lam.n]]
     delta = tuple(head + [0] * (lam.n - len(head)))
-    kappa = [0] * lam.m
-    for p in lam.parts[lam.n :]:
-        for col in range(p):
-            kappa[col] += 2
+    kappa = [2 * k for k in transpose(lam.parts[lam.n :])]
+    kappa += [0] * (lam.m - len(kappa))
     plus = Weight(delta, tuple(kappa))
     kappa[-1] = -kappa[-1]
     return plus, Weight(delta, tuple(kappa))

@@ -173,10 +173,9 @@ class BorelData(NamedTuple):
     rho: Weight
 
 
-@functools.lru_cache(maxsize=None)
 def _sequence_weights(alg: Algebra, seq: EpsDeltaSequence) -> tuple[Weight, ...]:
     """w_1, ..., w_N: the weight d_i or e_j of each symbol, left to right,
-    with e_m negated on a signed sequence.  Read once per (algebra, sequence)."""
+    with e_m negated on a signed sequence.  Unmemoized: both callers are."""
     n, m = alg.n, alg.m
     basis = {"d": Weight.basis_delta, "e": Weight.basis_eps}
     return tuple(basis[kind](n, m, i).scale(seq.sign if kind == "e" and i == m else 1) for kind, i in seq.numbered())
@@ -358,19 +357,16 @@ class WeylFactor:
             elif odd:
                 sign = -1
         image = list(map(abs, values) if flips else values)
-        for positions in (None,) if classes is None else classes:
-            picked = image if positions is None else [image[c] for c in positions]
+        for positions in (range(len(values)),) if classes is None else classes:
+            picked = [image[c] for c in positions]
             if len(set(picked)) < len(picked):
                 return None
             for i, a in enumerate(picked):  # the sort's sign, -1 per inversion
                 for b in picked[i + 1 :]:
                     if a < b:
                         sign = -sign
-            if positions is None:
-                image = sorted(picked, reverse=True)
-            else:
-                for c, v in zip(positions, sorted(picked, reverse=True)):
-                    image[c] = v
+            for c, v in zip(positions, sorted(picked, reverse=True)):
+                image[c] = v
         if negative_last:
             image[-1] = -image[-1]
         return sign, tuple(image)
@@ -561,13 +557,15 @@ class NotSimpleRoot(Exception):
 
 @functools.lru_cache(maxsize=None)
 def _sequence_axes(alg: Algebra, seq: EpsDeltaSequence) -> tuple[tuple[int, int], ...]:
-    """(axis, sign) of each sequence weight, sign times a basis vector."""
+    """(axis, entry) of each sequence weight w_i, left to right: w_i is
+    entry / 2 times the basis vector of that axis, so entry is +-2."""
     keys = [w.exponent_key() for w in _sequence_weights(alg, seq)]
-    return tuple((axis, key[axis] // 2) for key in keys for axis in range(len(key)) if key[axis])
+    return tuple((axis, key[axis]) for key in keys for axis in range(len(key)) if key[axis])
 
 
-def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
-    """4 times the coordinates of x in b's simple roots, which form a basis.
+def simple_coords4(b: BorelData, keys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """4 times the coordinates in b's simple roots, which form a basis, of
+    each doubled exponent x in keys, one sequence position at a time.
 
     With w_1, ..., w_N the weights of b's sequence (``_sequence_weights``)
     and x_i the coefficient of w_i in x, the simple roots are the
@@ -576,27 +574,14 @@ def simple_coords4(b: BorelData, x: Weight) -> tuple[int, ...]:
     or w_{N-1} + w_N, and at this fork the last coordinate is half the full
     sum; for w_{N-1} + w_N the one before it is (x_1 + ... + x_{N-1} - x_N) / 2.
     """
-    exp = x.exponent_key()
-    values = [exp[axis] * sign for axis, sign in _sequence_axes(b.algebra, b.sequence)]
-    sums = list(itertools.accumulate(values))  # of doubled entries: 2 * sums[i] is 4 c_i
-    coords = [2 * s for s in sums]
+    sums = [[0] * len(keys)]  # sums[i]: 4 (x_1 + ... + x_i), doubled entries times +-2
+    for axis, entry in _sequence_axes(b.algebra, b.sequence):
+        sums.append([s + key[axis] * entry for s, key in zip(sums[-1], keys)])
     if b.algebra.family == FAMILY_D:
-        coords[-1] = sums[-1]
+        sums[-1] = [s // 2 for s in sums[-1]]
         if b.sequence.symbols[-1] == "e":
-            coords[-2] = sums[-2] - values[-1]
-    return tuple(coords)
-
-
-def nonnegative_in_simple_roots(b: BorelData, keys: list[tuple[int, ...]]) -> list[bool]:
-    """For each doubled exponent in keys, whether its coordinates in b's simple
-    roots (``simple_coords4``) are all nonnegative: the same partial sums along
-    b's sequence and type-D fork, one position at a time for all keys."""
-    sums = [[0] * len(keys)]
-    for axis, sign in _sequence_axes(b.algebra, b.sequence):
-        sums.append([s + key[axis] * sign for s, key in zip(sums[-1], keys)])
-    if b.algebra.family == FAMILY_D and b.sequence.symbols[-1] == "e":
-        sums[-2] = [2 * s - last for s, last in zip(sums[-2], sums[-1])]
-    return [min(column) >= 0 for column in zip(*sums[1:])]
+            sums[-2] = [s - half for s, half in zip(sums[-2], sums[-1])]
+    return list(zip(*sums[1:]))
 
 
 def in_simple_span(b: BorelData, simple_roots: tuple[Weight, ...], x: Weight) -> bool:
@@ -607,4 +592,4 @@ def in_simple_span(b: BorelData, simple_roots: tuple[Weight, ...], x: Weight) ->
         indices = {b.simple_roots.index(r) for r in simple_roots}
     except ValueError:
         raise NotSimpleRoot(f"a root of {[r.display() for r in simple_roots]} is not simple in {b.sequence}") from None
-    return not any(c for i, c in enumerate(simple_coords4(b, x)) if i not in indices)
+    return not any(c for i, c in enumerate(simple_coords4(b, [x.exponent_key()])[0]) if i not in indices)

@@ -723,10 +723,10 @@ def matched_values(ds: Iterable[int], es: Iterable[int]) -> Counter:
 def natural_weight_by_index(lam: HookPartition) -> tuple[Weight, Weight]:
     """The standard-Borel highest weights (plain, minus-twisted): lambda_i
     for each i <= n, then kappa, the transpose of (lambda_{n+1}, ...) padded
-    to m, with its last entry negated in the minus twin."""
+    to m, each kappa_j counted as the parts lambda_i >= j with i > n, with
+    its last entry negated in the minus twin."""
     delta = [lam.part(i) for i in range(1, lam.n + 1)]
-    kappa = transpose(lam.parts[lam.n :])
-    kappa = kappa + (0,) * (lam.m - len(kappa))
+    kappa = tuple(sum(p >= j for p in lam.parts[lam.n :]) for j in range(1, lam.m + 1))
     minus_kappa = kappa[:-1] + (-kappa[-1],)
     return Weight.from_ints(delta, kappa), Weight.from_ints(delta, minus_kappa)
 

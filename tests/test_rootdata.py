@@ -21,7 +21,6 @@ from ospchar.rootdata import (
     even_rho,
     height,
     in_simple_span,
-    nonnegative_in_simple_roots,
     odd_reflection,
     pairing4,
     reflection_walk,
@@ -113,32 +112,24 @@ def coordinate_probes(alg, rng):
 
 @pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
 def test_simple_coords4_match_the_gauss_jordan_solve(alg):
-    # every Borel, signed D ones included: the partial sums, halved at the
-    # type-D fork, against the exact solve over Fraction, scaled by 4
+    # every Borel, signed D ones included, the probes and their negatives in
+    # one call: the partial sums, halved at the type-D fork, against the exact
+    # solve over Fraction, scaled by 4
     rng = random.Random(alg.label())
     probes = coordinate_probes(alg, rng)
     assert any(v % 2 for x in probes for v in x.exponent_key())
-    quarters = 0
-    for b in every_borel(alg):
-        simple = list(b.simple_roots)
-        for x in probes:
-            got = simple_coords4(b, x)
-            assert list(got) == [4 * c for c in coords_in_basis(simple, x)], (str(b.sequence), x)
-            quarters += any(c % 2 for c in got)
-    assert (alg.family == "D") == bool(quarters)
-
-
-@pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
-def test_nonnegative_in_simple_roots_matches_simple_coords4(alg):
-    # every Borel, on the probes and their negatives, the +-even roots among them
-    probes = coordinate_probes(alg, random.Random(alg.label()))
     probes += [-x for x in probes]
     keys = [x.exponent_key() for x in probes]
-    mixed = 0
+    quarters = mixed = 0
     for b in every_borel(alg):
-        want = [min(simple_coords4(b, x)) >= 0 for x in probes]
-        assert nonnegative_in_simple_roots(b, keys) == want, str(b.sequence)
-        mixed += sum(not ok and not ok_neg for ok, ok_neg in zip(want, want[len(want) // 2 :]))
+        simple = list(b.simple_roots)
+        got = simple_coords4(b, keys)
+        assert len(got) == len(probes), str(b.sequence)
+        for x, coords in zip(probes, got):
+            assert list(coords) == [4 * c for c in coords_in_basis(simple, x)], (str(b.sequence), x)
+            quarters += any(c % 2 for c in coords)
+        mixed += sum(min(c) < 0 < max(c) for c in got)
+    assert (alg.family == "D") == bool(quarters)
     assert mixed  # some probes have coordinates of both signs
 
 
