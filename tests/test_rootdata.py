@@ -133,6 +133,22 @@ def test_simple_coords4_match_the_gauss_jordan_solve(alg):
     assert mixed  # some probes have coordinates of both signs
 
 
+@pytest.mark.parametrize("alg", RANK_3_ALGEBRAS, ids=Algebra.label)
+def test_simple_coords4_batch_matches_one_key_calls(alg):
+    # the even-denominator check passes many keys in one call, preceq and
+    # in_simple_span one key each: the batch must not mix its keys, and on
+    # every Borel the roots with no negative coordinate are its positive ones
+    probes = coordinate_probes(alg, random.Random(alg.label()))
+    for b in every_borel(alg):
+        positive = b.pos_even | b.pos_odd
+        roots = [r for a in positive for r in (a, -a)]
+        keys = [x.exponent_key() for x in probes + roots]
+        got = simple_coords4(b, keys)
+        assert got == [simple_coords4(b, [key])[0] for key in keys], str(b.sequence)
+        assert {x for x, c in zip(roots, got[len(probes) :]) if min(c) >= 0} == positive, str(b.sequence)
+    assert simple_coords4(b, []) == []
+
+
 def test_in_simple_span_refuses_a_root_that_is_not_simple():
     b = b_standard(D22)
     levi = b.simple_roots[-2:]
